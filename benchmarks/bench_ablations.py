@@ -88,8 +88,7 @@ class TestStoreChunkSize:
         return [
             ParsedRecord(pid=1, start_us=i, call="read",
                          fp=f"/data/f{i % 50}", size=i % 4096,
-                         dur_us=3, retval=None, errno=None,
-                         requested=None, args=())
+                         dur_us=3, errno=None)
             for i in range(self.N)
         ]
 

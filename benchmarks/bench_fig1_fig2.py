@@ -50,7 +50,7 @@ def test_fig2_single_file_parse(benchmark, ls_trace_dir):
     assert first.call == "read"
     assert first.fp.endswith("libselinux.so.1")
     assert first.size == 832
-    assert first.requested == 832
+    assert first.ok
 
 
 def test_fig2_parse_throughput_paper_scale(benchmark, ior_exp_a_dir):

@@ -167,13 +167,12 @@ class EventLogWriter:
         """Add one case from parsed strace records (reader output).
 
         Columnarization is shared with the parallel-ingest wire format
-        (:func:`repro.ingest.parallel.case_to_columns`), so records
+        (:func:`repro.ingest.parallel.rows_to_columns`), so records
         stream into the store and across process pools identically.
         """
-        from repro.ingest.parallel import case_to_columns
-        from repro.strace.reader import TraceCase
+        from repro.ingest.parallel import rows_to_columns
 
-        case = case_to_columns(TraceCase(name=name, records=records))
+        case = rows_to_columns(name, records)
         self.add_case_arrays(
             case_id=name.case_id, cid=name.cid, host=name.host,
             rid=name.rid, columns=case.columns(),

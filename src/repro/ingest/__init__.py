@@ -6,7 +6,7 @@ per rank. This subsystem makes ingestion scale along three independent
 axes, all of which preserve the sequential semantics *exactly*:
 
 - :mod:`repro.ingest.streaming` — a generator pipeline
-  (file → tokens → merged records) that holds one line at a time
+  (file → lines → merged rows) that holds one line at a time
   instead of a per-file token list, and diagnoses undecodable bytes
   instead of silently replacing them;
 - :mod:`repro.ingest.parallel` — a ``ProcessPoolExecutor`` fan-out of
@@ -26,7 +26,7 @@ through here: :func:`repro.strace.reader.read_trace_dir`,
 and the CLI's ``--workers`` / ``--recursive`` flags.
 """
 
-from repro.ingest.streaming import TokenStream
+from repro.ingest.streaming import TokenStream, TraceLines
 from repro.ingest.parallel import (
     MAX_AUTO_WORKERS,
     CaseColumns,
@@ -37,6 +37,7 @@ from repro.ingest.parallel import (
     iter_case_columns,
     read_cases,
     resolve_workers,
+    rows_to_columns,
 )
 from repro.ingest.shards import (
     case_dfg,
@@ -47,6 +48,7 @@ from repro.ingest.summary import cases_summary, trace_dir_summary
 
 __all__ = [
     "TokenStream",
+    "TraceLines",
     "MAX_AUTO_WORKERS",
     "CaseColumns",
     "available_cpus",
@@ -56,6 +58,7 @@ __all__ = [
     "iter_case_columns",
     "read_cases",
     "resolve_workers",
+    "rows_to_columns",
     "case_dfg",
     "dfg_from_trace_dir",
     "iter_case_dfgs",

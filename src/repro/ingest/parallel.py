@@ -42,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -267,48 +267,59 @@ class CaseColumns:
         }
 
 
+def rows_to_columns(name: "TraceFileName", rows: "Sequence[tuple]",
+                    merge_stats: "MergeStats | None" = None,
+                    ) -> CaseColumns:
+    """Columnarize one case's sealed rows (or parsed records, which
+    are the same tuples with names).
+
+    Local string pools are built in first-occurrence order over the
+    rows; missing ``fp``/``size``/``dur`` become :data:`MISSING`.
+    """
+    from repro.strace.resume import MergeStats
+
+    if merge_stats is None:
+        merge_stats = MergeStats()
+    n = len(rows)
+    if n:
+        pid, start, call, fp, size, dur, _ = zip(*rows)
+    else:
+        pid = start = call = fp = size = dur = ()
+    calls = list(dict.fromkeys(call))
+    call_codes = {value: code for code, value in enumerate(calls)}
+    paths = [value for value in dict.fromkeys(fp) if value is not None]
+    path_codes = {value: code for code, value in enumerate(paths)}
+    path_codes[None] = MISSING
+    return CaseColumns(
+        name=name,
+        pid=np.array(pid, dtype=np.int64),
+        start=np.array(start, dtype=np.int64),
+        dur=np.array([MISSING if v is None else v for v in dur],
+                     dtype=np.int64),
+        size=np.array([MISSING if v is None else v for v in size],
+                      dtype=np.int64),
+        call=np.fromiter(map(call_codes.__getitem__, call),
+                         dtype=np.int32, count=n),
+        fp=np.fromiter(map(path_codes.__getitem__, fp),
+                       dtype=np.int32, count=n),
+        calls=calls, paths=paths, merge_stats=merge_stats)
+
+
 def case_to_columns(case: "TraceCase") -> CaseColumns:
     """Reduce a parsed case to its columnar wire form."""
-    records = case.records
-    n = len(records)
-    pid = np.empty(n, dtype=np.int64)
-    start = np.empty(n, dtype=np.int64)
-    dur = np.empty(n, dtype=np.int64)
-    size = np.empty(n, dtype=np.int64)
-    call = np.empty(n, dtype=np.int32)
-    fp = np.empty(n, dtype=np.int32)
-    calls: list[str] = []
-    call_index: dict[str, int] = {}
-    paths: list[str] = []
-    path_index: dict[str, int] = {}
-
-    def intern_local(value: str, strings: list[str],
-                     index: dict[str, int]) -> int:
-        code = index.get(value)
-        if code is None:
-            code = len(strings)
-            index[value] = code
-            strings.append(value)
-        return code
-
-    for i, record in enumerate(records):
-        pid[i] = record.pid
-        start[i] = record.start_us
-        dur[i] = record.dur_us if record.dur_us is not None else MISSING
-        size[i] = record.size if record.size is not None else MISSING
-        call[i] = intern_local(record.call, calls, call_index)
-        fp[i] = (intern_local(record.fp, paths, path_index)
-                 if record.fp is not None else MISSING)
-    return CaseColumns(name=case.name, pid=pid, start=start, dur=dur,
-                       size=size, call=call, fp=fp, calls=calls,
-                       paths=paths, merge_stats=case.merge_stats)
+    return rows_to_columns(case.name, case.records, case.merge_stats)
 
 
 def _parse_one_columns(
         task: "tuple[Path, TraceFileName, bool]") -> CaseColumns:
-    """Worker: parse one trace file and columnarize it in the child,
-    so only arrays and distinct strings cross the process boundary."""
-    return case_to_columns(_parse_one(task))
+    """Worker: parse one trace file straight into columns in the
+    child, so only arrays and distinct strings cross the process
+    boundary — and no record object is built on the way."""
+    from repro.strace.reader import read_trace_records
+
+    path, name, strict = task
+    rows, stats = read_trace_records(path, strict=strict, rows=True)
+    return rows_to_columns(name, rows, stats)
 
 
 def frame_from_case_columns(column_cases: "list[CaseColumns]",

@@ -97,14 +97,17 @@ CHECKPOINT_VERSION = 6
 _LOADABLE_VERSIONS = frozenset({2, 3, 4, 5, CHECKPOINT_VERSION})
 
 
-def _record_to_state(record: ParsedRecord) -> dict:
-    state = dataclasses.asdict(record)
-    state["args"] = list(state["args"])
-    return state
+def _record_to_state(record: tuple) -> dict:
+    """A record or row as JSON data, keyed by :class:`ParsedRecord`
+    field name."""
+    return dict(zip(ParsedRecord._fields, record))
 
 
 def _record_from_state(state: dict) -> ParsedRecord:
-    return ParsedRecord(**{**state, "args": tuple(state["args"])})
+    """Inverse of :func:`_record_to_state`. Reads only the record's
+    fields, so records saved with the ``args``/``retval``/``requested``
+    keys the parser no longer produces still load."""
+    return ParsedRecord._make(state[field] for field in ParsedRecord._fields)
 
 
 def _tail_to_state(tail: FileTail, directory: Path) -> dict:

@@ -25,7 +25,7 @@ Packing (:meth:`EmitJournal.pack`) replays the journal per case and
 streams the cases through
 :meth:`~repro.elstore.writer.EventLogWriter.add_case_records` in
 sorted-path order — the same columnarization
-(:func:`~repro.ingest.parallel.case_to_columns`) and the same case
+(:func:`~repro.ingest.parallel.rows_to_columns`) and the same case
 order as batch ``convert`` over the directory, which is what makes
 the output *byte*-identical, global string pools included. Cases the
 engine follows but that sealed nothing are packed empty, as batch
@@ -96,29 +96,25 @@ def _records_from_columns(data: dict, pools: dict,
     """First ``count`` stored rows of one case, as parsed records.
 
     Only the six column-backed fields matter downstream — packing
-    (:func:`~repro.ingest.parallel.case_to_columns`) reads nothing
-    else — so the fields the container does not store (retval, errno,
-    requested, args) are reconstructed as absent.
+    (:func:`~repro.ingest.parallel.rows_to_columns`) reads nothing
+    else — so ``errno``, which the container does not store, is
+    reconstructed as absent.
     """
     from repro.strace.parser import ParsedRecord
 
     calls = pools["calls"]
     paths = pools["paths"]
-    records: list[ParsedRecord] = []
     rows = zip(data["pid"][:count].tolist(),
                data["call"][:count].tolist(),
                data["start"][:count].tolist(),
                data["dur"][:count].tolist(),
                data["fp"][:count].tolist(),
                data["size"][:count].tolist())
-    for pid, call, start, dur, fp, size in rows:
-        records.append(ParsedRecord(
-            pid=int(pid), start_us=int(start), call=calls[call],
-            fp=None if fp < 0 else paths[fp],
-            size=None if size < 0 else int(size),
-            dur_us=None if dur < 0 else int(dur),
-            retval=None, errno=None, requested=None, args=()))
-    return records
+    return [ParsedRecord(pid=pid, start_us=start, call=calls[call],
+                         fp=None if fp < 0 else paths[fp],
+                         size=None if size < 0 else size,
+                         dur_us=None if dur < 0 else dur, errno=None)
+            for pid, call, start, dur, fp, size in rows]
 
 
 class EmitJournal:

@@ -31,13 +31,14 @@ from pathlib import Path
 from repro._util.errors import TraceParseError
 from repro.ingest.streaming import (
     _CHUNK_BYTES,
-    _NEWLINE_BYTES_RE,
+    _cut_lines,
+    _last_block,
+    _split_block,
     decode_trace_line,
 )
 from repro.strace.naming import TraceFileName
 from repro.strace.parser import ParsedRecord
 from repro.strace.resume import IncrementalMerger
-from repro.strace.tokenizer import Token, tokenize_line
 from repro.telemetry.spans import NULL_TELEMETRY
 
 
@@ -73,7 +74,8 @@ class FileTail:
         self.offset = 0
         self.carry = b""
         self.lineno = 0
-        self.merger = IncrementalMerger(path=str(self.path), strict=strict)
+        self.merger = IncrementalMerger(path=str(self.path), strict=strict,
+                                        default_pid=default_pid)
         self.finished = False
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
@@ -127,9 +129,12 @@ class FileTail:
                 remaining -= len(chunk)
                 self.offset += len(chunk)
                 with telemetry.phase("decode"):
-                    tokens = self._split_lines(chunk)
+                    block, self.carry = _cut_lines(self.carry + chunk)
+                    lines, error = self._decode(block)
                 with telemetry.phase("seal"):
-                    records.extend(self.merger.feed(tokens))
+                    records.extend(self.merger.feed_lines(lines))
+                if error is not None:
+                    raise error
         return records
 
     def finish(self) -> list[ParsedRecord]:
@@ -138,53 +143,42 @@ class FileTail:
         if self.finished:
             return []
         self.finished = True
-        tokens: list[Token] = []
-        carry = self.carry
-        self.carry = b""
-        if carry.endswith(b"\r"):  # lone '\r' at EOF terminates the line
-            carry = carry[:-1]
-        if carry:
+        block, self.carry = _last_block(self.carry), b""
+        lines: list[tuple[int, str]] = []
+        if block:
             with self.telemetry.phase("decode"):
-                token = self._tokenize(carry)
-            if token is not None:
-                tokens.append(token)
+                lines, error = self._decode(block)
+            if error is not None:
+                raise error
         with self.telemetry.phase("seal"):
-            records = self.merger.feed(tokens) if tokens else []
+            records = self.merger.feed_lines(lines) if lines else []
             return records + self.merger.finish()
 
     # -- internals ---------------------------------------------------------
 
-    def _split_lines(self, data: bytes) -> list[Token]:
-        """Split appended bytes into tokens, updating the line carry.
+    def _decode(self, block: bytes,
+                ) -> tuple[list[tuple[int, str]], TraceParseError | None]:
+        """Number and decode a block of complete lines: the non-blank
+        ``(lineno, text)`` lines, and the error of an undecodable line
+        under ``strict``, if any.
 
-        Mirrors the universal-newline splitting of the batch reader's
-        ``_iter_raw_lines``: a trailing ``\\r`` is held back because the
-        matching ``\\n`` may start the next poll's bytes.
+        The lines before a bad one are returned with its error, so the
+        caller feeds them first: a parse error on an earlier line
+        fires first, as it does in batch reading.
         """
-        data = self.carry + data
-        if data.endswith(b"\r"):
-            data, hold = data[:-1], b"\r"
-        else:
-            hold = b""
-        pieces = _NEWLINE_BYTES_RE.split(data)
-        self.carry = pieces.pop() + hold
-        tokens: list[Token] = []
-        for raw in pieces:
-            token = self._tokenize(raw)
-            if token is not None:
-                tokens.append(token)
-        return tokens
-
-    def _tokenize(self, raw: bytes) -> Token | None:
-        self.lineno += 1
-        text, replaced = decode_trace_line(
-            raw, strict=self.strict, path=str(self.path),
-            lineno=self.lineno)
-        self.merger.stats.decode_replacements += replaced
-        if not text.strip():
-            return None
-        return tokenize_line(text, path=str(self.path), lineno=self.lineno,
-                             default_pid=self.default_pid)
+        lines: list[tuple[int, str]] = []
+        for raw in _split_block(block) if block else ():
+            self.lineno += 1
+            try:
+                text, replaced = decode_trace_line(
+                    raw, strict=self.strict, path=str(self.path),
+                    lineno=self.lineno)
+            except TraceParseError as exc:
+                return lines, exc
+            self.merger.stats.decode_replacements += replaced
+            if text and not text.isspace():
+                lines.append((self.lineno, text))
+        return lines, None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FileTail({str(self.path)!r}, offset={self.offset}, "

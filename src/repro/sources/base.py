@@ -221,21 +221,19 @@ def case_columns_from_text(name, text: str, *, strict: bool = True,
     """Parse in-memory strace text into one case's columns.
 
     The exact pipeline of :func:`~repro.strace.reader.read_trace_file`
-    minus the file and byte-decode steps: tokenize each line, merge
-    unfinished/resumed pairs, columnarize. Lets synthetic producers
-    (the simulator) feed the analysis without a temp directory while
-    staying byte-identical to the write-files-then-ingest path.
+    minus the file and byte-decode steps: feed the lines to the merger
+    (which parses each as it arrives), columnarize the sealed rows.
+    Lets synthetic producers (the simulator) feed the analysis without
+    a temp directory while staying byte-identical to the
+    write-files-then-ingest path.
     """
-    from repro.ingest.parallel import case_to_columns
-    from repro.strace.reader import TraceCase
-    from repro.strace.resume import merge_unfinished
-    from repro.strace.tokenizer import tokenize_line
+    from repro.ingest.parallel import rows_to_columns
+    from repro.strace.resume import IncrementalMerger
 
-    tokens = (
-        tokenize_line(line, path=path_label, lineno=lineno, default_pid=0)
+    merger = IncrementalMerger(path=path_label, strict=strict, rows=True)
+    rows = merger.feed_lines(
+        (lineno, line)
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip())
-    records, stats = merge_unfinished(tokens, path=path_label,
-                                      strict=strict)
-    return case_to_columns(
-        TraceCase(name=name, records=records, merge_stats=stats))
+    rows += merger.finish()
+    return rows_to_columns(name, rows, merger.stats)

@@ -14,11 +14,14 @@ Layering (bottom → top):
 - :mod:`repro.strace.tokenizer` — splits a physical line into pid,
   timestamp and body, and classifies the record kind (syscall,
   unfinished, resumed, signal, exit).
-- :mod:`repro.strace.parser` — parses a syscall body into name, argument
-  list, file path, return value and duration, quote/paren-aware.
-- :mod:`repro.strace.resume` — merges ``<unfinished ...>`` with
-  ``<... resumed>`` partners (matched by pid, per the paper) and drops
-  ``ERESTARTSYS``-interrupted calls.
+- :mod:`repro.strace.parser` — parses a complete syscall line or body
+  into the seven record fields (pid, start, call, fp, size, dur,
+  errno): one anchored regex for the common I/O shape, a
+  quote/bracket-aware scan for everything else.
+- :mod:`repro.strace.resume` — the one merger: parses each line as it
+  arrives, merges ``<unfinished ...>`` with ``<... resumed>`` partners
+  (matched by pid, per the paper) and drops ``ERESTARTSYS``-interrupted
+  calls.
 - :mod:`repro.strace.naming` — the ``<cid>_<host>_<rid>.st`` trace-file
   naming convention of Fig. 1.
 - :mod:`repro.strace.reader` — reads files/directories into
@@ -45,6 +48,7 @@ from repro.strace.reader import (
     TraceCase,
     discover_trace_files,
     read_trace_file,
+    read_trace_records,
     read_trace_dir,
 )
 
@@ -71,5 +75,6 @@ __all__ = [
     "TraceCase",
     "discover_trace_files",
     "read_trace_file",
+    "read_trace_records",
     "read_trace_dir",
 ]

@@ -1,8 +1,10 @@
-"""Argument-level parsing of strace syscall records.
+"""Field-level parsing of strace syscall records.
 
-Turns a classified syscall body (see :mod:`repro.strace.tokenizer`) into
-a :class:`ParsedRecord` carrying the event attributes of Sec. III:
+Turns a complete syscall line or body into the event attributes of
+Sec. III — nothing more:
 
+- **pid** and **start_us** — from the line header (see
+  :mod:`repro.strace.tokenizer`);
 - **call** — the syscall name;
 - **fp** — the accessed file path, recovered from the ``-y`` descriptor
   annotation (``3</etc/passwd>``) on the appropriate argument, or from
@@ -12,52 +14,113 @@ a :class:`ParsedRecord` carrying the event attributes of Sec. III:
 - **size** — the transfer size, i.e. the return value, "parsed only for
   the variants of read and write system calls" (Sec. III item 6);
 - **dur_us** — the ``-T`` duration;
-- plus the raw return value, errno name, and the requested byte count
-  (the last integer argument of transfer calls, which the paper notes
-  "may differ from the actual number of bytes transferred").
+- **errno** — the error name of a failed call, which the merger needs
+  to drop ``ERESTART*``-interrupted calls.
 
-The argument scanner is quote- and bracket-aware: strace argument lists
-contain C strings with escapes (``"total 40\\n"``, possibly abbreviated
-as ``"total 4"...``), struct/array literals (``{st_mode=...}``,
-``[{iov_base=...}]``) and the ``fd</path>`` annotations themselves, so a
-naive ``split(',')`` is wrong. A character scan tracking quote state and
-``([{<`` nesting finds top-level commas and the closing parenthesis.
+These seven fields, in this order, are a *row*: the unit the merger
+(:mod:`repro.strace.resume`) seals and the column builders consume.
+:class:`ParsedRecord` is the same tuple with field names.
+
+There are two ways to a row, and they agree by construction (pinned by
+a differential hypothesis property):
+
+- the **fast path** (:func:`match_line`, :func:`match_body`): one
+  compiled, anchored regex per line recognises the shape
+  ``strace -f -tt -T -y`` emits for I/O calls — arguments without
+  struct/array literals, an optional leading ``fd</path>``, quoted
+  strings with escapes — and yields the fields directly. It returns
+  ``None`` (declines) for anything it does not fully understand;
+- the **general scan** (:func:`scan_body`): a quote- and bracket-aware
+  character scan (:func:`split_args`) that handles every body strace
+  can print, and the one source of the argument-list and
+  return-clause errors.
+
+The regexes are compiled when this module is imported, so a parent
+process compiles them once before it forks its ingest workers.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro._util.errors import TraceParseError
-from repro._util.timefmt import parse_duration
-from repro.strace.syscalls import PathSource, spec_for
-from repro.strace.tokenizer import RecordKind, Token, tokenize_line
+from repro.strace.syscalls import SYSCALL_CATALOG, PathSource, spec_for
+from repro.strace.tokenizer import (
+    PID_PATTERN,
+    STAMP_PATTERN,
+    RecordKind,
+    tokenize_line,
+)
 
 _OPENERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 _CLOSERS = {v: k for k, v in _OPENERS.items()}
 
 _FD_ANNOT_RE = re.compile(r"^(\d+)<(.*)>$", re.DOTALL)
-_RET_RE = re.compile(
-    r"""^=\s+
-        (?P<val>-?\d+|\?|0x[0-9a-fA-F]+)          # numeric / ? / hex
-        (?:<(?P<retpath>[^>]*)>)?                  # -y annotation on fds
-        (?:\s+(?P<errno>[A-Z][A-Z0-9_]+)\s+\([^)]*\))?  # ENOENT (No such..)
-        (?:\s+\((?P<flagdesc>[^)]*)\))?            # e.g. (Timeout)
-        \s*
-        (?:(?P<dur><\d+\.\d{6}>))?                 # -T duration
-        \s*$""",
-    re.VERBOSE,
-)
+_CALL_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\(")
+
+#: The ``= RET ... <dur>`` tail: value (numeric / ``?`` / hex), the
+#: ``-y`` annotation on a returned fd, ``ENOENT (No such ...)``, a flag
+#: description such as ``(Timeout)``, and the ``-T`` duration. One
+#: source for the general scan's :data:`_RET_RE` and the fast regexes.
+_RETURN_PATTERN = (
+    r"=\s+(-?\d+|\?|0x[0-9a-fA-F]+)"
+    r"(?:<([^>]*)>)?"
+    r"(?:\s+([A-Z][A-Z0-9_]+)\s+\([^)]*\))?"
+    r"(?:\s+\([^)]*\))?"
+    r"\s*(?:<(\d+)\.(\d{6})>)?\s*$")
+_RET_RE = re.compile("^" + _RETURN_PATTERN)
+
+#: A complete call whose argument list the general scan would split
+#: trivially: no bracket outside quoted strings except an optional
+#: leading ``fd<path>`` argument (captured), then the first ``)``
+#: outside strings closes the list. Strings are C strings with
+#: backslash escapes, scanned exactly as :func:`split_args` scans them.
+#: The unrolled ``[^"]*(?:"..."[^"]*)*`` form keeps a declined line
+#: linear in its length.
+_PLAIN = r'[^"()\[\]{}<>]'
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_CALL_PATTERN = (
+    r"([a-zA-Z_][a-zA-Z0-9_]*)\("
+    r"(?:\d+<(" + _PLAIN + r"*)>(?=[,)]))?"
+    r"(" + _PLAIN + r"*(?:" + _STRING + _PLAIN + r"*)*)\)\s*")
+
+#: Fast path for whole lines: header + call + return, one match.
+_LINE_RE = re.compile(
+    PID_PATTERN + STAMP_PATTERN + r"\s+" + _CALL_PATTERN + _RETURN_PATTERN,
+    re.DOTALL)
+#: Fast path for bodies (the spliced halves of a resumed call).
+_BODY_RE = re.compile(_CALL_PATTERN + _RETURN_PATTERN, re.DOTALL)
+#: The first argument of a bracket-free argument list that starts with
+#: a quote, when that argument is one string (possibly abbreviated
+#: ``"..."...``): the path of a failed ``openat`` without ``-y``.
+_FIRST_QUOTED_RE = re.compile(
+    r'(?:[^",]*,)*?\s*(' + _STRING + r')(?:\.\.\.)?\s*(?:,|$)', re.DOTALL)
+
+_UNFINISHED_SUFFIX = "<unfinished ...>"
+
+# How the fast path finds ``fp`` per call: from the leading fd
+# annotation, from the returned fd, or not at all. Calls whose path is
+# a quoted argument at some index are left to the general scan.
+_FP_FD, _FP_RET, _FP_NONE = 0, 1, 2
+_FP_MODES: dict[str, int | None] = {
+    name: {PathSource.FD_ARG: _FP_FD if spec.path_arg_index == 0 else None,
+           PathSource.RET_FD: _FP_RET,
+           PathSource.NONE: _FP_NONE}.get(spec.path_source)
+    for name, spec in SYSCALL_CATALOG.items()}
+_SIZE_CALLS = frozenset(
+    name for name, spec in SYSCALL_CATALOG.items() if spec.returns_size)
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedRecord:
-    """One fully parsed syscall record (possibly a merged resumed pair).
+class ParsedRecord(NamedTuple):
+    """One parsed syscall record (possibly a merged resumed pair).
 
-    ``fp`` is ``None`` when the call carries no path (or ``-y`` was off
-    and no quoted path argument exists); ``size`` is ``None`` for calls
-    that are not read/write variants or that failed.
+    A named row: the merger seals plain tuples in this field order and
+    wraps them in this class only where names are wanted. ``fp`` is
+    ``None`` when the call carries no path (or ``-y`` was off and no
+    quoted path argument exists); ``size`` is ``None`` for calls that
+    are not read/write variants or that failed; ``dur_us`` is ``None``
+    without ``-T``.
     """
 
     pid: int
@@ -66,10 +129,7 @@ class ParsedRecord:
     fp: str | None
     size: int | None
     dur_us: int | None
-    retval: int | None
     errno: str | None
-    requested: int | None
-    args: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -134,29 +194,6 @@ def split_args(text: str, *, path: str | None = None,
         path=path, lineno=lineno)
 
 
-def _parse_retval(text: str) -> tuple[int | None, str | None, str | None,
-                                      int | None]:
-    """Parse the ``= RET ... <dur>`` tail.
-
-    Returns ``(retval, ret_path, errno, dur_us)``.
-    """
-    match = _RET_RE.match(text.strip())
-    if match is None:
-        raise TraceParseError(f"unparseable return clause: {text[:80]!r}")
-    raw = match.group("val")
-    if raw == "?":
-        retval: int | None = None
-    elif raw.startswith("0x"):
-        retval = int(raw, 16)
-    else:
-        retval = int(raw)
-    ret_path = match.group("retpath")
-    errno = match.group("errno")
-    dur_text = match.group("dur")
-    dur_us = parse_duration(dur_text) if dur_text else None
-    return retval, ret_path, errno, dur_us
-
-
 def _strip_quotes(arg: str) -> str | None:
     """Unquote a C-string argument; None if it is not a quoted string.
 
@@ -178,7 +215,7 @@ def _strip_quotes(arg: str) -> str | None:
     )
 
 
-def _extract_fp(call: str, args: tuple[str, ...],
+def _extract_fp(call: str, args: list[str],
                 ret_path: str | None) -> str | None:
     """Recover the ``fp`` attribute per the syscall's :class:`PathSource`."""
     spec = spec_for(call)
@@ -207,65 +244,147 @@ def _extract_fp(call: str, args: tuple[str, ...],
     return None
 
 
-def _extract_requested(call: str, args: tuple[str, ...]) -> int | None:
-    """Requested byte count from the count argument of a transfer call
-    (``read(fd, buf, 832)`` → 832; ``pread64(fd, buf, 832, off)`` →
-    832, not the offset). Vectored variants carry no flat count."""
-    spec = spec_for(call)
-    if spec.requested_arg_index is None:
+def _size(call: str, val: str, errno: str | None) -> int | None:
+    """The transfer size: the return value of a successful read/write
+    variant (``?`` and negative returns carry none)."""
+    if errno is not None or call not in _SIZE_CALLS or val == "?":
         return None
-    if spec.requested_arg_index < len(args):
-        arg = args[spec.requested_arg_index]
-        if re.fullmatch(r"\d+", arg):
-            return int(arg)
-    return None
+    retval = int(val, 16) if val.startswith("0x") else int(val)
+    return retval if retval >= 0 else None
+
+
+def _duration(seconds: str | None, micros: str | None) -> int | None:
+    """µs of a ``<seconds.micros>`` duration (``micros`` has six
+    digits, so the concatenation is the µs count)."""
+    return None if seconds is None else int(seconds + micros)
+
+
+def _fast_row(pid: int, start_us: int, call: str, fd_path: str | None,
+              args: str, val: str, ret_path: str | None,
+              errno: str | None, dur_s: str | None,
+              dur_frac: str | None) -> tuple | None:
+    """The row of a fast match, or None when ``fp`` needs the general
+    scan (a quoted path at some argument index, or a path argument of
+    ``openat`` that is not one plain string)."""
+    mode = _FP_MODES.get(call, _FP_FD)
+    if mode == _FP_FD:
+        fp = fd_path
+    elif mode == _FP_RET:
+        if ret_path:
+            fp = ret_path
+        else:
+            quoted = _FIRST_QUOTED_RE.match(args)
+            if quoted is None:
+                return None
+            fp = _strip_quotes(quoted.group(1))
+    elif mode == _FP_NONE:
+        fp = None
+    else:
+        return None
+    return (pid, start_us, call, fp, _size(call, val, errno),
+            _duration(dur_s, dur_frac), errno)
+
+
+def match_line(line: str, default_pid: int = 0) -> tuple | None:
+    """The fast path for one whole line: its row, or ``None``.
+
+    ``None`` means *declined*, not *invalid*: the caller falls back to
+    :func:`~repro.strace.tokenizer.tokenize_line` and the general scan,
+    which either parse the line the same way or raise the located
+    error. A line is taken only if tokenizing would classify it as a
+    complete syscall, so unfinished/resumed/signal/exit lines, and
+    stamps out of range, are declined too.
+    """
+    if "\n" in line:  # the tokenizer's header never spans a newline
+        line = line.rstrip("\n")
+        if "\n" in line:
+            return None
+    m = _LINE_RE.match(line)
+    if m is None:
+        return None
+    (pid, hours, minutes, seconds, epoch, fraction, call, fd_path, args,
+     val, ret_path, errno, dur_s, dur_frac) = m.groups()
+    if hours is not None:
+        hours, minutes, seconds = int(hours), int(minutes), int(seconds)
+        if hours > 23 or minutes > 59 or seconds > 60:
+            return None
+        start_us = ((hours * 60 + minutes) * 60 + seconds) * 1_000_000 \
+            + int(fraction)
+    else:
+        start_us = int(epoch + fraction)
+    if dur_s is None and line.endswith(_UNFINISHED_SUFFIX):
+        return None  # ``= 3<unfinished ...>``: the tokenizer's UNFINISHED
+    return _fast_row(default_pid if pid is None else int(pid), start_us,
+                     call, fd_path, args, val, ret_path, errno, dur_s,
+                     dur_frac)
+
+
+def match_body(pid: int, start_us: int, body: str) -> tuple | None:
+    """The fast path for a syscall body (``name(args) = ret <dur>``):
+    its row, or ``None`` to decline (see :func:`match_line`)."""
+    m = _BODY_RE.match(body)
+    return None if m is None else _fast_row(pid, start_us, *m.groups())
+
+
+def scan_body(pid: int, start_us: int, body: str, *,
+              path: str | None = None,
+              lineno: int | None = None) -> tuple:
+    """The general scan of a complete syscall body: its row.
+
+    Handles everything strace prints — struct/array arguments, paths at
+    any argument index — and raises the located
+    :class:`~repro._util.errors.TraceParseError` for bodies that are
+    not a syscall, argument lists that are unbalanced or unterminated,
+    and return clauses it cannot read.
+    """
+    match = _CALL_RE.match(body)
+    if match is None:
+        raise TraceParseError(
+            f"not a syscall body: {body[:80]!r}", path=path, lineno=lineno)
+    call = match.group(1)
+    rest = body[match.end():]
+    args, close_idx = split_args(rest, path=path, lineno=lineno)
+    tail = rest[close_idx + 1:].strip()
+    ret = _RET_RE.match(tail)
+    if ret is None:
+        raise TraceParseError(
+            f"unparseable return clause: {tail[:80]!r}",
+            path=path, lineno=lineno, line=body)
+    val, ret_path, errno, dur_s, dur_frac = ret.groups()
+    return (pid, start_us, call, _extract_fp(call, args, ret_path),
+            _size(call, val, errno), _duration(dur_s, dur_frac), errno)
+
+
+def parse_row(pid: int, start_us: int, body: str, *,
+              path: str | None = None,
+              lineno: int | None = None) -> tuple:
+    """A complete syscall body's row: fast path, else general scan."""
+    row = match_body(pid, start_us, body)
+    if row is None:
+        row = scan_body(pid, start_us, body, path=path, lineno=lineno)
+    return row
 
 
 def parse_body(pid: int, start_us: int, body: str, *,
                path: str | None = None,
                lineno: int | None = None) -> ParsedRecord:
     """Parse a complete syscall body (``name(args) = ret <dur>``)."""
-    match = re.match(r"^([a-zA-Z_][a-zA-Z0-9_]*)\(", body)
-    if match is None:
-        raise TraceParseError(
-            f"not a syscall body: {body[:80]!r}", path=path, lineno=lineno)
-    call = match.group(1)
-    rest = body[match.end():]
-    arg_list, close_idx = split_args(rest, path=path, lineno=lineno)
-    tail = rest[close_idx + 1:].strip()
-    try:
-        retval, ret_path, errno, dur_us = _parse_retval(tail)
-    except TraceParseError as exc:
-        raise TraceParseError(
-            str(exc), path=path, lineno=lineno, line=body) from exc
-    args = tuple(arg_list)
-    spec = spec_for(call)
-    size = None
-    if spec.returns_size and retval is not None and retval >= 0 \
-            and errno is None:
-        size = retval
-    return ParsedRecord(
-        pid=pid,
-        start_us=start_us,
-        call=call,
-        fp=_extract_fp(call, args, ret_path),
-        size=size,
-        dur_us=dur_us,
-        retval=retval,
-        errno=errno,
-        requested=_extract_requested(call, args),
-        args=args,
-    )
+    return ParsedRecord._make(
+        parse_row(pid, start_us, body, path=path, lineno=lineno))
 
 
 def parse_line(line: str, *, path: str | None = None,
                lineno: int | None = None) -> ParsedRecord | None:
-    """Tokenize + parse one line; returns ``None`` for non-syscall records.
+    """Parse one line; returns ``None`` for non-syscall records.
 
     Convenience for tests and one-off use. Production reading goes
-    through :mod:`repro.strace.reader`, which also performs
-    unfinished/resumed merging across lines.
+    through :class:`~repro.strace.resume.IncrementalMerger`, which
+    takes the same two paths per line and also merges
+    unfinished/resumed pairs across lines.
     """
+    row = match_line(line)
+    if row is not None:
+        return ParsedRecord._make(row)
     token = tokenize_line(line, path=path, lineno=lineno)
     if token.kind is not RecordKind.SYSCALL:
         return None

@@ -2,19 +2,19 @@
 
 A *case* in the paper is "the group of events in each trace file"
 (Sec. IV), identified by (cid, host, rid) from the file name. The reader
-produces one :class:`TraceCase` per file: tokenize every line, merge
+produces one :class:`TraceCase` per file: parse every line, merge
 unfinished/resumed pairs, drop ERESTARTSYS records, and keep the result
 sorted by start timestamp — the exact preprocessing Sec. III prescribes
 before events enter the event-log formalism.
 
-Since the ingestion engine landed (:mod:`repro.ingest`), both steps
-stream: :func:`read_trace_file` pipes a lazy
-:class:`~repro.ingest.streaming.TokenStream` straight into
-:func:`~repro.strace.resume.merge_unfinished`, so the full token list
-of a file never exists in memory, and :func:`read_trace_dir` can fan
-the per-file work out over a process pool (``workers=``) — safe because
-cases are independent by construction and the resulting case list is
-ordered by file path either way.
+Both steps stream: :func:`read_trace_records` pipes the lazy lines of
+a :class:`~repro.ingest.streaming.TraceLines` straight into the
+:class:`~repro.strace.resume.IncrementalMerger`, which parses each line
+as it arrives, so only the current block of lines of a file is ever
+in memory; :func:`read_trace_dir` can fan the per-file work out over a
+process pool (``workers=``) — safe because cases are independent by
+construction and the resulting case list is ordered by file path
+either way.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from pathlib import Path
 from repro._util.errors import TraceParseError
 from repro.strace.naming import TRACE_SUFFIX, TraceFileName, parse_trace_filename
 from repro.strace.parser import ParsedRecord
-from repro.strace.resume import MergeStats, merge_unfinished
+from repro.strace.resume import IncrementalMerger, MergeStats
 
 
 @dataclass(slots=True)
@@ -61,6 +61,41 @@ class TraceCase:
         return len(self.records)
 
 
+def read_trace_records(
+    path: str | os.PathLike[str],
+    *,
+    strict: bool = True,
+    rows: bool = False,
+) -> tuple[list, MergeStats]:
+    """Parse one trace file: its records in start order, and the merge
+    statistics (including the undecodable-byte count).
+
+    :func:`read_trace_file` without the case wrapper. ``rows=True``
+    returns plain ``(pid, start_us, call, fp, size, dur_us, errno)``
+    tuples instead of :class:`ParsedRecord` — what the column builders
+    of :mod:`repro.ingest.parallel` consume. ``strict`` is as for
+    :func:`read_trace_file`.
+    """
+    # Imported here, not at module top: repro.ingest.streaming pulls in
+    # the tokenizer, whose package __init__ imports this module.
+    from repro.ingest.streaming import TraceLines
+
+    lines = TraceLines(path, strict=strict)
+    merger = IncrementalMerger(path=str(lines.path), strict=strict,
+                               rows=rows)
+    records = merger.feed_lines(lines)
+    records += merger.finish()
+    stats = merger.stats
+    stats.decode_replacements = lines.decode_replacements
+    if stats.decode_replacements:
+        warnings.warn(
+            f"{lines.path}: replaced {stats.decode_replacements} "
+            f"undecodable byte(s) with U+FFFD — the trace is corrupt "
+            f"or not UTF-8",
+            stacklevel=3)
+    return records, stats
+
+
 def read_trace_file(
     path: str | os.PathLike[str],
     *,
@@ -83,24 +118,17 @@ def read_trace_file(
         bytes raise when True, and are replaced with U+FFFD, counted in
         ``merge_stats.decode_replacements`` and warned about when
         False.
-    """
-    # Imported here, not at module top: repro.ingest.streaming pulls in
-    # the tokenizer, whose package __init__ imports this module.
-    from repro.ingest.streaming import TokenStream
 
+    Raises
+    ------
+    TraceParseError
+        Naming the file and the line, for any line that does not
+        parse or merge.
+    """
     file_path = Path(path)
     if name is None:
         name = parse_trace_filename(file_path.name)
-    stream = TokenStream(file_path, strict=strict)
-    records, stats = merge_unfinished(
-        stream, path=str(file_path), strict=strict)
-    stats.decode_replacements = stream.decode_replacements
-    if stats.decode_replacements:
-        warnings.warn(
-            f"{file_path}: replaced {stats.decode_replacements} "
-            f"undecodable byte(s) with U+FFFD — the trace is corrupt "
-            f"or not UTF-8",
-            stacklevel=2)
+    records, stats = read_trace_records(file_path, strict=strict)
     return TraceCase(name=name, records=records, merge_stats=stats,
                      source=file_path)
 

@@ -24,15 +24,16 @@ skipped here; the reader records their counts for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro._util.errors import TraceParseError
-from repro.strace.parser import ParsedRecord, parse_body
+from repro.strace.parser import ParsedRecord, match_line, parse_row
 from repro.strace.tokenizer import (
     RecordKind,
     Token,
     resumed_call_name,
+    tokenize_line,
     unfinished_call_name,
 )
 
@@ -61,21 +62,25 @@ class MergeStats:
     decode_replacements: int = 0
 
 
-def _is_restart(record: ParsedRecord) -> bool:
-    return record.errno in RESTART_ERRNOS
-
-
 class IncrementalMerger:
     """Stateful unfinished/resumed merger, consumable in arbitrary slices.
 
-    The live follower (:mod:`repro.live`) sees a trace file a few lines
-    at a time, so the merge state — the per-pid in-flight slot — must
-    survive between feeds. This class carries it, and additionally
-    solves an ordering problem batch merging hides: a merged record
-    sits at its *unfinished* (start) position, which precedes records
-    already produced from lines between the two halves. Emitting those
-    intermediate records eagerly would put them ahead of a record that
-    still belongs before them.
+    The one merger of both ingestion paths: batch reading feeds it a
+    whole file, the live follower (:mod:`repro.live`) a few lines at a
+    time, so the merge state — the per-pid in-flight slot — survives
+    between feeds. :meth:`feed_lines` is also where each line is
+    parsed: a complete I/O call takes the fast path
+    (:func:`~repro.strace.parser.match_line`) straight to its row;
+    every other line is tokenized and handled here, its syscall bodies
+    (including spliced resumed pairs) parsed by
+    :func:`~repro.strace.parser.parse_row`. Errors name the path and
+    the line.
+
+    The merger also solves an ordering problem batch merging hides: a
+    merged record sits at its *unfinished* (start) position, which
+    precedes records already produced from lines between the two
+    halves. Emitting those intermediate records eagerly would put them
+    ahead of a record that still belongs before them.
 
     The merger therefore *seals* records with a watermark: a completed
     record leaves the internal buffer only once its start timestamp is
@@ -83,29 +88,33 @@ class IncrementalMerger:
     no future merge can sort ahead of it (strace writes plain lines in
     timestamp order; any inversion would have forced a split, which is
     represented in the pending map). Sealed output across feeds is
-    exactly the sorted record list batch merging produces: ties on
-    start timestamp break by completion order, matching the stable
-    sort of :func:`merge_unfinished` — which is now a thin wrapper
-    around one feed + finish.
+    exactly the sorted record list of one feed over the whole input:
+    ties on start timestamp break by completion order.
 
-    Parameters mirror :func:`merge_unfinished`; :attr:`stats` is
-    updated in place as tokens arrive.
+    Sealed records are rows — ``(pid, start_us, call, fp, size,
+    dur_us, errno)`` tuples — wrapped as
+    :class:`~repro.strace.parser.ParsedRecord` unless ``rows=True``
+    (the column builders, which need no names). :attr:`stats` is
+    updated in place as input arrives.
     """
 
-    __slots__ = ("path", "strict", "stats", "_pending", "_buffer", "_seq")
+    __slots__ = ("path", "strict", "default_pid", "stats", "_pending",
+                 "_buffer", "_seq", "_wrap")
 
-    def __init__(self, *, path: str | None = None,
-                 strict: bool = True) -> None:
+    def __init__(self, *, path: str | None = None, strict: bool = True,
+                 default_pid: int = 0, rows: bool = False) -> None:
         self.path = path
         self.strict = strict
+        self.default_pid = default_pid
         self.stats = MergeStats()
         # pid -> (token, call name) for the in-flight unfinished record.
         self._pending: dict[int, tuple[Token, str]] = {}
-        # Completed but unsealed records: (start_us, completion seq,
-        # record). The seq is the batch completion index, so sealing in
-        # (start, seq) order reproduces the batch stable sort exactly.
-        self._buffer: list[tuple[int, int, ParsedRecord]] = []
+        # Completed but unsealed rows: (start_us, completion seq, row).
+        # The seq is the completion index, so sealing in (start, seq)
+        # order reproduces a one-feed stable sort exactly.
+        self._buffer: list[tuple[int, int, tuple]] = []
         self._seq = 0
+        self._wrap = None if rows else ParsedRecord._make
 
     # -- introspection (live status displays) -----------------------------
 
@@ -144,22 +153,20 @@ class IncrementalMerger:
         """The unfinished halves currently in flight (for checkpoints)."""
         return [token for token, _ in self._pending.values()]
 
-    def buffered_records(self) -> list[tuple[int, ParsedRecord]]:
-        """``(completion_seq, record)`` of unsealed records (for
+    def buffered_records(self) -> list[tuple[int, tuple]]:
+        """``(completion_seq, row)`` of unsealed records (for
         checkpoints), in completion order."""
-        return sorted(((seq, record)
-                       for _, seq, record in self._buffer))
+        return sorted(((seq, row) for _, seq, row in self._buffer))
 
     # -- checkpoint restore ------------------------------------------------
 
     def restore(self, *, pending: Iterable[Token],
-                buffered: Iterable[tuple[int, ParsedRecord]],
+                buffered: Iterable[tuple[int, tuple]],
                 next_seq: int, stats: MergeStats) -> None:
         """Reload carry-over state saved by a live checkpoint."""
         self._pending = {token.pid: (token, unfinished_call_name(token.body))
                          for token in pending}
-        self._buffer = [(record.start_us, seq, record)
-                        for seq, record in buffered]
+        self._buffer = [(row[1], seq, row) for seq, row in buffered]
         self._seq = next_seq
         self.stats = stats
 
@@ -170,80 +177,98 @@ class IncrementalMerger:
 
     # -- the merge ---------------------------------------------------------
 
-    def feed(self, tokens: Iterable[Token]) -> list[ParsedRecord]:
-        """Consume tokens and return the records sealed by them.
+    def feed_lines(self, lines: Iterable[tuple[int, str]]) -> list:
+        """Consume ``(lineno, text)`` lines; return the records sealed
+        by them.
 
-        Sealed records are final: their position in the overall record
-        sequence can no longer change, so callers may fold them into
-        downstream incremental structures immediately.
+        ``text`` is one decoded, non-blank line without its terminator;
+        ``lineno`` is its 1-based line number in the file, which every
+        error raised here names. Sealed records are final: their
+        position in the overall record sequence can no longer change,
+        so callers may fold them into downstream incremental
+        structures immediately.
         """
-        for token in tokens:
-            self._consume(token)
+        default_pid = self.default_pid
+        for lineno, text in lines:
+            row = match_line(text, default_pid)
+            if row is None:
+                self._consume(tokenize_line(
+                    text, path=self.path, lineno=lineno,
+                    default_pid=default_pid), lineno)
+            else:
+                self._complete(row)
         return self._drain()
 
-    def finish(self) -> list[ParsedRecord]:
+    def feed(self, tokens: Iterable[Token]) -> list:
+        """Consume already tokenized lines (no line numbers to name in
+        errors); return the records sealed by them."""
+        for token in tokens:
+            self._consume(token, None)
+        return self._drain()
+
+    def finish(self) -> list:
         """End of input: orphan in-flight calls, seal everything left."""
         self.stats.orphan_unfinished += len(self._pending)
         self._pending.clear()
         return self._drain()
 
-    def _consume(self, token: Token) -> None:
+    def _consume(self, token: Token, lineno: int | None) -> None:
         stats = self.stats
-        if token.kind is RecordKind.SIGNAL:
+        kind = token.kind
+        if kind is RecordKind.SYSCALL:
+            self._complete(parse_row(token.pid, token.start_us, token.body,
+                                     path=self.path, lineno=lineno))
+            return
+        if kind is RecordKind.SIGNAL:
             stats.skipped_signals += 1
             return
-        if token.kind is RecordKind.EXIT:
+        if kind is RecordKind.EXIT:
             stats.skipped_exits += 1
             # An exit while a call is pending orphans it.
             if token.pid in self._pending:
                 del self._pending[token.pid]
                 stats.orphan_unfinished += 1
             return
-        if token.kind is RecordKind.UNFINISHED:
+        if kind is RecordKind.UNFINISHED:
             if token.pid in self._pending:
                 raise TraceParseError(
                     f"pid {token.pid} has two in-flight unfinished calls",
-                    path=self.path)
+                    path=self.path, lineno=lineno)
             self._pending[token.pid] = (
                 token, unfinished_call_name(token.body))
             return
-        if token.kind is RecordKind.RESUMED:
-            entry = self._pending.pop(token.pid, None)
-            call = resumed_call_name(token.body)
-            if entry is None:
-                if self.strict:
-                    raise TraceParseError(
-                        f"resumed {call!r} for pid {token.pid} without a "
-                        f"matching unfinished record", path=self.path)
-                stats.orphan_resumed += 1
-                return
-            head_token, head_call = entry
-            if head_call != call:
+        # RESUMED: the merged record parses where the call completes.
+        entry = self._pending.pop(token.pid, None)
+        call = resumed_call_name(token.body)
+        if entry is None:
+            if self.strict:
                 raise TraceParseError(
-                    f"pid {token.pid}: unfinished {head_call!r} resumed as "
-                    f"{call!r}", path=self.path)
-            body = _join_bodies(head_token.body, token.body, call)
-            record = parse_body(head_token.pid, head_token.start_us, body,
-                                path=self.path)
-            if _is_restart(record):
-                stats.dropped_restarts += 1
-            else:
-                stats.merged_pairs += 1
-                self._complete(record)
+                    f"resumed {call!r} for pid {token.pid} without a "
+                    f"matching unfinished record",
+                    path=self.path, lineno=lineno)
+            stats.orphan_resumed += 1
             return
-        # Plain complete syscall record.
-        record = parse_body(token.pid, token.start_us, token.body,
-                            path=self.path)
-        if _is_restart(record):
-            stats.dropped_restarts += 1
-        else:
-            self._complete(record)
+        head_token, head_call = entry
+        if head_call != call:
+            raise TraceParseError(
+                f"pid {token.pid}: unfinished {head_call!r} resumed as "
+                f"{call!r}", path=self.path, lineno=lineno)
+        body = _join_bodies(head_token.body, token.body, call)
+        if self._complete(parse_row(head_token.pid, head_token.start_us,
+                                    body, path=self.path, lineno=lineno)):
+            stats.merged_pairs += 1
 
-    def _complete(self, record: ParsedRecord) -> None:
-        self._buffer.append((record.start_us, self._seq, record))
+    def _complete(self, row: tuple) -> bool:
+        """Buffer a completed row; False (and counted) when it is an
+        interrupted call, which Sec. III drops."""
+        if row[6] in RESTART_ERRNOS:
+            self.stats.dropped_restarts += 1
+            return False
+        self._buffer.append((row[1], self._seq, row))
         self._seq += 1
+        return True
 
-    def _drain(self) -> list[ParsedRecord]:
+    def _drain(self) -> list:
         if not self._buffer:
             return []
         if self._pending:
@@ -259,7 +284,10 @@ class IncrementalMerger:
             sealed = self._buffer
             self._buffer = []
         sealed.sort()
-        return [record for _, _, record in sealed]
+        wrap = self._wrap
+        if wrap is None:
+            return [row for _, _, row in sealed]
+        return [wrap(row) for _, _, row in sealed]
 
 
 def merge_unfinished(
@@ -276,7 +304,9 @@ def merge_unfinished(
         Tokenized lines of *one* trace file, in file order. Any
         iterable works — in particular a lazy
         :class:`~repro.ingest.streaming.TokenStream`, so the full token
-        list of a file never needs to exist in memory.
+        list of a file never needs to exist in memory. (The readers
+        feed lines to :meth:`IncrementalMerger.feed_lines` instead,
+        which also names the line of an error.)
     path:
         For error messages.
     strict:
@@ -294,10 +324,6 @@ def merge_unfinished(
     merger = IncrementalMerger(path=path, strict=strict)
     records = merger.feed(tokens)
     records += merger.finish()
-    # Stable sort by start time: sealed output is already sorted for
-    # timestamp-ordered input; this restores the documented order for
-    # token lists assembled out of file order (tests, synthetic input).
-    records.sort(key=lambda r: r.start_us)
     return records, merger.stats
 
 

@@ -17,11 +17,14 @@ SIGNAL          ``--- SIGCHLD {si_signo=SIGCHLD, ...} ---``
 EXIT            ``+++ exited with 0 +++`` / ``+++ killed by SIGKILL +++``
 ==============  ====================================================
 
-The tokenizer only splits and classifies; argument-level parsing happens
+The tokenizer only splits and classifies; field-level parsing happens
 in :mod:`repro.strace.parser`. Keeping the stages separate lets the
 unfinished/resumed merger (:mod:`repro.strace.resume`) operate on
 classified-but-unparsed bodies, mirroring how the paper describes the
-merge as a pre-processing step on records (Sec. III).
+merge as a pre-processing step on records (Sec. III). A complete I/O
+call line that the parser's fast path takes never reaches the
+tokenizer; the header pattern pieces defined here are shared with that
+path, so both read a header the same way.
 """
 
 from __future__ import annotations
@@ -67,15 +70,17 @@ class Token:
     body: str
 
 
+#: The optional pid column (strace without ``-f``/``-o`` on a single
+#: process omits it).
+PID_PATTERN = r"(?:(\d+)\s+)?"
 #: ``-tt`` wall clock (HH:MM:SS.ffffff) or ``-ttt`` epoch seconds
-#: (1700000000.123456). The pid column is optional: strace without
-#: ``-f``/``-o`` on a single process omits it.
+#: (1700000000.123456), with the hour/minute/second/epoch/fraction
+#: fields as groups. Shared with the fast line pattern of
+#: :mod:`repro.strace.parser`, so both read a header the same way.
+STAMP_PATTERN = r"(?:(\d{2}):(\d{2}):(\d{2})|(\d{9,12}))\.(\d{6})"
 _HEADER_RE = re.compile(
-    r"^(?:(?P<pid>\d+)\s+)?"
-    r"(?P<ts>\d{2}:\d{2}:\d{2}\.\d{6}|\d{9,12}\.\d{6})\s+"
-    r"(?P<body>.*)$"
-)
-_RESUMED_RE = re.compile(r"^<\.\.\.\s+\S+\s+resumed>")
+    "^" + PID_PATTERN + "(?P<ts>" + STAMP_PATTERN + r")\s+(?P<body>.*)$")
+_RESUMED_RE = re.compile(r"^<\.\.\.\s+(\S+)\s+resumed>")
 _SYSCALL_START_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*\(")
 
 
@@ -115,7 +120,7 @@ def tokenize_line(
         raise TraceParseError(
             f"missing pid/timestamp header: {line[:80]!r}",
             path=path, lineno=lineno, line=line)
-    pid_text = match.group("pid")
+    pid_text = match.group(1)
     pid = int(pid_text) if pid_text is not None else default_pid
     try:
         start_us = _parse_timestamp(match.group("ts"))
@@ -147,7 +152,7 @@ def resumed_call_name(body: str) -> str:
     >>> resumed_call_name("<... read resumed> ..., 405) = 404 <0.000223>")
     'read'
     """
-    match = re.match(r"^<\.\.\.\s+(\S+)\s+resumed>", body)
+    match = _RESUMED_RE.match(body)
     if match is None:
         raise TraceParseError(f"not a resumed record: {body[:80]!r}")
     return match.group(1)

@@ -16,8 +16,7 @@ def _record(start: int, call: str = "read", fp: str | None = "/x",
             size: int | None = 10, dur: int | None = 5,
             pid: int = 1) -> ParsedRecord:
     return ParsedRecord(pid=pid, start_us=start, call=call, fp=fp,
-                        size=size, dur_us=dur, retval=size, errno=None,
-                        requested=size, args=())
+                        size=size, dur_us=dur, errno=None)
 
 
 class TestWriterReader:

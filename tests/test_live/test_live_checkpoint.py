@@ -160,3 +160,62 @@ class TestGuards:
         with pytest.raises(ReproError,
                            match="delete the sidecar"):
             LiveIngest(tmp_path / "traces", checkpoint=sidecar)
+
+
+class TestRecordFormat:
+    """Sidecars and emit journals written while records still carried
+    ``args``/``retval``/``requested`` keep restoring: loaders read only
+    the seven record fields."""
+
+    HEAD = (b"100  10:00:00.000000 close(3</a>) = 0 <0.000001>\n"
+            b"100  10:00:00.000001 read(3</a>, <unfinished ...>\n"
+            b"200  10:00:00.000002 write(4</b>, ..., 5) = 5 <0.000010>\n")
+    TAIL = (b"100  10:00:00.000900 <... read resumed> ..., 20) = 20 "
+            b"<0.000899>\n"
+            b"200  10:00:00.001000 close(4</b>) = 0 <0.000001>\n")
+    OLD_KEYS = {"args": ["4</b>", "...", "5"], "retval": 5,
+                "requested": 5}
+
+    def test_old_record_keys_restore_byte_identically(self, tmp_path):
+        from repro.elstore.convert import convert_source
+
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        sidecar = tmp_path / "watch.ckpt.json"
+        elog = tmp_path / "run.elog"
+        journal = elog.with_name(elog.name + ".journal")
+        trace = trace_dir / "mix_host1_1.st"
+        trace.write_bytes(self.HEAD)
+
+        engine = LiveIngest(trace_dir, keep_records=False, emit=elog,
+                            checkpoint=sidecar)
+        engine.poll()  # close sealed + journaled; write held back
+        engine.save_checkpoint()
+        del engine
+
+        lines = []
+        for line in journal.read_text().splitlines():
+            entry = json.loads(line)
+            entry["records"] = [{**record, **self.OLD_KEYS}
+                                for record in entry["records"]]
+            lines.append(json.dumps(entry, sort_keys=True,
+                                    separators=(",", ":")) + "\n")
+        journal.write_text("".join(lines))
+        state = json.loads(sidecar.read_text())
+        (tail_state,) = state["files"]
+        assert tail_state["buffer"], "the write must be held back"
+        for entry in tail_state["buffer"]:
+            entry[1].update(self.OLD_KEYS)
+        state["emit_offset"] = journal.stat().st_size
+        sidecar.write_text(json.dumps(state))
+
+        revived = LiveIngest(trace_dir, keep_records=False, emit=elog,
+                             checkpoint=sidecar)
+        grow(trace_dir, trace.name, self.TAIL)
+        revived.poll()
+        revived.finalize()
+        revived.pack_emit()
+        batch = tmp_path / "batch.elog"
+        convert_source(trace_dir, batch, workers=1)
+        assert elog.read_bytes() == batch.read_bytes()
+        assert revived.snapshot_dfg() == batch_dfg(trace_dir)

@@ -56,16 +56,15 @@ class TestTransferCalls:
         assert record.call == "read"
         assert record.fp == "/usr/lib/x86_64-linux-gnu/libselinux.so.1"
         assert record.size == 832
-        assert record.requested == 832
         assert record.dur_us == 203
         assert record.ok
 
     def test_short_read_size_differs_from_requested(self):
-        # Sec. III item 6: requested may differ from transferred.
+        # Sec. III item 6: requested may differ from transferred; the
+        # size is what was transferred (the return value).
         record = parse(
             "9054  08:55:54.162874 read(3</proc/filesystems>, ..., 1024) "
             "= 478 <0.000052>")
-        assert record.requested == 1024
         assert record.size == 478
 
     def test_eof_read_zero(self):
@@ -107,7 +106,7 @@ class TestOpenat:
             "O_RDONLY|O_CLOEXEC) = 3</etc/passwd> <0.000010>")
         assert record.call == "openat"
         assert record.fp == "/etc/passwd"
-        assert record.retval == 3
+        assert record.ok
         assert record.size is None  # openat is not a transfer call
 
     def test_openat_fallback_to_quoted_arg_without_y(self):
@@ -123,14 +122,14 @@ class TestOpenat:
             "<0.000004>")
         assert record.fp == "/lib/nope.so"
         assert record.errno == "ENOENT"
-        assert record.retval == -1
+        assert not record.ok and record.size is None
 
     def test_open_with_mode(self):
         record = parse(
             '77  10:00:00.000001 openat(AT_FDCWD, "/p/scratch/t", '
             "O_WRONLY|O_CREAT, 0664) = 4</p/scratch/t> <0.000300>")
         assert record.fp == "/p/scratch/t"
-        assert record.retval == 4
+        assert record.ok and record.size is None
 
 
 class TestOtherCalls:
@@ -141,7 +140,7 @@ class TestOtherCalls:
         assert record.call == "lseek"
         assert record.fp == "/p/scratch/t"
         assert record.size is None       # not a transfer call (Sec. III)
-        assert record.retval == 16777216
+        assert record.dur_us == 3
 
     def test_close(self):
         record = parse(
@@ -165,7 +164,7 @@ class TestOtherCalls:
             "9  09:00:00.000000 mmap(NULL, 8192, PROT_READ, MAP_PRIVATE, "
             "3, 0) = 0x7f1234560000 <0.000012>")
         assert record.call == "mmap"
-        assert record.retval == 0x7F1234560000
+        assert record.ok and record.size is None
         assert record.fp is None
 
     def test_unknown_call_still_parses(self):
@@ -189,8 +188,8 @@ class TestReturnClause:
 
     def test_detached_question_mark(self):
         record = parse_body(9, 0, "read(3</x>, ..., 4) = ? <0.000001>")
-        assert record.retval is None
         assert record.size is None
+        assert record.dur_us == 1
 
     def test_unparseable_return_rejected(self):
         with pytest.raises(TraceParseError):
