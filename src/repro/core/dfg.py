@@ -13,9 +13,11 @@ equals ``G[L(Ca)] ∪ G[L(Cb)]`` with summed weights — a property our
 hypothesis tests check), and exclusive-node/edge queries used by
 partition coloring.
 
-Construction is a single pass over the activity-log (O(n), as the paper
-notes in Sec. V), with distinct traces processed once and weighted by
-multiplicity.
+Construction is a single O(n) pass, as the paper notes in Sec. V. On an
+event-log it runs on the frame's ``case`` and ``activity`` code columns
+(pair keys through one ``np.unique``, node frequencies through one
+``np.bincount``) and decodes only the distinct edges; on an activity-log
+distinct traces are processed once and weighted by multiplicity.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Mapping as TMapping
 
 import networkx as nx
+import numpy as np
 
 from repro._util.errors import ReproError
 from repro.core.activity import (
@@ -31,9 +34,11 @@ from repro.core.activity import (
     START_ACTIVITY,
     ActivityLog,
 )
+from repro.core.frame import MISSING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.eventlog import EventLog
+    from repro.core.frame import EventFrame
 
 Edge = tuple[str, str]
 
@@ -44,7 +49,10 @@ class DFG:
     The constructor accepts an :class:`~repro.core.eventlog.EventLog`
     (with an applied mapping — this matches the paper's Fig. 6 step 3,
     ``dfg = DFG(event_log)``) or an
-    :class:`~repro.core.activity.ActivityLog`.
+    :class:`~repro.core.activity.ActivityLog`. Both give the graph of
+    ``ActivityLog.from_event_log(event_log, add_endpoints=...)``; the
+    event-log road counts it from the frame columns without building
+    the traces.
     """
 
     __slots__ = ("_edges", "_node_freq")
@@ -56,12 +64,76 @@ class DFG:
         if source is None:
             return
         if isinstance(source, ActivityLog):
-            activity_log = source
+            self._edges = source.directly_follows_counts()
+            self._node_freq = source.activity_frequencies()
         else:
-            activity_log = ActivityLog.from_event_log(
-                source, add_endpoints=add_endpoints)
-        self._edges = activity_log.directly_follows_counts()
-        self._node_freq = activity_log.activity_frequencies()
+            source._require_mapping()
+            self._count_frame(source.frame, add_endpoints)
+
+    def _count_frame(self, frame: "EventFrame",
+                     add_endpoints: bool) -> None:
+        """Count edges and node frequencies from the code columns.
+
+        A case's trace is its mapped activity codes in frame order; the
+        case column is argsorted (stably) only if it is not already
+        non-decreasing, which it is for every :class:`EventLog` frame.
+        Pairs of adjacent mapped rows of one case become int64 keys
+        ``a * width + b``; ● / ■ edges come from each case's first and
+        last mapped code, and a case without one counts as ⟨●, ■⟩.
+        Everything but the pair keys is dropped before their sort, the
+        one O(n) int64 temporary.
+        """
+        case = frame.column("case")
+        activity = frame.column("activity")
+        if (case[1:] < case[:-1]).any():
+            order = np.argsort(case, kind="stable")
+            case, activity = case[order], activity[order]
+        mapped = activity != MISSING
+        codes = activity[mapped]
+        mapped_case = case[mapped]
+        boundary = mapped_case[1:] != mapped_case[:-1]
+        n_cases = (1 + int(np.count_nonzero(case[1:] != case[:-1]))
+                   if len(case) else 0)
+        del case, activity, mapped, mapped_case
+        decode = frame.pools.activities.decode
+        for code, count in enumerate(np.bincount(codes).tolist()):
+            if count:
+                self._node_freq[decode(code)] = count
+        # Sentinel counts are added, not assigned, after the activities'
+        # own: an activity literally named like a sentinel merges with
+        # it, as on the activity-log road.
+        endpoint_edges = []
+        if add_endpoints and n_cases:
+            first = np.ones(len(codes), dtype=bool)
+            first[1:] = boundary
+            last = np.ones(len(codes), dtype=bool)
+            last[:-1] = boundary
+            endpoint_edges = [
+                *(((START_ACTIVITY, decode(code)), count) for code, count
+                  in enumerate(np.bincount(codes[first]).tolist())),
+                *(((decode(code), END_ACTIVITY), count) for code, count
+                  in enumerate(np.bincount(codes[last]).tolist())),
+                ((START_ACTIVITY, END_ACTIVITY),
+                 n_cases - int(np.count_nonzero(first))),
+            ]
+            del first, last
+            for sentinel in (START_ACTIVITY, END_ACTIVITY):
+                self._node_freq[sentinel] = \
+                    self._node_freq.get(sentinel, 0) + n_cases
+        width = len(frame.pools.activities)
+        inner = ~boundary
+        keys = codes[:-1][inner].astype(np.int64)
+        keys *= width
+        keys += codes[1:][inner]
+        del codes, boundary, inner
+        pair_keys, pair_counts = np.unique(keys, return_counts=True)
+        del keys
+        for key, count in zip(pair_keys.tolist(), pair_counts.tolist()):
+            a1, a2 = divmod(key, width)
+            self._edges[(decode(a1), decode(a2))] = count
+        for edge, count in endpoint_edges:
+            if count:
+                self._edges[edge] = self._edges.get(edge, 0) + count
 
     @classmethod
     def from_counts(cls, edges: TMapping[Edge, int],

@@ -72,8 +72,13 @@ class ActivityDelta:
 
     @property
     def rate_ratio(self) -> float | None:
-        """green/red process-data-rate ratio (None if either absent)."""
-        if not self.green_rate or not self.red_rate:
+        """green/red process-data-rate ratio.
+
+        None if either rate is absent (no transfers) or the red rate
+        is 0.0. A green rate of 0.0 is a measurement — zero-byte
+        transfers, a total collapse — and gives 0.0.
+        """
+        if self.green_rate is None or not self.red_rate:
             return None
         return self.green_rate / self.red_rate
 
@@ -204,7 +209,7 @@ class DFGDiff:
             lines.append("  top activity load deltas:")
             for delta in self.activity_deltas()[:top]:
                 rate = (f", rate x{delta.rate_ratio:.2f}"
-                        if delta.rate_ratio else "")
+                        if delta.rate_ratio is not None else "")
                 lines.append(
                     f"    {delta.rd_delta:+.3f}  "
                     f"{delta.activity.replace(chr(10), ' ')} "

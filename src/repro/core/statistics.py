@@ -29,23 +29,27 @@ time (:meth:`StatsAccumulator.feed_event` — what the live engine calls
 at seal time) or a whole columnar frame at once
 (:meth:`StatsAccumulator.feed_frame` — the vectorized batch pass), and
 both roads produce *identical* :class:`IOStatistics` down to the float
-bit patterns: the per-case event order is the same either way, so the
-per-activity rate sequence — and with it NumPy's pairwise mean — is
-reproduced exactly. This is what lets a live watcher render
+bit patterns: sums are integers, the Eq. 13 mean comes from exact
+partial sums (below) that no folding order can change, the sweep is
+order-free, and the per-case event order behind the Eq. 15 timelines
+is the same either way. This is what lets a live watcher render
 full-history statistics at O(delta) per refresh and lets checkpoints
 persist statistics across process restarts
 (:mod:`repro.live.checkpoint`).
 
-Complexity of the batch pass: one group-by on the activity column plus
-columnar per-case slicing — the O(mn) of Sec. V, implemented as a
-stable sort + split + vectorized column math so the Python-level cost
-is O(m + cases), not O(mn). Derived per-activity scalars (max
-concurrency, mean rate) are cached and recomputed only for activities
-that received events since the last assembly — a touched activity
-re-sweeps its own interval buffer, an untouched one costs O(1) — and
-Eq. 15 timeline rows are materialized lazily from the append-only
-per-case buffers, so the accumulators never hold a second O(events)
-copy of the history.
+Complexity of the batch pass: one group-by on the activity column —
+the O(mn) of Sec. V — then one :meth:`ActivityAccumulator.add_rows`
+per activity. Counts, sums, rank sets and the rate fold (a few
+C-level :func:`math.fsum` rounds, :func:`_exact_sum_extend`) run over
+the activity's whole columns; the only per-event work is the C-level
+``zip`` appending one ``(start, end)`` tuple per event to the per-case
+buffers. Python-level steps are O(activities + activity-case runs),
+none per event. Derived per-activity scalars (max concurrency, mean
+rate) are cached and recomputed only for activities that received
+events since the last assembly — a touched activity re-sweeps its own
+interval buffer, an untouched one costs O(1) — and Eq. 15 timeline
+rows are materialized lazily from the append-only per-case buffers, so
+the accumulators never hold a second O(events) copy of the history.
 
 Memory. Scalar state is O(activities): the Eq. 13 mean is folded
 through exact non-overlapping partial sums (Shewchuk's algorithm, the
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -165,17 +170,37 @@ def _exact_sum_step(partials: list[float], value: float) -> None:
     partials[i:] = [value]
 
 
+def _exact_sum_extend(partials: list[float], values: list[float]) -> None:
+    """Fold many values into exact partial sums with C-level rounds.
+
+    Batch counterpart of :func:`_exact_sum_step`, same invariant: each
+    :func:`math.fsum` round takes the correctly rounded remainder of
+    everything folded so far minus the rounds already peeled off, and
+    keeps it as a partial. A sum of doubles is a multiple of the
+    smallest subnormal, so a remainder that rounds to 0 *is* 0: the
+    partials then sum exactly to the true total. Each round shrinks
+    the remainder by ~2**-53, so a handful of O(n) rounds suffice.
+    ``values`` must be finite, as every Eq. 13 rate is.
+    """
+    terms = partials + values
+    rounds: list[float] = []
+    while head := math.fsum(terms):
+        rounds.append(head)
+        terms.append(-head)
+    partials[:] = rounds[::-1]
+
+
 class ActivityAccumulator:
     """Running statistics of one activity, updatable per event.
 
     Scalar statistics (counts, duration and byte sums, rank/case sets,
     the exact-sum partials behind the Eq. 13 mean) are folded
-    directly. Order-sensitive state — the Eq. 15 timeline feeding the
-    Eq. 16 concurrency sweep — is kept *per case*: within a case,
-    events arrive in their final start-timestamp order on both the
-    batch and the live road, so assembling cases in a deterministic
-    order reproduces the batch sequence exactly regardless of how
-    polls interleaved the cases.
+    directly. The Eq. 15 timeline, the one order-sensitive output, is
+    kept *per case*: within a case, events arrive in their final
+    start-timestamp order on both the batch and the live road, so
+    assembling cases in a deterministic order reproduces the batch
+    sequence exactly regardless of how polls interleaved the cases.
+    The Eq. 16 sweep over the same buffers is order-free.
 
     The derived scalars (max concurrency, mean rate) are cached under
     a dirty flag: an activity untouched since the last assembly costs
@@ -192,7 +217,7 @@ class ActivityAccumulator:
     __slots__ = ("activity", "window", "event_count", "dur_sum",
                  "bytes_sum", "has_transfers", "approximate", "rids",
                  "rate_count", "_rate_partials", "_case_timelines",
-                 "_dirty", "_view_key", "_view")
+                 "_dirty", "_view")
 
     def __init__(self, activity: str,
                  window: int | None = None) -> None:
@@ -214,7 +239,6 @@ class ActivityAccumulator:
         #: (coarsened in place once ``window`` is exceeded).
         self._case_timelines: dict[str, list[tuple[int, int]]] = {}
         self._dirty = True
-        self._view_key: tuple[str, ...] = ()
         self._view: tuple[int, float | None] = (0, None)
 
     @property
@@ -246,17 +270,20 @@ class ActivityAccumulator:
             self._coarsen(buffer)
         self._dirty = True
 
-    def add_case_chunk(self, case_id: str, *, rids: np.ndarray,
-                       starts: np.ndarray, ends: np.ndarray,
-                       durs: np.ndarray, sizes: np.ndarray) -> None:
-        """Fold a columnar slice of one case's events (batch road).
+    def add_rows(self, case_ids: Sequence[str], bounds: Sequence[int],
+                 *, rids: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray, durs: np.ndarray,
+                 sizes: np.ndarray) -> None:
+        """Fold all of this activity's rows of a frame (batch road).
 
-        ``ends`` must already be ``start + dur`` with missing durations
-        treated as zero; ``durs``/``sizes`` use the frame's ``MISSING``
-        sentinel. Equivalent to calling :meth:`add_event` per row, but
-        with all per-row work in NumPy/C.
+        ``case_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``, each run
+        in start order. ``ends`` must already be ``start + dur`` with
+        missing durations treated as zero; ``durs``/``sizes`` use the
+        frame's ``MISSING`` sentinel. Equivalent to :meth:`add_event`
+        per row: the sums and the rate fold run over the whole group
+        in C, and Python touches only the per-case buffer splits.
         """
-        self.event_count += int(len(starts))
+        self.event_count += len(starts)
         valid_dur = durs != MISSING
         self.dur_sum += int(durs[valid_dur].sum())
         transfer = sizes != MISSING
@@ -264,16 +291,17 @@ class ActivityAccumulator:
             self.has_transfers = True
             self.bytes_sum += int(sizes[transfer].sum())
         rate_mask = transfer & valid_dur & (durs > 0)
-        if rate_mask.any():
-            rates = sizes[rate_mask] / (durs[rate_mask] / 1e6)
-            for rate in rates.tolist():
-                _exact_sum_step(self._rate_partials, rate)
-            self.rate_count += int(rate_mask.sum())
-        self.rids.update(map(int, np.unique(rids)))
-        buffer = self._case_timelines.setdefault(case_id, [])
-        buffer.extend(zip(starts.tolist(), ends.tolist()))
-        if self.window is not None and len(buffer) > self.window:
-            self._coarsen(buffer)
+        rates = (sizes[rate_mask] / (durs[rate_mask] / 1e6)).tolist()
+        if rates:
+            _exact_sum_extend(self._rate_partials, rates)
+            self.rate_count += len(rates)
+        self.rids.update(np.unique(rids).tolist())
+        intervals = zip(starts.tolist(), ends.tolist())
+        for case_id, lo, hi in zip(case_ids, bounds, bounds[1:]):
+            buffer = self._case_timelines.setdefault(case_id, [])
+            buffer.extend(islice(intervals, hi - lo))
+            if self.window is not None and len(buffer) > self.window:
+                self._coarsen(buffer)
         self._dirty = True
 
     def _coarsen(self, buffer: list[tuple[int, int]]) -> None:
@@ -296,29 +324,26 @@ class ActivityAccumulator:
 
     # -- assembled view ----------------------------------------------------
 
-    def view(self, ordered_cases: tuple[str, ...],
-             ) -> tuple[int, float | None]:
-        """``(max_concurrency, mean_rate)`` with the activity's cases
-        laid out in ``ordered_cases`` order.
+    def view(self) -> tuple[int, float | None]:
+        """``(max_concurrency, mean_rate)``, cached under the dirty flag.
 
-        Cached: recomputed only when events arrived since the last call
-        or the case order changed (insertions of *other* cases never
-        reorder this activity's cases, so live case arrival keeps the
-        cache warm).
+        Neither value depends on the order of the cases — the sweep
+        sorts its boundaries, the exact-sum mean is order-free — so
+        only new events make it recompute.
         """
-        if not self._dirty and self._view_key == ordered_cases:
+        if not self._dirty:
             return self._view
-        flat: list[tuple[int, int]] = []
-        for case_id in ordered_cases:
-            flat.extend(self._case_timelines[case_id])
-        mc = max_concurrency(np.array(flat, dtype=np.float64))
+        buffers = self._case_timelines.values()
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(buffers)),
+            dtype=np.float64, count=2 * sum(map(len, buffers)))
+        mc = max_concurrency(flat.reshape(-1, 2))
         if self.rate_count:
             mean_rate: float | None = (
                 math.fsum(self._rate_partials) / self.rate_count)
         else:
             mean_rate = None
         self._view = (mc, mean_rate)
-        self._view_key = ordered_cases
         self._dirty = False
         return self._view
 
@@ -473,10 +498,11 @@ class StatsAccumulator:
     def feed_frame(self, frame: "EventFrame") -> "StatsAccumulator":
         """Fold every mapped row of a columnar frame, vectorized.
 
-        One group-by on the activity column; within each group the
-        rows are already case-major and start-sorted (the frame
-        invariant), so per-case chunks are boundary splits. Ends are
-        computed columnally and case codes decoded once per chunk —
+        One group-by on the activity column, then one
+        :meth:`ActivityAccumulator.add_rows` per activity: within each
+        group the rows are already case-major and start-sorted (the
+        frame invariant), so per-case runs are boundary splits. Ends
+        are computed columnally and case codes decoded once per run —
         no per-row Python.
         """
         pools = frame.pools
@@ -486,20 +512,18 @@ class StatsAccumulator:
         rid = frame.column("rid")
         case = frame.column("case")
         for code, rows in frame.groupby_activity():
-            acc = self._accumulator(pools.activities.decode(code))
             durs = dur[rows]
             sizes = size[rows]
             starts = start[rows]
-            ends = starts + np.where(durs != MISSING, durs, 0)
             case_codes = case[rows]
-            bounds = np.flatnonzero(np.diff(case_codes)) + 1
-            edges = [0, *bounds.tolist(), len(rows)]
-            for lo, hi in zip(edges, edges[1:]):
-                acc.add_case_chunk(
-                    pools.cases.decode(int(case_codes[lo])),
-                    rids=rid[rows[lo:hi]],
-                    starts=starts[lo:hi], ends=ends[lo:hi],
-                    durs=durs[lo:hi], sizes=sizes[lo:hi])
+            bounds = [0, *(np.flatnonzero(np.diff(case_codes)) + 1)
+                      .tolist(), len(rows)]
+            self._accumulator(pools.activities.decode(code)).add_rows(
+                [pools.cases.decode(c)
+                 for c in case_codes[bounds[:-1]].tolist()],
+                bounds, rids=rid[rows], starts=starts,
+                ends=starts + np.where(durs != MISSING, durs, 0),
+                durs=durs, sizes=sizes)
         return self
 
     # -- assembly ----------------------------------------------------------
@@ -508,12 +532,13 @@ class StatsAccumulator:
                    ) -> "IOStatistics":
         """Assemble the folded state into an :class:`IOStatistics`.
 
-        ``case_order`` fixes the cross-case layout of timelines and
-        rate sequences (batch passes the frame's case interning order;
-        the live engine passes its sorted-path order — identical for a
+        ``case_order`` fixes the cross-case layout of the timelines
+        (batch passes the frame's case interning order; the live
+        engine passes its sorted-path order — identical for a
         directory that reached its final state). ``None`` falls back
         to lexicographic case-id order, which is deterministic but
-        only matches batch for flat single-directory layouts.
+        only matches batch for flat single-directory layouts. No
+        statistic depends on it.
 
         Cost: O(activities + events-of-touched-activities) — an
         activity that gained no events since the last assembly reuses
@@ -531,7 +556,7 @@ class StatsAccumulator:
                 acc._case_timelines,
                 key=lambda c: (order_index[c], "") if c in order_index
                 else (len(order_index), c)))
-            mc, mean_rate = acc.view(ordered)
+            mc, mean_rate = acc.view()
             stats[activity] = ActivityStats(
                 activity=activity,
                 event_count=acc.event_count,
@@ -656,8 +681,8 @@ class IOStatistics:
         """Compute all statistics; replaces any previous results.
 
         Implemented as "feed the frame once" into a fresh
-        :class:`StatsAccumulator` and assemble — the exact code path
-        the live engine drives per sealed event, so batch and live
+        :class:`StatsAccumulator` and assemble — the accumulators the
+        live engine feeds per sealed event, so batch and live
         statistics cannot drift apart.
         """
         event_log._require_mapping()

@@ -6,14 +6,69 @@ randomized increments — which file grows when, how many bytes land per
 step (cut at *arbitrary* positions, so lines and unfinished/resumed
 pairs split across polls), where polls and kill/restart cycles happen.
 This module holds the one schedule strategy and the byte-cutting
-replay helper those suites used to copy.
+replay helper those suites used to copy, plus the small random event
+rows (:data:`EVENT_ROWS`, :func:`mapped_log`) that the batch-side
+properties build logs from without any trace text.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 from hypothesis import strategies as st
+
+#: One event row: case index, call, path (None → unmapped under
+#: ``CallPath``), start, dur and size (None → missing, 0 allowed), rid.
+EVENT_ROWS = st.lists(st.tuples(
+    st.integers(0, 5),
+    st.sampled_from(("read", "write", "openat")),
+    st.one_of(st.none(), st.sampled_from(("/p/a", "/p/b", "/etc/c"))),
+    st.integers(0, 10_000),
+    st.one_of(st.none(), st.integers(0, 300)),
+    st.one_of(st.none(), st.just(0), st.integers(0, 1 << 20)),
+    st.integers(0, 3),
+), max_size=40)
+
+
+def mapped_log(rows):
+    """A ``CallPath``-mapped event-log of :data:`EVENT_ROWS` rows.
+
+    Even case indices run cid ``g``, odd ones ``r``. Cases are interned
+    in row order, so their codes do not follow their names.
+    """
+    from repro.core.eventlog import EventLog
+    from repro.core.frame import MISSING, EventFrame, FramePools
+    from repro.core.mapping import CallPath
+
+    pools = FramePools()
+
+    def codes(pool, values):
+        return np.array([MISSING if v is None else pool.intern(v)
+                         for v in values], dtype=np.int32)
+
+    def ints(values):
+        return np.array([MISSING if v is None else v for v in values],
+                        dtype=np.int64)
+
+    cases, calls, paths, starts, durs, sizes, rids = \
+        zip(*rows) if rows else ((),) * 7
+    columns = {
+        "case": codes(pools.cases, [f"c{c}" for c in cases]),
+        "cid": codes(pools.cids, ["r" if c % 2 else "g" for c in cases]),
+        "host": codes(pools.hosts, ["h"] * len(rows)),
+        "rid": ints(rids),
+        "pid": ints(rids),
+        "call": codes(pools.calls, calls),
+        "start": ints(starts),
+        "dur": ints(durs),
+        "fp": codes(pools.paths, paths),
+        "size": ints(sizes),
+        "activity": np.full(len(rows), MISSING, dtype=np.int32),
+    }
+    log = EventLog(EventFrame(pools, columns))
+    log.apply_mapping_fn(CallPath())
+    return log
 
 
 def growth_steps(n_files: int = 4, max_steps: int = 30):

@@ -1,14 +1,17 @@
 """DFG construction and algebra (Sec. IV-A), incl. hypothesis laws."""
 
 import networkx as nx
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import ReproError
 from repro.core.activity import END_ACTIVITY, START_ACTIVITY, ActivityLog
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.mapping import CallTopDirs
+from repro.core.partition import PartitionEL
+from tests.strategies import EVENT_ROWS, mapped_log
 
 
 @pytest.fixture()
@@ -49,6 +52,56 @@ class TestConstruction:
         assert len(ca_dfg.activities()) == 4
         assert START_ACTIVITY in ca_dfg.nodes()
         assert END_ACTIVITY in ca_dfg.nodes()
+
+
+def assert_counts_like_activity_log(log: EventLog) -> None:
+    """The columnar count equals the ``ActivityLog`` trace bag."""
+    for add_endpoints in (True, False):
+        columnar = DFG(log, add_endpoints=add_endpoints)
+        reference = DFG(ActivityLog.from_event_log(
+            log, add_endpoints=add_endpoints))
+        assert columnar.edges() == reference.edges()
+        assert columnar._node_freq == reference._node_freq
+
+
+class TestColumnarCount:
+    """``DFG(event_log)`` counts from the frame's code columns."""
+
+    @given(EVENT_ROWS, st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_activity_log_reference(self, rows, rng):
+        log = mapped_log(rows)
+        assert_counts_like_activity_log(log)
+        if len(log.cids()) == 2:
+            for half in PartitionEL(log):
+                assert_counts_like_activity_log(half)
+        # EventLog sorts its frame by case; shuffled rows take the
+        # argsort road. Both roads read each case's rows in frame order.
+        order = list(range(log.n_events))
+        rng.shuffle(order)
+        log._frame = log.frame.select(np.array(order, dtype=np.int64))
+        assert_counts_like_activity_log(log)
+
+    def test_edge_cases_by_hand(self):
+        empty = mapped_log([])
+        assert DFG(empty) == DFG() == DFG(empty, add_endpoints=False)
+        # c0: one event; c1: unmapped only; c2: two events.
+        log = mapped_log([
+            (0, "read", "/p/a", 5, 1, 1, 0),
+            (1, "read", None, 6, 1, 1, 0),
+            (2, "read", "/p/a", 1, 1, 1, 0),
+            (2, "write", "/p/b", 2, 1, 1, 0),
+        ])
+        assert DFG(log).edges() == {
+            (START_ACTIVITY, "read:/p/a"): 2,
+            ("read:/p/a", END_ACTIVITY): 1,
+            ("read:/p/a", "write:/p/b"): 1,
+            ("write:/p/b", END_ACTIVITY): 1,
+            (START_ACTIVITY, END_ACTIVITY): 1,
+        }
+        assert DFG(log).node_frequency(START_ACTIVITY) == 3
+        assert DFG(log, add_endpoints=False).edges() == {
+            ("read:/p/a", "write:/p/b"): 1}
 
 
 class TestQueries:

@@ -7,6 +7,8 @@ from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.mapping import CallTopDirs
 from repro.core.partition import PartitionEL
+from repro.pipeline.serialize import diff_payload
+from tests.strategies import mapped_log
 
 
 @pytest.fixture()
@@ -83,6 +85,37 @@ class TestActivityDeltas:
         bare = DFGDiff(diff.green_dfg, diff.red_dfg)
         with pytest.raises(ValueError):
             bare.activity_deltas()
+
+
+class TestRateRatio:
+    """A measured 0.0 B/s rate (zero-byte transfers with positive
+    duration) is a total collapse, not a missing value."""
+
+    @staticmethod
+    def delta(green_rate, red_rate) -> ActivityDelta:
+        return ActivityDelta(
+            activity="read:/p", green_events=1, red_events=1,
+            green_rd=0.5, red_rd=0.5, green_bytes=0, red_bytes=8,
+            green_rate=green_rate, red_rate=red_rate)
+
+    def test_zero_green_rate_gives_zero_ratio(self):
+        assert self.delta(0.0, 8e6).rate_ratio == 0.0
+
+    def test_no_ratio_without_both_rates_or_with_zero_red(self):
+        assert self.delta(None, 8e6).rate_ratio is None
+        assert self.delta(4e6, None).rate_ratio is None
+        assert self.delta(4e6, 0.0).rate_ratio is None
+        assert self.delta(0.0, 0.0).rate_ratio is None
+        assert self.delta(4e6, 8e6).rate_ratio == 0.5
+
+    def test_report_and_json_keep_the_collapse(self):
+        # read:/p/a moves zero bytes in green (case 0), 4 KB in red.
+        log = mapped_log([(0, "read", "/p/a", 0, 10, 0, 0),
+                          (1, "read", "/p/a", 0, 10, 4096, 1)])
+        diff = DFGDiff.between(*PartitionEL(log))
+        assert "rate x0.00" in diff.report()
+        rows = diff_payload(diff)["activity_deltas"]
+        assert [row["rate_ratio"] for row in rows] == [0.0]
 
 
 class TestScalars:

@@ -1,11 +1,23 @@
 """Activity statistics rd_f / b_f / dr̄_f / mc_f (Sec. IV-B)."""
 
+import math
+from fractions import Fraction
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import ReproError
 from repro.core.eventlog import EventLog
+from repro.core.frame import MISSING
 from repro.core.mapping import CallTopDirs
-from repro.core.statistics import IOStatistics
+from repro.core.statistics import (
+    IOStatistics,
+    StatsAccumulator,
+    _exact_sum_extend,
+    _exact_sum_step,
+)
+from tests.strategies import EVENT_ROWS, mapped_log
 
 
 @pytest.fixture()
@@ -195,6 +207,60 @@ class TestAccessors:
         assert len(IOStatistics(log)) == 8
 
 
+def assert_feeds_agree(log: EventLog) -> None:
+    """Batch ``IOStatistics`` ≡ one ``feed_event`` per mapped row."""
+    frame = log.frame
+    pools = frame.pools
+    fed = StatsAccumulator()
+    for row in np.flatnonzero(frame.column("activity") != MISSING):
+        dur = int(frame.column("dur")[row])
+        size = int(frame.column("size")[row])
+        fed.feed_event(
+            pools.activities.decode(int(frame.column("activity")[row])),
+            pools.cases.decode(int(frame.column("case")[row])),
+            rid=int(frame.column("rid")[row]),
+            start_us=int(frame.column("start")[row]),
+            dur_us=None if dur == MISSING else dur,
+            size=None if size == MISSING else size)
+    live = fed.statistics(case_order=[
+        pools.cases.decode(c) for c in range(len(pools.cases))])
+    batch = IOStatistics(log)
+    assert live.activities() == batch.activities()
+    assert live.total_duration_us == batch.total_duration_us
+    for activity in batch.activities():
+        assert live[activity] == batch[activity], activity
+        assert live.timeline(activity) == \
+            batch.timeline(activity), activity
+
+
+#: Magnitudes from 1e-300 to 1e300, either sign, and zeros.
+FLOATS = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, negative: (-m if negative else m) * 10.0 ** e,
+              st.floats(1.0, 9.999), st.integers(-300, 299),
+              st.booleans()))
+
+
+class TestExactRateFold:
+    @given(st.lists(FLOATS, max_size=6), st.lists(FLOATS, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_fold_equals_step_fold_and_exact_sum(self, before,
+                                                       values):
+        """The C-level ``fsum`` rounds of the batch road leave partials
+        that sum exactly to the true total, like the live per-value
+        Shewchuk step, into empty and non-empty partials alike."""
+        stepped: list[float] = []
+        for value in before:
+            _exact_sum_step(stepped, value)
+        batched = list(stepped)
+        for value in values:
+            _exact_sum_step(stepped, value)
+        _exact_sum_extend(batched, values)
+        exact = sum(map(Fraction, before + values), Fraction(0))
+        assert sum(map(Fraction, batched), Fraction(0)) == exact
+        assert math.fsum(batched) == math.fsum(stepped) == float(exact)
+
+
 class TestStatsAccumulator:
     """The accumulator layer behind both batch and live statistics."""
 
@@ -207,42 +273,16 @@ class TestStatsAccumulator:
         """Feeding one event at a time (the live road) produces
         field-identical statistics to the vectorized frame feed (the
         batch road) — floats included, no approx."""
-        from repro.core.frame import MISSING
-        from repro.core.statistics import StatsAccumulator
+        assert_feeds_agree(self._mapped_log(fig1_dir))
 
-        log = self._mapped_log(fig1_dir)
-        frame = log.frame
-        pools = frame.pools
-        case_order = [pools.cases.decode(c)
-                      for c in range(len(pools.cases))]
-        batch = IOStatistics(log)
-
-        fed = StatsAccumulator()
-        activity_col = frame.column("activity")
-        for row in range(len(frame)):
-            code = int(activity_col[row])
-            if code == MISSING:
-                continue
-            dur = int(frame.column("dur")[row])
-            size = int(frame.column("size")[row])
-            fed.feed_event(
-                pools.activities.decode(code),
-                pools.cases.decode(int(frame.column("case")[row])),
-                rid=int(frame.column("rid")[row]),
-                start_us=int(frame.column("start")[row]),
-                dur_us=None if dur == MISSING else dur,
-                size=None if size == MISSING else size)
-        live = fed.statistics(case_order=case_order)
-        assert live.activities() == batch.activities()
-        assert live.total_duration_us == batch.total_duration_us
-        for activity in batch.activities():
-            assert live[activity] == batch[activity], activity
-            assert live.timeline(activity) == \
-                batch.timeline(activity), activity
+    @given(EVENT_ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_feeds_agree_on_random_logs(self, rows):
+        """Same on random multi-case logs with missing durations and
+        sizes, zero durations and zero sizes."""
+        assert_feeds_agree(mapped_log(rows))
 
     def test_state_roundtrip(self, fig1_dir):
-        from repro.core.statistics import StatsAccumulator
-
         log = self._mapped_log(fig1_dir)
         accumulator = StatsAccumulator().feed_frame(log.frame)
         revived = StatsAccumulator.from_state(accumulator.to_state())
@@ -255,8 +295,6 @@ class TestStatsAccumulator:
     def test_default_case_order_is_lexicographic(self, fig1_dir):
         """Without an explicit order the flat-directory layout (case
         ids sorted) matches the frame interning order."""
-        from repro.core.statistics import StatsAccumulator
-
         log = self._mapped_log(fig1_dir)
         accumulator = StatsAccumulator().feed_frame(log.frame)
         batch = IOStatistics(log)
