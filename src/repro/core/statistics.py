@@ -41,15 +41,17 @@ Complexity of the batch pass: one group-by on the activity column —
 the O(mn) of Sec. V — then one :meth:`ActivityAccumulator.add_rows`
 per activity. Counts, sums, rank sets and the rate fold (a few
 C-level :func:`math.fsum` rounds, :func:`_exact_sum_extend`) run over
-the activity's whole columns; the only per-event work is the C-level
-``zip`` appending one ``(start, end)`` tuple per event to the per-case
-buffers. Python-level steps are O(activities + activity-case runs),
-none per event. Derived per-activity scalars (max concurrency, mean
-rate) are cached and recomputed only for activities that received
-events since the last assembly — a touched activity re-sweeps its own
-interval buffer, an untouched one costs O(1) — and Eq. 15 timeline
-rows are materialized lazily from the append-only per-case buffers, so
-the accumulators never hold a second O(events) copy of the history.
+the activity's whole columns, and the intervals reach the per-case
+buffers as one ``frombytes`` copy per activity-case run of the
+interleaved ``start, end`` column. Python-level steps are
+O(activities + activity-case runs), none per event, and no Python
+object is built per event. Derived per-activity scalars (max
+concurrency, mean rate) are cached and recomputed only for activities
+that received events since the last assembly — a touched activity
+re-sweeps its own interval buffers, joined into one int64 array, an
+untouched one costs O(1) — and Eq. 15 timeline rows are materialized
+lazily from the append-only per-case buffers, so the accumulators
+never hold a second O(events) copy of the history.
 
 Memory. Scalar state is O(activities): the Eq. 13 mean is folded
 through exact non-overlapping partial sums (Shewchuk's algorithm, the
@@ -57,21 +59,25 @@ machinery behind :func:`math.fsum`), so the mean of the per-event
 rates is bit-exact — the correctly rounded true sum divided by the
 count — without buffering a float per event, and independent of the
 order events were folded in. The only O(events) state left is the
-per-case ``[start, end]`` interval buffers behind Eq. 15/16. Passing
-``window=`` caps those: a per-case buffer exceeding the cap is
-coarsened by merging adjacent intervals, which bounds watcher memory
-for week-long runs at the price of *approximate* max concurrency and
-timelines (flagged via :attr:`ActivityStats.approximate` and rendered
-with a ``~``); every scalar statistic — counts, sums, relative
-duration, the mean rate — stays exact and bit-identical to the
-unwindowed computation.
+per-case interval buffers behind Eq. 15/16: one ``array('q')`` per
+(activity, case) of interleaved ``start, end`` microseconds, 16 bytes
+per interval. Passing ``window=`` caps those: a per-case buffer
+exceeding the cap is coarsened by merging adjacent intervals, which
+bounds watcher memory for week-long runs at the price of
+*approximate* max concurrency and timelines (flagged via
+:attr:`ActivityStats.approximate` and rendered with a ``~``); every
+scalar statistic — counts, sums, relative duration, the mean rate —
+stays exact and bit-identical to the unwindowed computation.
 """
 
 from __future__ import annotations
 
+import base64
 import math
+import sys
+from array import array
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -190,6 +196,23 @@ def _exact_sum_extend(partials: list[float], values: list[float]) -> None:
     partials[:] = rounds[::-1]
 
 
+def _encode_intervals(buffer: array) -> str:
+    """An interval buffer as base64 of little-endian int64 ``start,
+    end`` pairs — the sidecar's ``"intervals"`` string."""
+    if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
+        buffer = array("q", buffer)
+        buffer.byteswap()
+    return base64.b64encode(buffer).decode("ascii")
+
+
+def _decode_intervals(text: str) -> array:
+    """Inverse of :func:`_encode_intervals`."""
+    buffer = array("q", base64.b64decode(text))
+    if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
+        buffer.byteswap()
+    return buffer
+
+
 class ActivityAccumulator:
     """Running statistics of one activity, updatable per event.
 
@@ -209,9 +232,9 @@ class ActivityAccumulator:
     :meth:`timeline_snapshot` materializes labeled rows on demand.
 
     ``window`` caps each per-case interval buffer: a buffer growing
-    past the cap is coarsened in place (adjacent intervals merged
-    pairwise), after which :attr:`approximate` latches True — the
-    concurrency sweep and the timeline then describe merged spans.
+    past the cap is replaced by a coarsened copy (adjacent intervals
+    merged pairwise), after which :attr:`approximate` latches True —
+    the concurrency sweep and the timeline then describe merged spans.
     """
 
     __slots__ = ("activity", "window", "event_count", "dur_sum",
@@ -235,9 +258,10 @@ class ActivityAccumulator:
         #: (:func:`_exact_sum_step`): tiny, order-independent, and
         #: ``fsum`` of it is the correctly rounded true rate sum.
         self._rate_partials: list[float] = []
-        #: case id -> [(start_us, end_us), ...] in sealed event order
-        #: (coarsened in place once ``window`` is exceeded).
-        self._case_timelines: dict[str, list[tuple[int, int]]] = {}
+        #: case id -> array('q') of interleaved ``start_us, end_us``
+        #: in sealed event order: append-only, and replaced by a
+        #: coarsened copy once ``window`` is exceeded.
+        self._case_timelines: dict[str, array] = {}
         self._dirty = True
         self._view: tuple[int, float | None] = (0, None)
 
@@ -264,10 +288,11 @@ class ActivityAccumulator:
             self.has_transfers = True
             self.bytes_sum += size
         self.rids.add(rid)
-        buffer = self._case_timelines.setdefault(case_id, [])
-        buffer.append((start_us, end))
-        if self.window is not None and len(buffer) > self.window:
-            self._coarsen(buffer)
+        buffer = self._case_timelines.setdefault(case_id, array("q"))
+        buffer.append(start_us)
+        buffer.append(end)
+        if self.window is not None and len(buffer) > 2 * self.window:
+            self._coarsen(case_id)
         self._dirty = True
 
     def add_rows(self, case_ids: Sequence[str], bounds: Sequence[int],
@@ -281,7 +306,8 @@ class ActivityAccumulator:
         missing durations treated as zero; ``durs``/``sizes`` use the
         frame's ``MISSING`` sentinel. Equivalent to :meth:`add_event`
         per row: the sums and the rate fold run over the whole group
-        in C, and Python touches only the per-case buffer splits.
+        in C, and Python touches only the per-case buffer splits, each
+        one ``frombytes`` of a slice of the interleaved intervals.
         """
         self.event_count += len(starts)
         valid_dur = durs != MISSING
@@ -296,30 +322,37 @@ class ActivityAccumulator:
             _exact_sum_extend(self._rate_partials, rates)
             self.rate_count += len(rates)
         self.rids.update(np.unique(rids).tolist())
-        intervals = zip(starts.tolist(), ends.tolist())
+        # 16 bytes per row: the start and end int64s, interleaved.
+        pairs = memoryview(np.stack((starts, ends), axis=1)
+                           .astype(np.int64, copy=False)).cast("B")
         for case_id, lo, hi in zip(case_ids, bounds, bounds[1:]):
-            buffer = self._case_timelines.setdefault(case_id, [])
-            buffer.extend(islice(intervals, hi - lo))
-            if self.window is not None and len(buffer) > self.window:
-                self._coarsen(buffer)
+            buffer = self._case_timelines.setdefault(case_id, array("q"))
+            buffer.frombytes(pairs[16 * lo:16 * hi])
+            if self.window is not None and len(buffer) > 2 * self.window:
+                self._coarsen(case_id)
         self._dirty = True
 
-    def _coarsen(self, buffer: list[tuple[int, int]]) -> None:
-        """Merge adjacent intervals pairwise until the buffer fits the
-        window again.
+    def _coarsen(self, case_id: str) -> None:
+        """Merge adjacent intervals of a case's buffer pairwise until
+        it fits the window again.
 
         Starts stay sorted (each merged interval keeps the earlier
         start) and every original interval lies inside some merged one,
         so the sweep over the coarse buffer can only over-count
         concurrency — windowed ``mc`` is an upper bound on the exact
-        Eq. 16 value, never an under-report.
+        Eq. 16 value, never an under-report. The merge fills a new
+        buffer that replaces the old one, which stays as it was for
+        any :meth:`timeline_snapshot` holding it.
         """
-        while len(buffer) > self.window:
-            buffer[:] = [
-                (buffer[i][0],
-                 max(buffer[i][1], buffer[i + 1][1])
-                 if i + 1 < len(buffer) else buffer[i][1])
-                for i in range(0, len(buffer), 2)]
+        pairs = np.frombuffer(self._case_timelines[case_id],
+                              dtype=np.int64).reshape(-1, 2)
+        while len(pairs) > self.window:
+            half = len(pairs) // 2
+            merged = pairs[::2].copy()
+            merged[:half, 1] = np.maximum(merged[:half, 1],
+                                          pairs[1::2, 1])
+            pairs = merged
+        self._case_timelines[case_id] = array("q", pairs.tobytes())
         self.approximate = True
 
     # -- assembled view ----------------------------------------------------
@@ -333,10 +366,8 @@ class ActivityAccumulator:
         """
         if not self._dirty:
             return self._view
-        buffers = self._case_timelines.values()
-        flat = np.fromiter(
-            chain.from_iterable(chain.from_iterable(buffers)),
-            dtype=np.float64, count=2 * sum(map(len, buffers)))
+        flat = np.frombuffer(b"".join(self._case_timelines.values()),
+                             dtype=np.int64)
         mc = max_concurrency(flat.reshape(-1, 2))
         if self.rate_count:
             mean_rate: float | None = (
@@ -352,7 +383,8 @@ class ActivityAccumulator:
         """A zero-cost handle materializing the Eq. 15 rows on demand.
 
         Captures ``(case, buffer, length)`` triples — the per-case
-        buffers are append-only, so the prefix of ``length`` entries is
+        buffers are append-only (coarsening replaces a buffer instead
+        of rewriting it), so the prefix of ``length`` entries is
         immutable and the handle stays a faithful point-in-time
         snapshot even while the accumulator keeps absorbing events.
         Materialization costs O(activity events) but allocates only
@@ -366,7 +398,8 @@ class ActivityAccumulator:
         def materialize() -> list[tuple[str, int, int]]:
             return [(case_id, start, end)
                     for case_id, buffer, length in captured
-                    for start, end in buffer[:length]]
+                    for start, end in zip(buffer[0:length:2],
+                                          buffer[1:length:2])]
 
         return materialize
 
@@ -421,7 +454,7 @@ class StatsAccumulator:
         watch residency against the cap instead of guessing."""
         return sum(len(buffer)
                    for acc in self._activities.values()
-                   for buffer in acc._case_timelines.values())
+                   for buffer in acc._case_timelines.values()) // 2
 
     def n_interval_buffers(self) -> int:
         """Per-(activity, case) buffers currently held — the divisor
@@ -431,36 +464,20 @@ class StatsAccumulator:
                    for acc in self._activities.values())
 
     def approx_buffer_bytes(self) -> int:
-        """Measured footprint of the interval buffers, in bytes.
-
-        Per-entry cost is sampled from an actual resident entry
-        (container slot + tuple + its two ints) rather than assumed,
-        so the ``--memory-budget`` policy tracks what this interpreter
-        actually pays per interval. Sums, sets and partials are not
-        counted — they are O(activities), not O(events).
-        """
-        import sys
-
-        entries = self.n_buffered_intervals()
-        if entries == 0:
-            return 0
-        sample: tuple[int, int] | None = None
-        for acc in self._activities.values():
-            for buffer in acc._case_timelines.values():
-                if buffer:
-                    sample = buffer[-1]
-                    break
-            if sample is not None:
-                break
-        per_entry = 8 + sys.getsizeof(sample) \
-            + sum(sys.getsizeof(v) for v in sample)
-        return entries * per_entry
+        """Footprint of the interval buffers, in bytes: exactly 16 per
+        buffered interval (its two int64s), the figure the
+        ``--memory-budget`` policy divides by. Each buffer's array
+        header and growth slack are left out, and so are sums, sets
+        and partials — they are O(buffers) and O(activities), not
+        O(events)."""
+        return 16 * self.n_buffered_intervals()
 
     def set_window(self, window: int | None) -> None:
-        """Re-cap the per-case interval buffers in place.
+        """Re-cap the per-case interval buffers.
 
         Shrinking coarsens oversized buffers immediately (same pairwise
-        merge as feed-time overflow); growing merely relaxes the cap —
+        merge as feed-time overflow, into replacement buffers); growing
+        merely relaxes the cap —
         already-coarsened history stays coarse, which is why affected
         activities keep reporting ``approximate=True``. Scalar
         statistics are untouched either way.
@@ -473,9 +490,9 @@ class StatsAccumulator:
             acc.window = window
             if window is None:
                 continue
-            for buffer in acc._case_timelines.values():
-                if len(buffer) > window:
-                    acc._coarsen(buffer)
+            for case_id, buffer in acc._case_timelines.items():
+                if len(buffer) > 2 * window:
+                    acc._coarsen(case_id)
                     acc._dirty = True
 
     def _accumulator(self, activity: str) -> ActivityAccumulator:
@@ -588,7 +605,9 @@ class StatsAccumulator:
         doubles exactly, so restored statistics stay bit-identical to
         an uninterrupted run. The partials replace the per-case rate
         lists older sidecars carried: O(1)-ish per activity instead of
-        one float per transfer event.
+        one float per transfer event. Each case's interval buffer is
+        one base64 string of little-endian int64 ``start, end`` pairs
+        (``"intervals"``, sidecar v7).
         """
         return {
             "activities": {
@@ -602,8 +621,8 @@ class StatsAccumulator:
                     "rate_count": acc.rate_count,
                     "rate_partials": list(acc._rate_partials),
                     "cases": {
-                        case: {"timeline": [[s, e] for s, e in rows]}
-                        for case, rows
+                        case: {"intervals": _encode_intervals(buffer)}
+                        for case, buffer
                         in sorted(acc._case_timelines.items())
                     },
                 }
@@ -619,7 +638,9 @@ class StatsAccumulator:
         Also accepts the pre-v4 sidecar layout (per-case ``rates``
         lists instead of ``rate_partials``): the legacy rates are
         folded into exact partials in sorted case order — lossless,
-        because the exact sum is order-independent.
+        because the exact sum is order-independent. Pre-v7 sidecars
+        carry each case's intervals as a ``"timeline"`` list of
+        ``[start, end]`` pairs instead of base64 ``"intervals"``.
         """
         accumulator = cls(window=window)
         for activity, acc_state in state["activities"].items():
@@ -635,11 +656,14 @@ class StatsAccumulator:
                 acc._rate_partials = [
                     float(p) for p in acc_state["rate_partials"]]
             for case, case_state in sorted(acc_state["cases"].items()):
-                buffer = [(int(s), int(e))
-                          for s, e in case_state["timeline"]]
+                if "intervals" in case_state:
+                    buffer = _decode_intervals(case_state["intervals"])
+                else:
+                    buffer = array("q", chain.from_iterable(
+                        case_state["timeline"]))
                 acc._case_timelines[str(case)] = buffer
-                if window is not None and len(buffer) > window:
-                    acc._coarsen(buffer)
+                if window is not None and len(buffer) > 2 * window:
+                    acc._coarsen(str(case))
                 for rate in case_state.get("rates", ()):
                     _exact_sum_step(acc._rate_partials, float(rate))
                     acc.rate_count += 1

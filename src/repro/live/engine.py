@@ -131,7 +131,7 @@ class LiveIngest:
         :meth:`snapshot_log` / :meth:`cases` cover the full run (the
         default). ``False`` drops records once folded: memory shrinks
         to the graph, carry state and the compact statistics buffers
-        (two ints + at most one float per event, no record objects),
+        (two int64s per event, no record objects),
         and :meth:`snapshot_log` stays empty — the same trade a
         checkpoint restart makes. :meth:`statistics` covers the full
         history either way.
@@ -145,9 +145,9 @@ class LiveIngest:
         (:class:`~repro.core.statistics.StatsAccumulator`).
     memory_budget:
         Alternative to ``window``: a byte budget for the interval
-        buffers. After every poll the engine measures the buffers'
-        actual footprint
-        (:meth:`~repro.core.statistics.StatsAccumulator.approx_buffer_bytes`)
+        buffers. After every poll the engine takes the buffers'
+        footprint, 16 bytes per interval
+        (:meth:`~repro.core.statistics.StatsAccumulator.approx_buffer_bytes`),
         and re-derives the per-buffer cap so the total stays within
         the budget — the cap shrinks as the watch accumulates cases
         instead of being a guessed constant. The floor is the minimum
@@ -376,8 +376,9 @@ class LiveIngest:
         """Re-derive the interval-buffer cap from the byte budget.
 
         Runs after every poll when ``memory_budget`` is set: the
-        per-entry cost is *measured* from the resident buffers, the
-        budget is divided over the current buffer count, and the
+        budget buys ``memory_budget / 16`` intervals
+        (:meth:`~repro.core.statistics.StatsAccumulator.approx_buffer_bytes`),
+        they are divided over the current buffer count, and the
         accumulators are re-capped in place (shrinking coarsens
         immediately). The cap floors at 2 intervals per buffer — the
         smallest window that still yields a concurrency bound.

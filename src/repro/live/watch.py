@@ -261,9 +261,13 @@ def run_watch(engine: LiveIngest, *,
         # Packs on *every* exit path — poll budget (already packed by
         # the scheduler; idempotent no-op here), ^C (after the stop
         # message), and an unexpected exception mid-watch: the durable
-        # journal always reaches the destination .elog.
-        packed = job.finalize()
-        if packed is not None:
-            out(f"emitted event log: {packed}")
-        if server is not None:
-            server.close()
+        # journal always reaches the destination .elog. Closing then
+        # releases the journal's append handle, as the fleet does.
+        try:
+            packed = job.finalize()
+            if packed is not None:
+                out(f"emitted event log: {packed}")
+        finally:
+            job.close()
+            if server is not None:
+                server.close()

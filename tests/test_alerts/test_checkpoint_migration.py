@@ -1,18 +1,21 @@
-"""Sidecar version migration: v2/v3 upgrade in place, v1 stays
+"""Sidecar version migration: v2/v3/v6 upgrade in place, v1 stays
 rejected, alert state round-trips across kill/restart."""
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro._util.errors import ReproError
 from repro.alerts import AlertEngine, NewEdgeRule
 from repro.live.checkpoint import CHECKPOINT_VERSION
 from repro.live.engine import LiveIngest
+from tests.test_live.test_statistics_live import assert_stats_equal
 
 
 def checkpointed(tmp_path: Path, ls_file_bytes, write_files) -> Path:
@@ -26,11 +29,24 @@ def checkpointed(tmp_path: Path, ls_file_bytes, write_files) -> Path:
     return sidecar
 
 
+def _intervals_to_timelines(stats_state: dict) -> None:
+    """Rewrite v7 base64 ``intervals`` (little-endian int64 pairs) as
+    the ``timeline`` lists of ``[start, end]`` that v2–v6 carried."""
+    for acc_state in stats_state["activities"].values():
+        for case_state in acc_state["cases"].values():
+            flat = np.frombuffer(
+                base64.b64decode(case_state.pop("intervals")),
+                dtype="<i8").tolist()
+            case_state["timeline"] = [list(pair) for pair
+                                      in zip(flat[::2], flat[1::2])]
+
+
 def _downgrade_stats(stats_state: dict) -> None:
     """Rewrite v4 exact-sum partials as the legacy per-case ``rates``
     lists v2/v3 sidecars carried. ``[fsum(partials), 0, 0, ...]``
     preserves both the count and the exact sum, so the upgrade on load
     must reproduce the v4 state bit-identically."""
+    _intervals_to_timelines(stats_state)
     for acc_state in stats_state["activities"].values():
         partials = acc_state.pop("rate_partials")
         count = acc_state.pop("rate_count")
@@ -43,7 +59,7 @@ def _downgrade_stats(stats_state: dict) -> None:
 
 def downgrade_to_v2(sidecar: Path) -> None:
     state = json.loads(sidecar.read_text())
-    assert state["version"] == CHECKPOINT_VERSION == 6
+    assert state["version"] == CHECKPOINT_VERSION
     state["version"] = 2
     del state["alerts"]
     del state["window"]
@@ -56,13 +72,21 @@ def downgrade_to_v2(sidecar: Path) -> None:
 
 def downgrade_to_v3(sidecar: Path) -> None:
     state = json.loads(sidecar.read_text())
-    assert state["version"] == CHECKPOINT_VERSION == 6
+    assert state["version"] == CHECKPOINT_VERSION
     state["version"] = 3
     del state["window"]
     del state["emit_offset"]
     del state["emit_packed"]
     del state["telemetry"]
     _downgrade_stats(state["stats"])
+    sidecar.write_text(json.dumps(state))
+
+
+def downgrade_to_v6(sidecar: Path) -> None:
+    state = json.loads(sidecar.read_text())
+    assert state["version"] == CHECKPOINT_VERSION
+    state["version"] = 6
+    _intervals_to_timelines(state["stats"])
     sidecar.write_text(json.dumps(state))
 
 
@@ -154,6 +178,41 @@ class TestV3Migration:
         life2 = LiveIngest(trace_dir, checkpoint=sidecar, alerts=third)
         assert third.n_fired == len(fired)
         assert third.evaluate(life2, life2.poll()) == []
+
+
+class TestV6Migration:
+    """v6 is the layout of every sidecar written before the interval
+    buffers were packed: per-case ``timeline`` lists."""
+
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_v6_restores_bit_identical_and_resaves_current(
+            self, tmp_path, ior_file_bytes, write_files, window):
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        names = sorted(ior_file_bytes)
+        write_files(trace_dir, {name: ior_file_bytes[name]
+                                for name in names[:2]})
+        sidecar = tmp_path / "ckpt.json"
+        straight = LiveIngest(trace_dir, checkpoint=sidecar,
+                              window=window)
+        straight.poll()
+        straight.save_checkpoint()
+        downgrade_to_v6(sidecar)
+        revived = LiveIngest(trace_dir, checkpoint=sidecar,
+                             window=window)
+        assert_stats_equal(revived.statistics(), straight.statistics())
+        write_files(trace_dir, ior_file_bytes)
+        for engine in (straight, revived):
+            engine.poll()
+            engine.finalize()
+        assert revived.snapshot_dfg() == straight.snapshot_dfg()
+        assert_stats_equal(revived.statistics(), straight.statistics())
+        revived.save_checkpoint()
+        state = json.loads(sidecar.read_text())
+        assert state["version"] == CHECKPOINT_VERSION
+        assert all(set(case_state) == {"intervals"}
+                   for acc_state in state["stats"]["activities"].values()
+                   for case_state in acc_state["cases"].values())
 
 
 class TestV1StillRejected:

@@ -29,6 +29,7 @@ from repro.alerts import (
 from repro.alerts.rules import RULE_TYPES, RefreshContext
 from repro.core.dfg import DFG
 from repro.core.statistics import IOStatistics
+from repro.live.checkpoint import CHECKPOINT_VERSION
 from repro.live.engine import LiveIngest
 
 
@@ -235,7 +236,7 @@ class TestCheckpointIntegration:
         assert fired
         engine.save_checkpoint()
         state = json.loads(sidecar.read_text())
-        assert state["version"] == 6
+        assert state["version"] == CHECKPOINT_VERSION
         assert len(state["alerts"]["history"]) == 2
         assert state["alerts"]["compacted"]
         revived_rules = AlertEngine(

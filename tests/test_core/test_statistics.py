@@ -1,5 +1,6 @@
 """Activity statistics rd_f / b_f / dr̄_f / mc_f (Sec. IV-B)."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -261,6 +262,19 @@ class TestExactRateFold:
         assert math.fsum(batched) == math.fsum(stepped) == float(exact)
 
 
+#: Events as (activity, case, rid, bound, bound, has_dur, size): the
+#: interval is [min, max) of the two bounds, or zero-length at min
+#: without a duration. Bounds reach ±2**62; small ones make zero-length
+#: intervals and shared instants likely.
+BOUND = st.one_of(st.integers(-50, 50), st.integers(-2**62, 2**62))
+STATE_EVENTS = st.lists(
+    st.tuples(st.sampled_from(["read", "write"]),
+              st.sampled_from(["c1", "c2", "c3"]), st.integers(0, 3),
+              BOUND, BOUND, st.booleans(),
+              st.one_of(st.none(), st.integers(0, 1 << 20))),
+    max_size=40)
+
+
 class TestStatsAccumulator:
     """The accumulator layer behind both batch and live statistics."""
 
@@ -291,6 +305,36 @@ class TestStatsAccumulator:
         for activity in one.activities():
             assert one[activity] == two[activity]
             assert one.timeline(activity) == two.timeline(activity)
+
+    @given(STATE_EVENTS, st.sampled_from([None, 2]))
+    @settings(max_examples=200, deadline=None)
+    def test_json_state_roundtrip_is_byte_exact(self, events, window):
+        """Through a JSON sidecar and back, every interval buffer is
+        byte-identical and the statistics are equal, windowed or not."""
+        accumulator = StatsAccumulator(window=window)
+        for activity, case, rid, one, two, has_dur, size in events:
+            start, end = min(one, two), max(one, two)
+            accumulator.feed_event(
+                activity, case, rid=rid, start_us=start,
+                dur_us=end - start if has_dur else None, size=size)
+        revived = StatsAccumulator.from_state(
+            json.loads(json.dumps(accumulator.to_state())),
+            window=window)
+        assert revived._activities.keys() == \
+            accumulator._activities.keys()
+        for activity, acc in accumulator._activities.items():
+            assert {case: buffer.tobytes() for case, buffer
+                    in revived._activities[activity]
+                    ._case_timelines.items()} == \
+                {case: buffer.tobytes()
+                 for case, buffer in acc._case_timelines.items()}
+        before = accumulator.statistics()
+        after = revived.statistics()
+        assert after.activities() == before.activities()
+        for activity in before.activities():
+            assert after[activity] == before[activity], activity
+            assert after.timeline(activity) == \
+                before.timeline(activity), activity
 
     def test_default_case_order_is_lexicographic(self, fig1_dir):
         """Without an explicit order the flat-directory layout (case

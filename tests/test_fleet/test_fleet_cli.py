@@ -6,6 +6,7 @@ import json
 
 from repro._util.errors import ReproError
 from repro.cli import main
+from repro.live.checkpoint import CHECKPOINT_VERSION
 from repro.live.engine import LiveIngest
 
 FAILING_SIDECAR = {
@@ -208,7 +209,7 @@ class TestHealthEdgeCases:
         one = self._compacting_checkpoint(tmp_path, populated_dir,
                                           "v6.ckpt.json")
         state = json.loads(one.read_text(encoding="utf-8"))
-        assert state["version"] == 6
+        assert state["version"] == CHECKPOINT_VERSION
         capsys.readouterr()
         assert main(["health", str(one)]) == 0
         assert capsys.readouterr().out.startswith("status: ok")
@@ -253,7 +254,7 @@ class TestHealthEdgeCases:
         assert code == 2
         err = capsys.readouterr().err
         assert "no telemetry snapshot" in err
-        assert "version 6" in err
+        assert f"version {CHECKPOINT_VERSION}" in err
 
 
 class TestCompactionConfigExitCodes:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro._util.errors import ReproError
 from repro.elstore.convert import convert_source
+from repro.live.checkpoint import CHECKPOINT_VERSION
 from repro.live.engine import LiveIngest
 from repro.telemetry import Telemetry
 from tests.faultinject import (
@@ -219,7 +220,7 @@ class TestRestoreEdges:
         live_dir, elog, sidecar = self._compacted_run(tmp_path,
                                                       ls_file_bytes)
         state = json.loads(sidecar.read_text())
-        assert state["version"] == 6
+        assert state["version"] == CHECKPOINT_VERSION
         assert state["emit_packed"] > 0
         assert state["emit_packed"] == state["emit_offset"]
 

@@ -132,6 +132,18 @@ class TestWatchLoopIntegration:
         assert elog.exists()
         assert any("emitted event log" in text for text in outputs)
 
+    def test_run_watch_closes_the_journal(self, tmp_path, ls_file_bytes):
+        """The loop releases the journal's append handle on exit, as
+        the fleet does — no open file outlives ``run_watch``."""
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        _write_all(trace_dir, ls_file_bytes)
+        engine = LiveIngest(trace_dir, keep_records=False,
+                            emit=tmp_path / "run.elog")
+        assert run_watch(engine, polls=1, interval=0,
+                         out=lambda _: None, sleep=lambda _: None) == 0
+        assert engine.emit_journal._handle is None
+
     def test_cli_emit_once(self, tmp_path, ls_file_bytes, capsys):
         from repro.cli import main
 

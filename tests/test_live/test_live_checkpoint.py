@@ -11,6 +11,7 @@ from repro._util.errors import ReproError
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.mapping import CallOnly, CallTopDirs
+from repro.live.checkpoint import CHECKPOINT_VERSION
 from repro.live.engine import LiveIngest
 
 MAPPING = CallTopDirs(levels=2)
@@ -89,7 +90,7 @@ class TestRestart:
         engine.poll()
         engine.save_checkpoint()
         state = json.loads(sidecar.read_text())
-        assert state["version"] == 6
+        assert state["version"] == CHECKPOINT_VERSION
         assert state["files"][0]["path"] == name
         assert "stats" in state
         assert state["alerts"] == {"rules": {}, "history": []}

@@ -232,20 +232,44 @@ class TestRenderPathIsIncremental:
             assert first[activity] == second[activity]
 
     def test_timelines_are_point_in_time_snapshots(self, tmp_path,
-                                                   ls_file_bytes):
+                                                   ior_file_bytes):
         """Lazy timeline handles must not leak later growth: rows
         materialized after further polls still describe the poll the
-        statistics were taken at."""
-        items = sorted(ls_file_bytes.items())
-        engine = LiveIngest(tmp_path)
-        for name, content in items[:3]:
+        statistics were taken at — under a window too, where growth
+        past the cap coarsens the very buffers a handle holds."""
+        items = sorted(ior_file_bytes.items())
+        for window in (None, 2):
+            trace_dir = tmp_path / f"window-{window}"
+            trace_dir.mkdir()
+            engine = LiveIngest(trace_dir, window=window)
+            for name, content in items[:3]:
+                (trace_dir / name).write_bytes(content[:len(content) // 2])
+            engine.poll()
+            early = engine.statistics()
+            expected = {a: early.timeline(a) for a in early.activities()}
+            taken_late = engine.statistics()  # materialize nothing yet
+            for index, (name, content) in enumerate(items):
+                with open(trace_dir / name, "ab") as handle:
+                    handle.write(content[len(content) // 2:]
+                                 if index < 3 else content)
+            engine.poll()
+            for activity, rows in expected.items():
+                assert taken_late.timeline(activity) == rows, \
+                    (window, activity)
+
+    def test_set_window_shrink_keeps_earlier_snapshots(self, tmp_path,
+                                                       ls_file_bytes):
+        """Shrinking the window coarsens into new buffers: statistics
+        taken before the shrink still materialize the exact rows."""
+        for name, content in ls_file_bytes.items():
             (tmp_path / name).write_bytes(content)
+        engine = LiveIngest(tmp_path)
         engine.poll()
         early = engine.statistics()
         expected = {a: early.timeline(a) for a in early.activities()}
-        taken_late = engine.statistics()  # materialize nothing yet
-        for name, content in items[3:]:
-            (tmp_path / name).write_bytes(content)
-        engine.poll()
+        taken_before = engine.statistics()  # materialize nothing yet
+        engine.stats.set_window(2)
+        shrunk = engine.statistics()
+        assert any(shrunk[a].approximate for a in shrunk.activities())
         for activity, rows in expected.items():
-            assert taken_late.timeline(activity) == rows, activity
+            assert taken_before.timeline(activity) == rows, activity

@@ -132,7 +132,7 @@ class TestCheckpointV5:
         sidecar = self._checkpointed(tmp_path, ls_file_bytes,
                                      Telemetry())
         state = json.loads(sidecar.read_text())
-        assert state["version"] == CHECKPOINT_VERSION == 6
+        assert state["version"] == CHECKPOINT_VERSION
         snapshot = state["telemetry"]["snapshot"]
         counters = {e["name"]: e["value"]
                     for e in snapshot["counters"]}
@@ -145,7 +145,7 @@ class TestCheckpointV5:
                                                ls_file_bytes):
         sidecar = self._checkpointed(tmp_path, ls_file_bytes)
         state = json.loads(sidecar.read_text())
-        assert state["version"] == 6
+        assert state["version"] == CHECKPOINT_VERSION
         assert state["telemetry"] is None
 
     def test_restart_restores_counter_bases(self, tmp_path,
@@ -198,7 +198,7 @@ class TestCheckpointV5:
         engine.poll()
         engine.save_checkpoint()
         upgraded = json.loads(sidecar.read_text())
-        assert upgraded["version"] == 6
+        assert upgraded["version"] == CHECKPOINT_VERSION
         assert upgraded["telemetry"]["snapshot"] is not None
 
 
