@@ -12,12 +12,7 @@ The ≥2× speedup criterion is asserted when the machine actually has
 printed but the assertion is skipped — a process pool cannot beat the
 GIL-free sequential path without physical parallelism.
 
-The statistics pass is benchmarked too: ``IOStatistics`` builds the
-Eq. 15 per-activity timelines columnally (case codes decoded once per
-chunk, ends computed vectorized); a row-wise reference replicating the
-pre-vectorization per-event Python loop is timed against it — and
-checked for identical output — to keep the module's "Python-level cost
-is O(m), not O(mn)" claim honest.
+The full ``IOStatistics`` pass over the ingested log is timed too.
 
 Run standalone::
 
@@ -119,61 +114,8 @@ def _time_ingest(directory: Path, workers: int, repeats: int = 2):
     return best, log
 
 
-def _rowwise_timelines(frame) -> dict[str, list[tuple[str, int, int]]]:
-    """The pre-vectorization timeline build: one Python iteration per
-    event, decoding the case code row by row (the O(mn)-in-Python
-    reference the columnar pass is measured against)."""
-    from repro.core.frame import MISSING
-
-    pools = frame.pools
-    start = frame.column("start")
-    dur = frame.column("dur")
-    case = frame.column("case")
-    timelines: dict[str, list[tuple[str, int, int]]] = {}
-    for code, rows in frame.groupby_activity():
-        case_pool = pools.cases
-        timelines[pools.activities.decode(code)] = [
-            (case_pool.decode(int(case[r])), int(start[r]),
-             int(start[r]) + (int(dur[r]) if dur[r] != MISSING else 0))
-            for r in rows
-        ]
-    return timelines
-
-
-def _columnar_timelines(frame) -> dict[str, list[tuple[str, int, int]]]:
-    """The vectorized timeline build of the statistics pass: ends
-    computed columnally, case codes decoded once per contiguous
-    chunk, rows materialized with C-level ``zip``."""
-    import numpy as np
-
-    from repro.core.frame import MISSING
-
-    pools = frame.pools
-    start = frame.column("start")
-    dur = frame.column("dur")
-    case = frame.column("case")
-    timelines: dict[str, list[tuple[str, int, int]]] = {}
-    for code, rows in frame.groupby_activity():
-        starts = start[rows]
-        durs = dur[rows]
-        ends = starts + np.where(durs != MISSING, durs, 0)
-        case_codes = case[rows]
-        bounds = np.flatnonzero(np.diff(case_codes)) + 1
-        edges = [0, *bounds.tolist(), len(rows)]
-        timeline: list[tuple[str, int, int]] = []
-        for lo, hi in zip(edges, edges[1:]):
-            case_id = pools.cases.decode(int(case_codes[lo]))
-            timeline.extend(
-                (case_id, s, e)
-                for s, e in zip(starts[lo:hi].tolist(),
-                                ends[lo:hi].tolist()))
-        timelines[pools.activities.decode(code)] = timeline
-    return timelines
-
-
 def _time_statistics(log: EventLog, repeats: int = 2) -> dict:
-    """Full vectorized IOStatistics, plus the timeline build measured
-    both ways (columnar vs the row-wise loop it replaced)."""
+    """Best-of-N wall time of the full IOStatistics pass."""
     from repro.core.statistics import IOStatistics
 
     mapped = log.with_mapping(CallTopDirs(levels=2))
@@ -182,20 +124,7 @@ def _time_statistics(log: EventLog, repeats: int = 2) -> dict:
         begin = time.perf_counter()
         IOStatistics(mapped)
         full_time = min(full_time, time.perf_counter() - begin)
-    vec_time, columnar = float("inf"), None
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        columnar = _columnar_timelines(mapped.frame)
-        vec_time = min(vec_time, time.perf_counter() - begin)
-    row_time, reference = float("inf"), None
-    for _ in range(repeats):
-        begin = time.perf_counter()
-        reference = _rowwise_timelines(mapped.frame)
-        row_time = min(row_time, time.perf_counter() - begin)
-    assert columnar == reference, "vectorized timelines diverged"
-    return {"stats_full_s": full_time, "timeline_vec_s": vec_time,
-            "timeline_rowwise_s": row_time,
-            "timeline_speedup": row_time / vec_time}
+    return {"stats_full_s": full_time}
 
 
 def run_workload(name: str, directory: Path, *, workers: int = 4,
@@ -236,11 +165,6 @@ def report(result: dict, workers: int) -> None:
             ("speedup", ">= 2.00", f"{result['speedup']:.2f}x"),
             ("full statistics pass", "O(m + cases) Python",
              f"{result['stats_full_s'] * 1e3:.1f} ms"),
-            ("timelines row-wise (ref)", "O(mn) Python",
-             f"{result['timeline_rowwise_s'] * 1e3:.1f} ms"),
-            ("timelines columnar", "faster, same output",
-             f"{result['timeline_vec_s'] * 1e3:.1f} ms "
-             f"({result['timeline_speedup']:.1f}x)"),
         ])
 
 

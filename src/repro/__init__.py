@@ -43,12 +43,6 @@ Quickstart::
     dfg = DFG(log)
     stats = IOStatistics(log)
     print(DFGViewer(dfg, stats).render("ascii"))
-
-Migration note: the per-format constructors
-``EventLog.from_strace_dir`` / ``EventLog.from_store`` (and their
-``InspectionSession`` twins) are deprecated shims over
-``from_source`` — same results, byte for byte; new code should pass a
-path or scheme URI to ``from_source`` / ``open_source`` instead.
 """
 
 from repro.alerts import (

@@ -32,7 +32,7 @@ The live discipline extends here: for latched rules over monotone
 conditions the fired-alert identity multiset is a deterministic
 function of the final directory — independent of the poll schedule and
 of kill/restart cycles (latches and history persist in checkpoint
-sidecars v3). Pinned by ``tests/test_alerts/test_alert_properties.py``.
+sidecars). Pinned by ``tests/test_alerts/test_alert_properties.py``.
 
 Full rule/file reference: ``docs/rules.md``.
 """

@@ -14,7 +14,7 @@
    them out to the sinks (a crashing sink cannot lose an alert).
 
 Attach the engine to the :class:`~repro.live.engine.LiveIngest`
-(``LiveIngest(..., alerts=engine)``) and checkpoint sidecars (v3)
+(``LiveIngest(..., alerts=engine)``) and checkpoint sidecars
 persist the rule latches and the alert history: a restarted watcher
 neither re-fires alerts its previous life already paged nor forgets
 them.
@@ -52,8 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def empty_alert_state() -> dict:
-    """The alert state a fresh (or alert-less) watch persists —
-    also what a v2 sidecar upgrades to."""
+    """The alert state a fresh (or alert-less) watch persists."""
     return {"rules": {}, "history": []}
 
 
@@ -422,15 +421,16 @@ class AlertEngine:
     # -- checkpoint state --------------------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-serializable latch + history state (sidecar v3+).
+        """JSON-serializable latch + history state (checkpoint
+        sidecars).
 
         Latches are keyed by rule name; a restart with a different
         rules file restores what still matches and starts the rest
         fresh. The previous-refresh snapshot is deliberately *not*
         persisted — ``against = "previous"`` deltas are a per-process
         notion, and the first refresh of a new life has no previous.
-        Compacted counts (v4) appear only once compaction happened, so
-        an engine that never overflowed keeps the v3 state shape.
+        The ``"compacted"`` counts appear only once compaction
+        happened.
         """
         state = {
             "rules": {rule.name: rule.latch_state()

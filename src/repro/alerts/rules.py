@@ -17,7 +17,7 @@ non-sentinel edge exists (edge counts only grow), ``event_count`` /
 baseline weight — a subject can trip at most once, which makes the
 fired-alert identity multiset a deterministic function of the final
 directory regardless of the poll schedule, and the tripped set is
-persisted in checkpoint sidecars (v3) so restarts never re-fire.
+persisted in checkpoint sidecars so restarts never re-fire.
 Conditions over non-monotone measurements (``relative_duration``
 ratios, ``process_data_rate`` bounds, watermark ages) sample the live
 state and are inherently poll-schedule-sensitive; they re-fire after
@@ -30,7 +30,7 @@ its cooldown of the last *delivered* firing is silently suppressed —
 the latch still updates (so checkpoint restarts stay honest about
 what the condition did), only the alert record is withheld and
 counted in :attr:`Rule.n_suppressed`. Last-fired timestamps persist
-in the sidecar (v4), so a restart inside the cooldown window stays
+in the sidecar, so a restart inside the cooldown window stays
 quiet too.
 """
 
@@ -175,10 +175,9 @@ class Rule:
     # -- checkpoint state --------------------------------------------------
 
     def latch_state(self) -> dict:
-        """JSON-serializable latch state (checkpoint sidecars, v3+;
-        ``last_fired`` appears since v4, and only when cooldown
-        tracking recorded anything — empty latches keep their v3
-        shape)."""
+        """JSON-serializable latch state (checkpoint sidecars;
+        ``last_fired`` appears only when cooldown tracking recorded
+        anything)."""
         state: dict = {"tripped": sorted(self._tripped)}
         if self._last_fired:
             state["last_fired"] = dict(sorted(self._last_fired.items()))

@@ -43,9 +43,8 @@ from repro._util.errors import ReproError
 #: Schema version stamped into ``PRAGMA user_version`` at creation.
 CATALOG_VERSION = 1
 
-#: Versions this build can read. Mirrors the checkpoint sidecar's
-#: ``_LOADABLE_VERSIONS``: an unknown (newer) stamp is rejected rather
-#: than guessed at.
+#: Versions this build can read. An unknown (newer) stamp is rejected
+#: rather than guessed at.
 LOADABLE_VERSIONS = frozenset({CATALOG_VERSION})
 
 #: Seconds SQLite itself waits on a locked database before raising.

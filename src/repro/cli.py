@@ -460,13 +460,12 @@ def cmd_counters(args: argparse.Namespace) -> int:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
-    from repro.fleet.job import JobSpec
-    from repro.live.watch import run_watch
+    from repro.fleet import FleetScheduler, JobSpec
 
-    # JobSpec.build_engine is the old inline wiring, extracted: rules
-    # loading (a malformed file raises AlertConfigError naming the
-    # offending rule), sink flags, telemetry, checkpoint restore.
-    # Anything it raises is a *configuration* error → main() → exit 2.
+    # JobSpec.build wires rules (a malformed file raises
+    # AlertConfigError naming the offending rule), sink flags,
+    # telemetry and checkpoint restore. Anything it raises is a
+    # *configuration* error → main() → exit 2.
     spec = JobSpec(
         source=args.directory,
         interval=args.interval,
@@ -492,21 +491,38 @@ def cmd_watch(args: argparse.Namespace) -> int:
         run_name=(args.run_name or _default_run_name(args.directory)
                   if args.catalog else None),
     )
-    engine = spec.build_engine()
+    job = spec.build()
+    server = None
+    if args.metrics_port is not None:
+        from repro.telemetry.exposition import MetricsServer
+
+        server = MetricsServer(job.engine.telemetry, args.metrics_port)
+        print(f"serving metrics on http://{server.host}:{server.port}"
+              f"/metrics (health: /healthz)")
     try:
-        return run_watch(engine, interval=args.interval,
-                         polls=spec.polls,
-                         show_dfg=spec.show_dfg, top=args.top,
-                         metrics_port=args.metrics_port,
-                         metrics_log=args.metrics_log,
-                         spec=spec)
+        return FleetScheduler([job]).run()
+    except KeyboardInterrupt:  # pragma: no cover - interactive exit
+        # Deliberately no save here: a ^C landing inside poll() can
+        # leave byte offsets advanced past records not yet folded into
+        # the graph, and persisting that torn state would break
+        # restart ≡ batch. The last post-poll sidecar is consistent.
+        checkpoint = job.engine.checkpoint_path
+        print(f"stopped after {job.completed} poll(s); "
+              + (f"checkpoint as of the last completed poll: "
+                 f"{checkpoint}"
+                 if checkpoint is not None and job.completed
+                 else "no checkpoint written"))
+        return 0
     except ReproError as exc:
         # A failure *inside* the live loop (a tracked file vanishing,
         # a torn trace) is a runtime error, not a usage error: exit 1,
-        # message instead of a traceback. The emit journal was already
-        # packed by run_watch's finally.
+        # message instead of a traceback. The scheduler already packed
+        # the emit journal and closed the job.
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if server is not None:
+            server.close()
 
 
 def cmd_fleet(args: argparse.Namespace) -> int:
@@ -542,6 +558,9 @@ def _health_verdict(path: Path) -> dict:
         state = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ReproError(f"corrupt checkpoint {path}: {exc}") from exc
+    if not isinstance(state, dict):
+        raise ReproError(f"corrupt checkpoint {path}: top-level "
+                         f"{type(state).__name__}, not an object")
     snapshot = (state.get("telemetry") or {}).get("snapshot")
     if not snapshot:
         raise ReproError(

@@ -77,7 +77,6 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -423,7 +422,7 @@ class StatsAccumulator:
     sets) or reassembled in the caller-supplied case order.
 
     State round-trips through :meth:`to_state` / :meth:`from_state`
-    for the live checkpoint sidecar (version ≥ 2).
+    for the live checkpoint sidecar.
 
     ``window`` (optional, ≥ 2) bounds the per-case interval buffers:
     buffers exceeding it are coarsened and the affected activities
@@ -598,16 +597,14 @@ class StatsAccumulator:
     # -- checkpoint state --------------------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-serializable state (live checkpoint sidecars, v2+).
+        """JSON-serializable state (live checkpoint sidecars).
 
         Floats (the exact-sum rate partials) are stored as JSON
         numbers — ``repr``-based serialization round-trips IEEE
         doubles exactly, so restored statistics stay bit-identical to
-        an uninterrupted run. The partials replace the per-case rate
-        lists older sidecars carried: O(1)-ish per activity instead of
-        one float per transfer event. Each case's interval buffer is
-        one base64 string of little-endian int64 ``start, end`` pairs
-        (``"intervals"``, sidecar v7).
+        an uninterrupted run. Each case's interval buffer is one
+        base64 string of little-endian int64 ``start, end`` pairs
+        (``"intervals"``).
         """
         return {
             "activities": {
@@ -633,15 +630,8 @@ class StatsAccumulator:
     @classmethod
     def from_state(cls, state: dict,
                    window: int | None = None) -> "StatsAccumulator":
-        """Rebuild from :meth:`to_state` output.
-
-        Also accepts the pre-v4 sidecar layout (per-case ``rates``
-        lists instead of ``rate_partials``): the legacy rates are
-        folded into exact partials in sorted case order — lossless,
-        because the exact sum is order-independent. Pre-v7 sidecars
-        carry each case's intervals as a ``"timeline"`` list of
-        ``[start, end]`` pairs instead of base64 ``"intervals"``.
-        """
+        """Rebuild from :meth:`to_state` output; buffers longer than
+        ``window`` intervals coarsen on load."""
         accumulator = cls(window=window)
         for activity, acc_state in state["activities"].items():
             acc = accumulator._accumulator(str(activity))
@@ -649,24 +639,16 @@ class StatsAccumulator:
             acc.dur_sum = int(acc_state["dur_sum"])
             acc.bytes_sum = int(acc_state["bytes_sum"])
             acc.has_transfers = bool(acc_state["has_transfers"])
-            acc.approximate = bool(acc_state.get("approximate", False))
+            acc.approximate = bool(acc_state["approximate"])
             acc.rids = {int(r) for r in acc_state["rids"]}
-            if "rate_partials" in acc_state:
-                acc.rate_count = int(acc_state["rate_count"])
-                acc._rate_partials = [
-                    float(p) for p in acc_state["rate_partials"]]
+            acc.rate_count = int(acc_state["rate_count"])
+            acc._rate_partials = [
+                float(p) for p in acc_state["rate_partials"]]
             for case, case_state in sorted(acc_state["cases"].items()):
-                if "intervals" in case_state:
-                    buffer = _decode_intervals(case_state["intervals"])
-                else:
-                    buffer = array("q", chain.from_iterable(
-                        case_state["timeline"]))
+                buffer = _decode_intervals(case_state["intervals"])
                 acc._case_timelines[str(case)] = buffer
                 if window is not None and len(buffer) > 2 * window:
                     acc._coarsen(str(case))
-                for rate in case_state.get("rates", ()):
-                    _exact_sum_step(acc._rate_partials, float(rate))
-                    acc.rate_count += 1
         return accumulator
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -20,10 +20,10 @@ presentation (:mod:`repro.fleet.view`, :mod:`repro.fleet.telemetry`)
     prefixes; :class:`FleetTelemetry` serves every job's metrics under
     a ``job`` label and a worst-of-jobs ``/healthz``.
 
-``st-inspector watch`` / :func:`repro.live.watch.run_watch` are a
-one-job fleet (no view, no isolation) — the old loop, refactored, not
-forked. Configuration for the multi-job CLI lives in ``fleet.toml``
-(:mod:`repro.fleet.config`, see ``docs/fleet.md``).
+``st-inspector watch`` is a one-job fleet (no view, no isolation):
+``FleetScheduler([spec.build()]).run()``. Configuration for the
+multi-job CLI lives in ``fleet.toml`` (:mod:`repro.fleet.config`, see
+``docs/fleet.md``).
 """
 
 from repro.fleet.config import (FleetConfigError, load_fleet_config,

@@ -1,8 +1,8 @@
 """The job layer: one watched trace directory as a schedulable unit.
 
 A :class:`WatchJob` owns one :class:`~repro.live.engine.LiveIngest`
-plus everything ``run_watch`` used to wire around it — the alert
-engine, the checkpoint sidecar, the emit journal, per-job telemetry,
+plus everything wired around it — the alert engine, the checkpoint
+sidecar, the emit journal, per-job telemetry and its ``--metrics-log``,
 the stateful :class:`~repro.live.watch.WatchView` — with an explicit
 lifecycle::
 
@@ -18,10 +18,10 @@ recipe builds a job for ``st-inspector watch``, one entry of a
 — a rebuilt job re-restores from its own checkpoint exactly like a
 killed-and-restarted watch process.
 
-``poll_once`` is the body of the old ``run_watch`` loop, verbatim in
-ordering: poll → alert evaluation → checkpoint save → engine gauges →
-span end → render. The scheduler owns everything between polls
-(cadence, sleeping, output); the job owns everything within one.
+``poll_once`` is one refresh, in this order: poll → alert evaluation
+→ checkpoint save → engine gauges → span end → render. The scheduler
+owns everything between polls (cadence, sleeping, output); the job
+owns everything within one.
 """
 
 from __future__ import annotations
@@ -238,6 +238,11 @@ class WatchJob:
             show_stats = spec.show_stats
             top = spec.top
             metrics_log = spec.metrics_log
+        if metrics_log is not None and not engine.telemetry.enabled:
+            raise ReproError(
+                "metrics exposition needs an instrumented engine: "
+                "construct LiveIngest(telemetry=Telemetry()) (the CLI "
+                "does this for --metrics-port/--metrics-log)")
         self.engine = engine
         self.spec = spec
         self.name = name if name is not None else "watch"
@@ -270,12 +275,17 @@ class WatchJob:
         return self.polls is not None and self.completed >= self.polls
 
     def poll_once(self) -> PollOutcome:
-        """One refresh: the old ``run_watch`` body, order preserved.
+        """One refresh.
 
-        Alert evaluation runs *before* the checkpoint save so the
+        Alert evaluation runs *before* the checkpoint save, so the
         sidecar always holds the latches of the alerts it has seen
-        fire; the render phase sits outside the span so the TELEMETRY
-        row describes the poll it belongs to.
+        fire and a kill between the two can at worst replay one
+        refresh of sink deliveries. The sidecar is saved after every
+        poll that moved any state — carry-only progress included — so
+        a kill loses at most one interval of work, while idle polls
+        skip the rewrite (it is still written once if it does not
+        exist yet). The render phase sits outside the span so the
+        TELEMETRY row describes the poll it belongs to.
         """
         engine = self.engine
         telemetry = engine.telemetry

@@ -1,14 +1,13 @@
 """The scheduler layer: many jobs, one cooperative loop.
 
 :class:`FleetScheduler` deadline-schedules N :class:`~repro.fleet.job.
-WatchJob`\\ s on one thread — the cadence logic hoisted verbatim out of
-the old ``run_watch`` (``next = max(now, next + interval)``), applied
-per job: each job's next poll is due ``interval`` after its previous
-one was *due*, so one job's slow refresh never silently stretches its
-own cadence, and the scheduler simply runs whichever job's deadline is
-earliest (FIFO among ties, so zero-interval jobs round-robin instead
-of starving each other). With a single job the loop reduces exactly to
-the old one — ``run_watch`` is now a one-job fleet, byte-identical.
+WatchJob`\\ s on one thread under deadline scheduling
+(``next = max(now, next + interval)``), per job: each job's next poll
+is due ``interval`` after its previous one was *due*, so one job's
+slow refresh never silently stretches its own cadence, and the
+scheduler simply runs whichever job's deadline is earliest (FIFO
+among ties, so zero-interval jobs round-robin instead of starving
+each other). ``st-inspector watch`` is the one-job case.
 
 **Fault isolation** (``isolate=True``, the fleet CLI): a job whose
 poll raises transitions to ``failed`` instead of taking the process
@@ -23,6 +22,10 @@ bounds the consecutive attempts; beyond it the job is ``stopped``
 
 With ``isolate=False`` (the single-job ``watch`` path) exceptions
 propagate to the caller unchanged.
+
+On every exit from :meth:`FleetScheduler.run` — budget spent, ^C, an
+exception — each job is finalized (its ``--emit`` destination packed,
+its catalog run committed) and closed.
 """
 
 from __future__ import annotations
@@ -54,12 +57,12 @@ def _overrun_line(n_poll: int, interval: float, overshoot: float,
 class FleetScheduler:
     """Cooperative deadline scheduler over a list of jobs.
 
-    ``out``/``sleep``/``clock`` are injectable exactly as in the old
-    ``run_watch`` — tests drive a whole fleet without a terminal or a
-    wall clock. ``view`` (a :class:`~repro.fleet.view.FleetView`)
-    turns on the interleaved presentation: per-job ``[name]`` line
-    prefixes and fleet status frames on every state change. With
-    ``view=None`` output is raw — the single-job byte-identical mode.
+    ``out``/``sleep``/``clock`` are injectable — tests drive a whole
+    fleet without a terminal or a wall clock. ``view`` (a
+    :class:`~repro.fleet.view.FleetView`) turns on the interleaved
+    presentation: per-job ``[name]`` line prefixes and fleet status
+    frames on every state change. With ``view=None`` output is raw —
+    the single-job ``watch`` mode.
     """
 
     def __init__(self, jobs: "list[WatchJob]", *,
@@ -86,7 +89,8 @@ class FleetScheduler:
         """Poll every job on its own cadence until all are done.
 
         Returns a process exit code (0). KeyboardInterrupt propagates
-        — the presentation layer owns the stop message.
+        — the presentation layer owns the stop message — once every
+        job is finalized and closed.
         """
         now = self._clock()
         for index, job in enumerate(self.jobs):
@@ -95,14 +99,39 @@ class FleetScheduler:
         self._seq = len(self.jobs)
         if self._view is not None and self.jobs:
             self._out(self._view.status_frame(self.jobs))
-        while True:
-            job = self._next_job()
-            if job is None:
-                return 0
-            delay = job.deadline - self._clock()
-            if delay > 0:
-                self._sleep(delay)
-            self._visit(job)
+        try:
+            while True:
+                job = self._next_job()
+                if job is None:
+                    return 0
+                delay = job.deadline - self._clock()
+                if delay > 0:
+                    self._sleep(delay)
+                self._visit(job)
+        finally:
+            # Every exit path — budget spent, ^C, a poll raising under
+            # isolate=False — packs the durable journal into the .elog,
+            # so the file on disk reflects everything sealed up to the
+            # stop. Nothing here saves a checkpoint: the last post-poll
+            # sidecar is the consistent one.
+            self._finalize_all()
+
+    def _finalize_all(self) -> None:
+        """Finalize (idempotent) and close every job. Under isolation
+        a failed pack is reported and the other jobs still finalize;
+        without it the job is closed and the failure re-raised."""
+        for job in self.jobs:
+            try:
+                packed = job.finalize()
+            except Exception as exc:
+                if not self._isolate:
+                    raise
+                self._emit_line(job, f"emit pack failed: {exc}")
+                packed = None
+            finally:
+                job.close()
+            if packed is not None:
+                self._emit_line(job, f"emitted event log: {packed}")
 
     def _next_job(self) -> "WatchJob | None":
         runnable = [job for job in self.jobs
@@ -230,9 +259,7 @@ def run_fleet(jobs: "list[WatchJob]", *,
     :class:`~repro.fleet.view.FleetView`, fault isolation, a shared
     metrics endpoint (``metrics_port`` serves every instrumented job's
     registry under a ``job`` label, ``/healthz`` aggregates
-    worst-of-jobs), a fleet stop message on ^C, and a ``finally`` that
-    packs every job's ``--emit`` destination and releases engines on
-    *any* exit path.
+    worst-of-jobs) and a fleet stop message on ^C.
     """
     from repro.fleet.view import FleetView
 
@@ -255,14 +282,5 @@ def run_fleet(jobs: "list[WatchJob]", *,
             f"{job.name} {job.completed} poll(s)" for job in jobs))
         return 0
     finally:
-        for job in jobs:
-            try:
-                packed = job.finalize()
-            except Exception as exc:
-                out(view.line(job, f"emit pack failed: {exc}"))
-                packed = None
-            if packed is not None:
-                out(view.line(job, f"emitted event log: {packed}"))
-            job.close()
         if server is not None:
             server.close()

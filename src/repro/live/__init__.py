@@ -31,11 +31,12 @@ Layering (bottom → top):
   full follower + graph + statistics state, so a killed watcher
   restarts from the recorded byte offsets instead of re-parsing
   gigabytes, with statistics still covering the full run.
-- :mod:`repro.live.watch` — the ``st-inspector watch`` refresh loop:
-  periodic ASCII summary with change highlighting, an alert pane, and
-  a sealing-starvation note in the status line.
+- :mod:`repro.live.watch` — the ``st-inspector watch`` refresh view:
+  ASCII summary with change highlighting, an alert pane, and a
+  sealing-starvation note in the status line. The loop driving it is
+  a one-job :class:`~repro.fleet.scheduler.FleetScheduler`.
 
-Sitting on top (separate packages, wired in by the watch loop):
+Sitting on top (separate packages, wired in by the watch job):
 :mod:`repro.alerts` turns refresh deltas into *pages* — declarative
 threshold rules (``watch --rules rules.toml``) whose latches and fired
 history persist in the same checkpoint sidecar — and
@@ -52,7 +53,7 @@ from repro.live.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.live.watch import WatchView, run_watch
+from repro.live.watch import WatchView
 
 __all__ = [
     "FileTail",
@@ -62,5 +63,4 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "WatchView",
-    "run_watch",
 ]

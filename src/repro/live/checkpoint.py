@@ -10,44 +10,36 @@ already-parsed byte:
   completed-but-unsealed records of the merge buffer;
 - the incremental graph: edge counts, node frequencies and each case's
   tail activity (:meth:`~repro.core.incremental.IncrementalDFG.to_state`);
-- the statistics accumulators (since v2): per-activity counts, sums,
-  rank sets, the exact-sum rate partials (v4; per-case rate lists
-  before that) and the per-case interval buffers (v7: base64 of
-  little-endian int64 ``start, end`` pairs; JSON lists before that)
+- the statistics accumulators: per-activity counts, sums, rank sets,
+  the exact-sum rate partials and the per-case interval buffers
+  (base64 of little-endian int64 ``start, end`` pairs)
   (:meth:`~repro.core.statistics.StatsAccumulator.to_state`), so a
   restarted watcher renders *full-history* node annotations instead of
   statistics covering only its own lifetime;
-- the alert state (since v3): per-rule latch sets and the fired-alert
-  history of an attached :class:`~repro.alerts.AlertEngine` — since
-  v4 also per-subject cooldown timestamps and the compacted history
-  counts — so a restarted watcher neither re-fires already-paged
-  alerts nor forgets them (``LiveIngest(alerts=...)``);
-- the durable emit-journal offset (since v4): how many
-  ``--emit``-journal bytes were fsynced when this sidecar was saved,
-  so a restore can cut the journal back to exactly the records the
-  restored engine state accounts for (:mod:`repro.live.emit`);
-- the telemetry snapshot (since v5): the monotonic counters and
-  histogram totals of an attached :class:`~repro.telemetry.Telemetry`,
-  restored as *bases* so scraped rates see a kill/restart as a flat
-  spot, not a counter reset (``LiveIngest(telemetry=...)``);
+- the alert state: per-rule latch sets, per-subject cooldown
+  timestamps, the fired-alert history and its compacted counts of an
+  attached :class:`~repro.alerts.AlertEngine`, so a restarted watcher
+  neither re-fires already-paged alerts nor forgets them
+  (``LiveIngest(alerts=...)``);
+- the durable emit-journal offset: how many ``--emit``-journal bytes
+  were fsynced when this sidecar was saved, so a restore can cut the
+  journal back to exactly the records the restored engine state
+  accounts for, and the pack offset — how much of the journal was
+  already compacted into the ``.elog`` (:mod:`repro.live.emit`);
+- the telemetry snapshot: the monotonic counters and histogram totals
+  of an attached :class:`~repro.telemetry.Telemetry`, restored as
+  *bases* so scraped rates see a kill/restart as a flat spot, not a
+  counter reset (``LiveIngest(telemetry=...)``);
 - engine counters and the settings the state depends on (mapping name,
   recursiveness, strictness), which are checked on load — resuming a
   checkpoint under a different mapping would silently corrupt the
   graph, so it is an error instead.
 
-Version history. **v1** (pre-statistics) is rejected with instructions
-to delete and re-watch: silently resuming one would render
-full-history graphs against current-process-only statistics — exactly
-the gap v2 closed, and the missing state cannot be reconstructed from
-the sidecar. **v2** (statistics, no alerts) and **v3** (alerts, O(n)
-per-case rate buffers) are *upgraded in place*: alert state genuinely
-starts empty on a pre-alerting sidecar, and v3's per-case rate lists
-fold losslessly into v4's exact partial sums (the exact sum is
-order-independent). v4–v6 lack only later additions and upgrade in
-place too (:data:`_LOADABLE_VERSIONS`); v6 and older carry each
-case's intervals as nested ``"timeline"`` lists, which load into the
-same buffers v7's base64 ``"intervals"`` do. The next save writes the
-current version.
+Versions. A sidecar loads only if it carries exactly
+:data:`CHECKPOINT_VERSION`; any other version is rejected with
+instructions to delete it and re-watch the directory. A sidecar that
+parses but lacks a key or holds a value of the wrong shape is a
+corrupt checkpoint, and says so, like one that is not JSON at all.
 
 Durability. The sidecar is written atomically *and* durably: the temp
 file is fsynced before ``os.replace`` and the directory is fsynced
@@ -78,31 +70,9 @@ from repro.strace.tokenizer import RecordKind, Token
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.live.engine import LiveIngest
 
-#: Bump when the state layout changes; loaders reject other versions.
-#: v2 added the statistics accumulators (full-history node annotations
-#: across restarts); v3 added the alert state (rule latches + fired
-#: history); v4 replaced per-case rate lists with exact-sum partials,
-#: added cooldown timestamps + compacted alert history, and the
-#: emit-journal offset; v5 added the telemetry snapshot (monotonic
-#: counter/histogram bases, so scraped rates survive kill/restart);
-#: v6 added the emit-journal *pack* offset — how much of the journal
-#: was already compacted into the destination ``.elog`` when the
-#: sidecar was saved, cross-checked against the journal's own header
-#: on restore; v7 stores each per-case interval buffer as one base64
-#: string of little-endian int64 pairs instead of a JSON list per
-#: interval (one C call to encode, ~21 bytes per interval). v2–v6
-#: sidecars still load — see :func:`restore_engine`.
+#: Bump when the state layout changes; :func:`restore_engine` loads
+#: only this version and rejects every other one.
 CHECKPOINT_VERSION = 7
-
-#: Versions :func:`restore_engine` can load. v2 lacks only the alert
-#: state, which legitimately starts empty; v3–v5 lack only later
-#: additions, all of which upgrade in place (a pre-v5 sidecar simply
-#: has no telemetry history — counters start their base at zero,
-#: which is what was true when it was written; a pre-v6 sidecar was
-#: written before rolling compaction existed, so its pack offset is
-#: legitimately zero; a pre-v7 sidecar's interval lists hold the same
-#: integers the base64 buffers do).
-_LOADABLE_VERSIONS = frozenset({2, 3, 4, 5, 6, CHECKPOINT_VERSION})
 
 
 def _record_to_state(record: tuple) -> dict:
@@ -220,15 +190,11 @@ def _telemetry_state(engine: "LiveIngest") -> dict | None:
 def restore_engine(engine: "LiveIngest", state: dict) -> None:
     """Load :func:`engine_state` output into a freshly built engine."""
     version = state.get("version")
-    if version not in _LOADABLE_VERSIONS:
-        hint = ""
-        if version == 1:
-            hint = (" — v1 sidecars predate persisted statistics and "
-                    "cannot be upgraded in place; delete the sidecar "
-                    "and re-watch the directory to rebuild it")
+    if version != CHECKPOINT_VERSION:
         raise ReproError(
-            f"unsupported checkpoint version {version!r} "
-            f"(this build writes {CHECKPOINT_VERSION}){hint}")
+            f"unsupported checkpoint version {version!r} (this build "
+            f"reads and writes only {CHECKPOINT_VERSION}) — delete the "
+            f"sidecar and re-watch the directory to rebuild it")
     current_cids = sorted(engine.cids) if engine.cids is not None else None
     for attribute, current in (("mapping", engine.mapping.name),
                                ("recursive", engine.recursive),
@@ -242,13 +208,14 @@ def restore_engine(engine: "LiveIngest", state: dict) -> None:
     engine.n_polls = int(state["n_polls"])
     engine.total_events = int(state["total_events"])
     engine.incremental = IncrementalDFG.from_state(state["dfg"])
-    # Passing the engine's window also upgrades an unwindowed (or
-    # pre-v4) sidecar in place: oversized buffers coarsen on load.
+    # Passing the engine's window coarsens buffers saved unwindowed
+    # (or under a wider window) down to this life's cap on load.
     engine.stats = StatsAccumulator.from_state(state["stats"],
                                                window=engine.window)
     if engine.emit_journal is not None:
-        emit_offset = state.get("emit_offset")
+        emit_offset = state["emit_offset"]
         if emit_offset is None:
+            # The previous life ran without --emit.
             if engine.total_events > 0:
                 raise ReproError(
                     f"checkpoint accounts for {engine.total_events} "
@@ -258,15 +225,14 @@ def restore_engine(engine: "LiveIngest", state: dict) -> None:
                     f"journal) to re-watch from scratch")
             engine.emit_journal.truncate_to(0)
         else:
-            # v6 cross-check: the journal's compaction base can only
-            # be *ahead* of the sidecar (a compaction ran after this
-            # save — its packed prefix is already durable in the
-            # .elog, and the header's per-case counts keep replay
-            # exact). A journal *behind* the sidecar's pack offset
-            # means the journal/.elog pair was swapped for older
-            # files, and the packed records the sidecar accounts for
-            # may be gone.
-            emit_packed = int(state.get("emit_packed") or 0)
+            # The journal's compaction base can only be *ahead* of the
+            # sidecar (a compaction ran after this save — its packed
+            # prefix is already durable in the .elog, and the header's
+            # per-case counts keep replay exact). A journal *behind*
+            # the sidecar's pack offset means the journal/.elog pair
+            # was swapped for older files, and the packed records the
+            # sidecar accounts for may be gone.
+            emit_packed = int(state["emit_packed"])
             if engine.emit_journal.packed_offset < emit_packed:
                 raise ReproError(
                     f"checkpoint says {emit_packed} emit-journal "
@@ -278,17 +244,12 @@ def restore_engine(engine: "LiveIngest", state: dict) -> None:
                     f"delete checkpoint, journal and .elog and "
                     f"re-watch")
             engine.emit_journal.truncate_to(int(emit_offset))
-    # v2 → v3 upgrade in place: pre-alerting sidecars hold no alert
-    # state, and empty is exactly what was true when they were written.
-    from repro.alerts import empty_alert_state
-
-    alert_state = state.get("alerts") or empty_alert_state()
+    alert_state = state["alerts"]
     engine._alert_state = alert_state
     if engine.alerts is not None:
         engine.alerts.restore_state(alert_state)
-    # v4 → v5 upgrade in place: pre-telemetry sidecars hold no
-    # telemetry state; the bases legitimately start at zero.
-    telemetry_state = state.get("telemetry")
+    # None when every previous life ran uninstrumented.
+    telemetry_state = state["telemetry"]
     engine._telemetry_state = telemetry_state
     if engine.telemetry.enabled:
         engine.telemetry.restore_state(telemetry_state)
@@ -357,4 +318,12 @@ def load_checkpoint(engine: "LiveIngest",
         state = json.loads(target.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ReproError(f"corrupt checkpoint {path}: {exc}") from exc
-    restore_engine(engine, state)
+    # Valid JSON of the wrong shape (a key missing, a value of the
+    # wrong type) is as corrupt as a torn file.
+    try:
+        restore_engine(engine, state)
+    except KeyError as exc:
+        raise ReproError(
+            f"corrupt checkpoint {path}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ReproError(f"corrupt checkpoint {path}: {exc}") from exc

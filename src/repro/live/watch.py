@@ -1,34 +1,30 @@
-"""The ``st-inspector watch`` refresh loop.
+"""The ``st-inspector watch`` refresh view.
 
-Periodically polls a :class:`~repro.live.engine.LiveIngest` and prints
-a status block; whenever the graph moved, the block includes the
-ASCII-rendered DFG (:mod:`repro.core.render.ascii`) with the elements
-that changed since the previous refresh highlighted: the current and
-previous snapshots act as the green/red halves of a
+:class:`WatchView` renders one poll of a
+:class:`~repro.live.engine.LiveIngest` as a status block; whenever the
+graph moved, the block includes the ASCII-rendered DFG
+(:mod:`repro.core.render.ascii`) with the elements that changed since
+the previous refresh highlighted: the current and previous snapshots
+act as the green/red halves of a
 :class:`~repro.core.coloring.PartitionColoring` — new nodes/edges tag
 ``[G]``, vanished ones are reported by the numeric
 :class:`~repro.core.diff.DFGDiff` summary (an edge *can* vanish live:
 a case's closing ``(a, ■)`` edge moves when the case grows).
 
-If the engine carries an :class:`~repro.alerts.AlertEngine`
-(``LiveIngest(alerts=...)`` — the CLI's ``--rules``), the loop
-evaluates it after every poll and the refresh block gains a
-highlighted ``ALERTS`` pane listing what fired; the status line also
-surfaces sealing starvation (per-file watermark age, the same
+Alerts fired by the poll (the CLI's ``--rules``) render as a
+highlighted ``ALERTS`` pane; the status line also surfaces sealing
+starvation (per-file watermark age, the same
 :meth:`~repro.live.engine.LiveIngest.watermark_ages` accessor the
-``watermark_age`` rule reads).
-
-The loop is dependency-injectable (``out``, ``sleep``) so tests drive
-it without a terminal or a clock; the CLI passes the defaults.
+``watermark_age`` rule reads). The loop that drives the view — poll,
+alerts, checkpoint, render, sleep — is a one-job
+:class:`~repro.fleet.scheduler.FleetScheduler`
+(:class:`~repro.fleet.job.WatchJob` owns one view).
 """
 
 from __future__ import annotations
 
-import os
-import time
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro._util.errors import ReproError
 from repro.core.coloring import PartitionColoring
 from repro.core.dfg import DFG
 from repro.core.diff import DFGDiff
@@ -153,121 +149,3 @@ class WatchView:
         styler = (PartitionColoring(current, self._baseline, stats)
                   if self._baseline is not None else None)
         return render_ascii(current, stats, styler)
-
-
-def run_watch(engine: LiveIngest, *,
-              interval: float = 2.0,
-              polls: int | None = None,
-              show_dfg: bool = True,
-              show_stats: bool = True,
-              top: int = 5,
-              metrics_port: int | None = None,
-              metrics_log: str | os.PathLike[str] | None = None,
-              spec=None,
-              out: Callable[[str], None] = print,
-              sleep: Callable[[float], None] = time.sleep,
-              clock: Callable[[], float] = time.monotonic) -> int:
-    """Poll → render → checkpoint → sleep, until stopped.
-
-    ``polls`` bounds the number of refreshes (``1`` is the CLI's
-    ``--once``); ``None`` runs until KeyboardInterrupt. When the
-    engine carries an alert engine, it is evaluated after every poll —
-    *before* the checkpoint save, so the sidecar always holds the
-    latches of the alerts it has seen fire and a kill between the two
-    can at worst replay one refresh of sink deliveries, never lose a
-    latch that was persisted. The engine's
-    checkpoint (when configured) is saved after every poll that moved
-    any state — including carry-only progress with nothing sealed —
-    so a kill at any point loses at most one interval of work, while
-    idle intervals skip the sidecar rewrite entirely (it is still
-    written once if it does not exist yet). The
-    interrupt handler deliberately does NOT save: a ^C landing inside
-    ``poll()`` can leave byte offsets advanced past records not yet
-    folded into the graph, and persisting that torn state would
-    silently break the restart-equals-batch guarantee — the last
-    post-poll sidecar is always consistent. Returns a process exit
-    code.
-
-    Scheduling is against *deadlines*, not fixed post-work sleeps:
-    each poll is due ``interval`` after the previous one was due
-    (``next = max(now, next + interval)``), so the work of a refresh —
-    parsing a burst of trace bytes, a slow sink — does not silently
-    stretch the cadence. A poll that overruns its successor's deadline
-    starts the successor immediately and re-anchors (no sleepless
-    catch-up bursts). ``clock`` is the monotonic time source, paired
-    with ``sleep`` for tests.
-
-    When the engine was constructed with ``emit=`` the destination
-    ``.elog`` is packed from the durable journal on *every* exit path
-    (poll budget exhausted, ^C, or an exception escaping the loop), so
-    the file on disk always reflects everything sealed up to the stop.
-
-    Telemetry (engine constructed with ``telemetry=``): every loop
-    iteration is one :class:`~repro.telemetry.PollSpan` covering poll,
-    alert evaluation and the checkpoint save; the rendering phase is
-    timed into the cumulative histograms but deliberately sits outside
-    the span, so the TELEMETRY row describes the poll it belongs to.
-    ``metrics_port`` serves ``/metrics`` + ``/healthz`` from a daemon
-    thread for the life of the loop (``0`` binds an ephemeral port,
-    announced via ``out``); ``metrics_log`` appends one JSON snapshot
-    line per poll. Both require an instrumented engine. A poll whose
-    work overran the interval logs a structured ``OVERRUN`` line —
-    with the span's phase breakdown when telemetry is on — instead of
-    silently re-anchoring the cadence.
-
-    Since the :mod:`repro.fleet` refactor this function is a one-job
-    fleet: the loop body lives in
-    :meth:`~repro.fleet.job.WatchJob.poll_once`, the cadence in
-    :class:`~repro.fleet.scheduler.FleetScheduler` (no view, no fault
-    isolation — exceptions propagate to the caller). The emitted
-    bytes are identical to the pre-refactor loop.
-    """
-    # Lazy: repro.fleet.job imports WatchView from this module.
-    from repro.fleet.job import WatchJob
-    from repro.fleet.scheduler import FleetScheduler
-
-    telemetry = engine.telemetry
-    if (metrics_port is not None or metrics_log is not None) \
-            and not telemetry.enabled:
-        raise ReproError(
-            "metrics exposition needs an instrumented engine: "
-            "construct LiveIngest(telemetry=Telemetry()) (the CLI "
-            "does this for --metrics-port/--metrics-log)")
-    server = None
-    if metrics_port is not None:
-        from repro.telemetry.exposition import MetricsServer
-
-        server = MetricsServer(telemetry, metrics_port)
-        out(f"serving metrics on http://{server.host}:{server.port}"
-            f"/metrics (health: /healthz)")
-    # A JobSpec (the CLI passes its own) rides along for finalize-time
-    # policy the bare engine cannot carry — today the --catalog commit
-    # (run name, catalog path, recorded window/mapping metadata).
-    job = WatchJob(engine, interval=interval, polls=polls,
-                   show_dfg=show_dfg, show_stats=show_stats, top=top,
-                   metrics_log=metrics_log, spec=spec)
-    scheduler = FleetScheduler([job], out=out, sleep=sleep,
-                               clock=clock)
-    try:
-        return scheduler.run()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        out(f"stopped after {job.completed} poll(s); "
-            + (f"checkpoint as of the last completed poll: "
-               f"{engine.checkpoint_path}"
-               if engine.checkpoint_path is not None and job.completed
-               else "no checkpoint written"))
-        return 0
-    finally:
-        # Packs on *every* exit path — poll budget (already packed by
-        # the scheduler; idempotent no-op here), ^C (after the stop
-        # message), and an unexpected exception mid-watch: the durable
-        # journal always reaches the destination .elog. Closing then
-        # releases the journal's append handle, as the fleet does.
-        try:
-            packed = job.finalize()
-            if packed is not None:
-                out(f"emitted event log: {packed}")
-        finally:
-            job.close()
-            if server is not None:
-                server.close()

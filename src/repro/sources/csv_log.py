@@ -31,9 +31,6 @@ Cases are formed exactly as in Sec. IV: one case per distinct
 ``read_csv_log(write_csv_log(log))`` reconstructs the same events
 (property-tested), and the CLI pair ``export-csv`` / ``csv:`` source
 is byte-stable: export → load → export reproduces the file.
-
-This module was promoted from ``repro.adapters.csv_log``; that import
-path remains as a deprecated re-export.
 """
 
 from __future__ import annotations

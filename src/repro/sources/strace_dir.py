@@ -3,9 +3,9 @@
 The paper's native input (Sec. III), wrapped over the parallel
 ingestion engine (:mod:`repro.ingest`): discovery is sorted-path
 deterministic, per-file parsing fans out over ``workers`` processes,
-and both the streaming case iterator and the whole-log fast path are
-byte-identical to the legacy ``EventLog.from_strace_dir`` — pinned by
-the golden-fingerprint and equivalence suites.
+and the streaming case iterator, the whole-log fast path and every
+worker count yield byte-identical logs — pinned by the
+golden-fingerprint and equivalence suites.
 """
 
 from __future__ import annotations

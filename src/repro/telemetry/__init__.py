@@ -10,7 +10,7 @@ inspector itself inspectable. Three layers, all stdlib-only:
   :data:`NULL_TELEMETRY` makes every call site a no-op.
 - **Metrics** (:mod:`repro.telemetry.metrics`) — counters, gauges and
   fixed-bucket histograms in a :class:`MetricsRegistry`; monotonic
-  series persist their base in the checkpoint sidecar (v5) so rates
+  series persist their base in the checkpoint sidecar so rates
   survive kill/restart.
 - **Exposition** (:mod:`repro.telemetry.exposition`,
   :mod:`repro.telemetry.health`) — Prometheus text + ``/healthz``

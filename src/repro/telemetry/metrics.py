@@ -47,7 +47,7 @@ SINK_BUCKETS = (0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 #: Histograms carry their bucket grid as a third element.
 METRICS: dict[str, tuple] = {
     # counters — monotonic, restart-aware (base persisted in the
-    # checkpoint sidecar, v5)
+    # checkpoint sidecar)
     "polls_total": ("counter", "Completed engine polls."),
     "finalizes_total": ("counter", "Finalize passes (end of growth)."),
     "events_sealed_total": (

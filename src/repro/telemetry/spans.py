@@ -309,7 +309,7 @@ class Telemetry:
         self.registry.gauge("rss_bytes").set(rss_bytes())
 
     def to_state(self) -> dict:
-        """Checkpoint payload (see live/checkpoint.py, sidecar v5)."""
+        """Checkpoint payload (see :mod:`repro.live.checkpoint`)."""
         return {"snapshot": self.snapshot()}
 
     def restore_state(self, state: dict | None) -> None:

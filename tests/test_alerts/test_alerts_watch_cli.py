@@ -7,8 +7,8 @@ from pathlib import Path
 
 from repro.alerts import AlertEngine, NewEdgeRule, WatermarkAgeRule
 from repro.cli import main
+from repro.fleet import FleetScheduler, WatchJob
 from repro.live.engine import LiveIngest
-from repro.live.watch import run_watch
 
 RULES = """
 [[rule]]
@@ -33,8 +33,8 @@ class TestRunWatchAlerts:
         alerts = AlertEngine([NewEdgeRule("edges")])
         engine = LiveIngest(trace_dir, alerts=alerts)
         outputs: list[str] = []
-        run_watch(engine, polls=2, interval=0, out=outputs.append,
-                  sleep=lambda _: None)
+        FleetScheduler([WatchJob(engine, polls=2, interval=0)],
+                       out=outputs.append, sleep=lambda _: None).run()
         assert "ALERTS:" in outputs[0]
         assert "!! [edges] new edge" in outputs[0]
         # The pane leads the refresh: alerts come before diff/graph.
@@ -45,8 +45,8 @@ class TestRunWatchAlerts:
     def test_starvation_note_in_status_line(self, starved_dir):
         engine = LiveIngest(starved_dir)
         outputs: list[str] = []
-        run_watch(engine, polls=1, out=outputs.append,
-                  sleep=lambda _: None)
+        FleetScheduler([WatchJob(engine, polls=1)],
+                       out=outputs.append, sleep=lambda _: None).run()
         assert "sealing starved: 1 file(s), worst job0 at 5.000s" \
             in outputs[0]
 
@@ -55,8 +55,8 @@ class TestRunWatchAlerts:
         alerts = AlertEngine([WatermarkAgeRule("starved", max_age=2.0)])
         engine = LiveIngest(starved_dir, alerts=alerts)
         outputs: list[str] = []
-        run_watch(engine, polls=1, out=outputs.append,
-                  sleep=lambda _: None)
+        FleetScheduler([WatchJob(engine, polls=1)],
+                       out=outputs.append, sleep=lambda _: None).run()
         assert "!! [starved] case job0: sealing starved for 5.000s" \
             in outputs[0]
         assert "worst job0 at 5.000s" in outputs[0]

@@ -114,3 +114,30 @@ class TestCopyPasteableFleet:
         assert by_name["app2"].window == 512
         assert by_name["app3"].alert_log == \
             str(tmp_path / "app3-alerts.jsonl")
+
+
+def _python_block_imports() -> list[str]:
+    """Every ``from repro… import …`` statement inside a ```python
+    block of README.md or docs/*.md, parenthesized ones whole."""
+    statements = []
+    for path in [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]:
+        text = path.read_text(encoding="utf-8")
+        for block in re.findall(r"```python\n(.*?)```", text, re.DOTALL):
+            statements += re.findall(
+                r"^\s*(from repro[\w.]* import (?:\([^)]*\)|.*))$",
+                block, re.MULTILINE)
+    return statements
+
+
+class TestCopyPasteablePython:
+    def test_every_documented_import_resolves(self):
+        """A doc that imports a removed name fails the suite."""
+        statements = _python_block_imports()
+        assert len(statements) >= 2, "the python examples went missing"
+        broken = []
+        for statement in statements:
+            try:
+                exec(compile(statement, "<docs>", "exec"), {})
+            except ImportError as exc:
+                broken.append(f"{statement}: {exc}")
+        assert broken == []

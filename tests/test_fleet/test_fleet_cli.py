@@ -239,6 +239,26 @@ class TestHealthEdgeCases:
         code = main(["health", str(good), str(torn)])
         assert code == 2
         assert "corrupt checkpoint" in capsys.readouterr().err
+        # Valid JSON that is not an object is as corrupt as torn JSON.
+        torn.write_text("[1, 2]", encoding="utf-8")
+        assert main(["health", str(torn)]) == 2
+        assert "corrupt checkpoint" in capsys.readouterr().err
+        # A watch resumed from a malformed sidecar: exit 2 naming the
+        # file, never a traceback.
+        plain = tmp_path / "plain.ckpt.json"
+        watch = ["watch", str(populated_dir), "--once", "--no-dfg",
+                 "--checkpoint", str(plain)]
+        assert main(watch) == 0
+        state = json.loads(plain.read_text(encoding="utf-8"))
+        no_stats = {key: value for key, value in state.items()
+                    if key != "stats"}
+        bad_offset = json.loads(plain.read_text(encoding="utf-8"))
+        bad_offset["files"][0]["offset"] = "abc"
+        for broken in (no_stats, bad_offset, [1, 2]):
+            plain.write_text(json.dumps(broken), encoding="utf-8")
+            capsys.readouterr()
+            assert main(watch) == 2
+            assert f"corrupt checkpoint {plain}" in capsys.readouterr().err
 
     def test_uninstrumented_sidecar_is_a_usage_error(self, tmp_path,
                                                      populated_dir,

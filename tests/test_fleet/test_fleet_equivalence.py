@@ -1,7 +1,7 @@
 """The headline fleet invariant, hypothesis-pinned.
 
 N jobs sharing one :class:`~repro.fleet.FleetScheduler` are
-byte-for-byte equivalent to N independent ``run_watch`` processes:
+byte-for-byte equivalent to N independent one-job watch processes:
 under a randomized schedule of trace growth, poll budgets and
 intervals — including a kill/restart boundary where every job is
 rebuilt from its checkpoint — each job's frames (prefixes stripped),
@@ -24,8 +24,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import FleetScheduler, FleetView, JobSpec
-from repro.live.watch import run_watch
+from repro.fleet import FleetScheduler, FleetView, JobSpec, WatchJob
 
 RULES = """\
 [[rule]]
@@ -142,9 +141,10 @@ def _run_solo_lives(root: Path, name: str, plan: dict, rules: Path,
         if life == 1:
             clock.advance_to(RESTART_AT)
         engine = spec.build_engine()
-        run_watch(engine, interval=plan["interval"],
-                  polls=plan[budget_key], out=frames.append,
-                  sleep=clock.sleep, clock=clock)
+        FleetScheduler([WatchJob(engine, interval=plan["interval"],
+                                 polls=plan[budget_key])],
+                       out=frames.append, sleep=clock.sleep,
+                       clock=clock).run()
         if life == 0:
             engine.close()
     return {"frames": _normalize(frames), "engine": engine}

@@ -18,8 +18,8 @@ import pytest
 
 from repro._util.errors import ReproError
 from repro.elstore.convert import convert_source
+from repro.fleet import FleetScheduler, WatchJob
 from repro.live.engine import LiveIngest
-from repro.live.watch import run_watch
 
 
 def _write_all(directory: Path, file_bytes: dict[str, bytes]) -> None:
@@ -124,25 +124,14 @@ class TestWatchLoopIntegration:
         _write_all(trace_dir, ls_file_bytes)
         elog = tmp_path / "run.elog"
         outputs: list[str] = []
-        code = run_watch(
-            LiveIngest(trace_dir, keep_records=False, emit=elog),
-            polls=2, interval=0, out=outputs.append,
-            sleep=lambda _: None)
+        job = WatchJob(LiveIngest(trace_dir, keep_records=False,
+                                  emit=elog),
+                       polls=2, interval=0)
+        code = FleetScheduler([job], out=outputs.append,
+                              sleep=lambda _: None).run()
         assert code == 0
         assert elog.exists()
         assert any("emitted event log" in text for text in outputs)
-
-    def test_run_watch_closes_the_journal(self, tmp_path, ls_file_bytes):
-        """The loop releases the journal's append handle on exit, as
-        the fleet does — no open file outlives ``run_watch``."""
-        trace_dir = tmp_path / "traces"
-        trace_dir.mkdir()
-        _write_all(trace_dir, ls_file_bytes)
-        engine = LiveIngest(trace_dir, keep_records=False,
-                            emit=tmp_path / "run.elog")
-        assert run_watch(engine, polls=1, interval=0,
-                         out=lambda _: None, sleep=lambda _: None) == 0
-        assert engine.emit_journal._handle is None
 
     def test_cli_emit_once(self, tmp_path, ls_file_bytes, capsys):
         from repro.cli import main

@@ -135,31 +135,54 @@ class TestGuards:
             LiveIngest(tmp_path / "traces", cids={"a"},
                        checkpoint=sidecar)
 
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        sidecar = tmp_path / "ckpt.json"
-        sidecar.write_text("{not json")
-        with pytest.raises(ReproError, match="corrupt"):
-            LiveIngest(tmp_path, checkpoint=sidecar)
+    def test_corrupt_checkpoint_rejected(self, tmp_path, ls_file_bytes):
+        """Not JSON, or JSON of the wrong shape: either way a located
+        "corrupt checkpoint" error, never a KeyError/ValueError/
+        AttributeError escaping the restore."""
+        sidecar = self._checkpointed(tmp_path, ls_file_bytes)
+        good = json.loads(sidecar.read_text())
+        no_stats = {key: value for key, value in good.items()
+                    if key != "stats"}
+        bad_offset = json.loads(sidecar.read_text())
+        bad_offset["files"][0]["offset"] = "abc"
+        for text, detail in (
+                ("{not json", "Expecting"),
+                (json.dumps(no_stats), "missing key 'stats'"),
+                (json.dumps(bad_offset), "abc"),
+                (json.dumps([1, 2]), "list"),
+                (json.dumps({"version": CHECKPOINT_VERSION}),
+                 "missing key")):
+            sidecar.write_text(text)
+            with pytest.raises(ReproError, match="corrupt checkpoint") \
+                    as caught:
+                LiveIngest(tmp_path / "traces", checkpoint=sidecar)
+            assert str(sidecar) in str(caught.value)
+            assert detail in str(caught.value)
 
-    def test_version_mismatch_rejected(self, tmp_path, ls_file_bytes):
+    @pytest.mark.parametrize(
+        "version", [*range(1, CHECKPOINT_VERSION), CHECKPOINT_VERSION + 1])
+    def test_other_versions_rejected(self, tmp_path, ls_file_bytes,
+                                     version):
+        """Only the current layout loads: an older or newer sidecar is
+        never misread — the error says to delete it and re-watch."""
         sidecar = self._checkpointed(tmp_path, ls_file_bytes)
         state = json.loads(sidecar.read_text())
-        state["version"] = 999
+        state["version"] = version
         sidecar.write_text(json.dumps(state))
-        with pytest.raises(ReproError, match="version"):
+        with pytest.raises(ReproError, match="delete the sidecar"):
             LiveIngest(tmp_path / "traces", checkpoint=sidecar)
 
     def test_v1_sidecar_rejected_with_rebuild_hint(self, tmp_path,
                                                    ls_file_bytes):
-        """Pre-statistics sidecars cannot be silently misread as v2 —
-        the error says to delete and re-watch."""
+        """Pre-statistics sidecars cannot be silently misread — the
+        missing ``stats`` key must not turn the version error into a
+        corrupt-checkpoint one; the error says to delete and re-watch."""
         sidecar = self._checkpointed(tmp_path, ls_file_bytes)
         state = json.loads(sidecar.read_text())
         state["version"] = 1
         del state["stats"]
         sidecar.write_text(json.dumps(state))
-        with pytest.raises(ReproError,
-                           match="delete the sidecar"):
+        with pytest.raises(ReproError, match="delete the sidecar"):
             LiveIngest(tmp_path / "traces", checkpoint=sidecar)
 
 

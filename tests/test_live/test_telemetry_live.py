@@ -1,5 +1,5 @@
 """Telemetry woven through the live path: instrumented polls,
-checkpoint v5 persistence, the watch loop, and the property that makes
+checkpoint persistence, the watch loop, and the property that makes
 the whole subsystem admissible — observing the pipeline must not
 perturb it (telemetry on vs off is byte-identical)."""
 
@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 from repro._util.errors import ReproError
 from repro.alerts import AlertEngine, NewEdgeRule, StatThresholdRule
 from repro.cli import main
+from repro.fleet import FleetScheduler, WatchJob
 from repro.live.checkpoint import CHECKPOINT_VERSION
 from repro.live.engine import LiveIngest
-from repro.live.watch import run_watch
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
@@ -179,50 +179,29 @@ class TestCheckpointV5:
                    telemetry=third)
         assert third.registry.counter("polls_total").value == 1
 
-    def test_v4_sidecar_migrates_in_place(self, tmp_path,
-                                          ls_file_bytes):
-        """A pre-telemetry sidecar loads (empty telemetry state) and
-        the next save rewrites it as v5."""
-        sidecar = self._checkpointed(tmp_path, ls_file_bytes)
-        state = json.loads(sidecar.read_text())
-        state["version"] = 4
-        del state["telemetry"]
-        sidecar.write_text(json.dumps(state))
-        telemetry = Telemetry()
-        engine = LiveIngest(tmp_path / "traces", checkpoint=sidecar,
-                            telemetry=telemetry)
-        # Nothing restored — v4 carried no telemetry — but the load
-        # succeeded and the engine state is intact.
-        assert telemetry.registry.counter("polls_total").value == 0
-        assert engine.total_events > 0
-        engine.poll()
-        engine.save_checkpoint()
-        upgraded = json.loads(sidecar.read_text())
-        assert upgraded["version"] == CHECKPOINT_VERSION
-        assert upgraded["telemetry"]["snapshot"] is not None
-
 
 class TestWatchIntegration:
     def test_telemetry_row_present_only_when_instrumented(
             self, tmp_path, ls_file_bytes):
         _write_all(tmp_path, ls_file_bytes)
         plain: list[str] = []
-        run_watch(LiveIngest(tmp_path), polls=1, out=plain.append,
-                  sleep=lambda _: None)
+        FleetScheduler([WatchJob(LiveIngest(tmp_path), polls=1)],
+                       out=plain.append, sleep=lambda _: None).run()
         assert "TELEMETRY" not in "".join(plain)
         instrumented: list[str] = []
-        run_watch(LiveIngest(tmp_path, telemetry=Telemetry()),
-                  polls=1, out=instrumented.append,
-                  sleep=lambda _: None)
+        FleetScheduler([WatchJob(LiveIngest(tmp_path,
+                                            telemetry=Telemetry()),
+                                 polls=1)],
+                       out=instrumented.append,
+                       sleep=lambda _: None).run()
         text = "".join(instrumented)
         assert "TELEMETRY: poll " in text
         assert "ms wall / " in text
 
     def test_metrics_flags_require_instrumentation(self, tmp_path):
         with pytest.raises(ReproError, match="instrumented engine"):
-            run_watch(LiveIngest(tmp_path), polls=1,
-                      metrics_log=tmp_path / "m.jsonl",
-                      out=lambda _: None, sleep=lambda _: None)
+            WatchJob(LiveIngest(tmp_path), polls=1,
+                     metrics_log=tmp_path / "m.jsonl")
 
     def test_metrics_log_appends_one_snapshot_per_poll(self, tmp_path,
                                                        ls_file_bytes):
@@ -230,9 +209,10 @@ class TestWatchIntegration:
         trace_dir.mkdir()
         _write_all(trace_dir, ls_file_bytes)
         log = tmp_path / "metrics.jsonl"
-        run_watch(LiveIngest(trace_dir, telemetry=Telemetry()),
-                  polls=3, interval=0, metrics_log=log,
-                  out=lambda _: None, sleep=lambda _: None)
+        FleetScheduler([WatchJob(LiveIngest(trace_dir,
+                                            telemetry=Telemetry()),
+                                 polls=3, interval=0, metrics_log=log)],
+                       out=lambda _: None, sleep=lambda _: None).run()
         rows = [json.loads(line)
                 for line in log.read_text().splitlines()]
         assert len(rows) == 3
@@ -260,9 +240,19 @@ class TestWatchIntegration:
                                                 timeout=5) as reply:
                         scraped[path] = reply.read()
 
-        run_watch(LiveIngest(tmp_path, telemetry=Telemetry()),
-                  polls=1, metrics_port=0, out=out,
-                  sleep=lambda _: None)
+        from repro.telemetry.exposition import MetricsServer
+
+        # Served the way ``cmd_watch`` serves --metrics-port: one
+        # registry, open for the life of the one-job scheduler.
+        job = WatchJob(LiveIngest(tmp_path, telemetry=Telemetry()),
+                       polls=1)
+        server = MetricsServer(job.engine.telemetry, 0)
+        try:
+            out(f"serving metrics on http://{server.host}:{server.port}"
+                f"/metrics (health: /healthz)")
+            FleetScheduler([job], out=out, sleep=lambda _: None).run()
+        finally:
+            server.close()
         assert b"st_inspector_polls_total 1" in scraped["/metrics"]
         assert json.loads(scraped["/healthz"])["status"] == "ok"
 
@@ -278,9 +268,11 @@ class TestWatchIntegration:
             else:
                 now[0] += 1.5  # every render blows the 1s interval
 
-        run_watch(LiveIngest(tmp_path, telemetry=Telemetry()),
-                  interval=1.0, polls=2, out=out,
-                  sleep=lambda _: None, clock=lambda: now[0])
+        FleetScheduler([WatchJob(LiveIngest(tmp_path,
+                                            telemetry=Telemetry()),
+                                 interval=1.0, polls=2)],
+                       out=out, sleep=lambda _: None,
+                       clock=lambda: now[0]).run()
         assert len(events) == 1
         assert events[0].startswith(
             "OVERRUN poll 1: work exceeded the 1s interval by 0.500s")

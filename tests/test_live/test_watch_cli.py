@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.fleet import FleetScheduler, WatchJob
 from repro.live.engine import LiveIngest
-from repro.live.watch import WatchView, run_watch
+from repro.live.watch import WatchView
 
 
 def _write_all(directory: Path, file_bytes: dict[str, bytes]) -> None:
@@ -28,9 +29,9 @@ class TestRunWatch:
             naps.append(delay)
             now[0] += delay
 
-        code = run_watch(LiveIngest(tmp_path), interval=0.5, polls=3,
-                         out=outputs.append, sleep=nap,
-                         clock=lambda: now[0])
+        job = WatchJob(LiveIngest(tmp_path), interval=0.5, polls=3)
+        code = FleetScheduler([job], out=outputs.append, sleep=nap,
+                              clock=lambda: now[0]).run()
         assert code == 0
         assert len(outputs) == 3
         assert naps == [0.5, 0.5]  # no sleep after the final poll
@@ -61,8 +62,9 @@ class TestRunWatch:
             naps.append(delay)
             now[0] += delay
 
-        run_watch(LiveIngest(tmp_path), interval=1.0, polls=4,
-                  out=out, sleep=nap, clock=lambda: now[0])
+        FleetScheduler([WatchJob(LiveIngest(tmp_path), interval=1.0,
+                                 polls=4)],
+                       out=out, sleep=nap, clock=lambda: now[0]).run()
         # Poll 1 due at 0, works 0.25 → nap 0.75 to the 1.0 deadline.
         # Poll 2 works 1.5 → overruns the 2.0 deadline (now 2.5);
         # poll 3 starts immediately (no nap), re-anchoring at 2.5.
@@ -90,8 +92,10 @@ class TestRunWatch:
         trace_dir.mkdir()
         _write_all(trace_dir, ls_file_bytes)
         sidecar = tmp_path / "ckpt.json"
-        run_watch(LiveIngest(trace_dir, checkpoint=sidecar), polls=1,
-                  out=lambda _: None, sleep=lambda _: None)
+        FleetScheduler([WatchJob(LiveIngest(trace_dir,
+                                            checkpoint=sidecar),
+                                 polls=1)],
+                       out=lambda _: None, sleep=lambda _: None).run()
         assert sidecar.exists()
 
     def test_idle_polls_skip_the_sidecar_rewrite(self, tmp_path,
@@ -100,12 +104,16 @@ class TestRunWatch:
         trace_dir.mkdir()
         _write_all(trace_dir, ls_file_bytes)
         sidecar = tmp_path / "ckpt.json"
-        run_watch(LiveIngest(trace_dir, checkpoint=sidecar), polls=1,
-                  out=lambda _: None, sleep=lambda _: None)
+        FleetScheduler([WatchJob(LiveIngest(trace_dir,
+                                            checkpoint=sidecar),
+                                 polls=1)],
+                       out=lambda _: None, sleep=lambda _: None).run()
         first_save = sidecar.stat().st_mtime_ns
         # Nothing grows: three more polls must not rewrite the file.
-        run_watch(LiveIngest(trace_dir, checkpoint=sidecar), polls=3,
-                  interval=0, out=lambda _: None, sleep=lambda _: None)
+        FleetScheduler([WatchJob(LiveIngest(trace_dir,
+                                            checkpoint=sidecar),
+                                 polls=3, interval=0)],
+                       out=lambda _: None, sleep=lambda _: None).run()
         assert sidecar.stat().st_mtime_ns == first_save
 
 
@@ -152,8 +160,8 @@ class TestCli:
         _write_all(tmp_path, ls_file_bytes)
         engine = LiveIngest(tmp_path, keep_records=False)
         outputs: list[str] = []
-        run_watch(engine, polls=1, show_dfg=False,
-                  out=outputs.append, sleep=lambda _: None)
+        FleetScheduler([WatchJob(engine, polls=1, show_dfg=False)],
+                       out=outputs.append, sleep=lambda _: None).run()
         assert "NODES" not in outputs[0]
         log = EventLog.from_source(tmp_path, workers=1)
         batch = IOStatistics(log.with_mapping(CallTopDirs(levels=2)))

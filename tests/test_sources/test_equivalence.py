@@ -1,15 +1,13 @@
 """Cross-source equivalence: every route into an EventLog agrees.
 
 The acceptance bar of the source redesign: ``StraceDirSource`` (and
-with it ``EventLog.from_source``) is byte-identical to the legacy
-``from_strace_dir`` path at every worker count, the simulator source
-is byte-identical to write-files-then-ingest, and the store/CSV
-sources reproduce their legacy readers.
+with it ``EventLog.from_source``) is byte-identical to the sequential
+``workers=1`` path at every worker count, the simulator source is
+byte-identical to write-files-then-ingest, and the store/CSV sources
+reproduce their legacy readers.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -26,27 +24,27 @@ from repro.sources import (
 )
 
 
-def _legacy_from_strace_dir(directory, **kwargs) -> EventLog:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return EventLog.from_strace_dir(directory, **kwargs)
+def _sequential(directory) -> EventLog:
+    """The reference every other road must match: one process, one
+    file at a time."""
+    return StraceDirSource(directory, workers=1).event_log()
 
 
 class TestStraceDirSource:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_byte_identical_to_legacy(self, ls_traces, workers,
                                       logs_identical):
-        legacy = _legacy_from_strace_dir(ls_traces, workers=workers)
+        sequential = _sequential(ls_traces)
         via_source = StraceDirSource(
             ls_traces, workers=workers).event_log()
         via_uri = open_source(f"strace:{ls_traces}",
                               workers=workers).event_log()
-        logs_identical(via_source, legacy)
-        logs_identical(via_uri, legacy)
+        logs_identical(via_source, sequential)
+        logs_identical(via_uri, sequential)
 
     def test_from_source_bare_path(self, ls_traces, logs_identical):
         logs_identical(EventLog.from_source(str(ls_traces)),
-                       _legacy_from_strace_dir(ls_traces))
+                       _sequential(ls_traces))
 
     def test_iter_cases_matches_event_log(self, ls_traces,
                                           logs_identical):
@@ -170,25 +168,8 @@ class TestConvertSource:
 
 
 class TestDeprecatedShims:
-    def test_from_strace_dir_warns_and_matches(self, ls_traces,
-                                               logs_identical):
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            legacy = EventLog.from_strace_dir(ls_traces)
-        logs_identical(legacy, EventLog.from_source(str(ls_traces)))
-
-    def test_from_store_warns_and_matches(self, ls_store,
-                                          logs_identical):
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            legacy = EventLog.from_store(ls_store)
-        logs_identical(legacy, EventLog.from_source(str(ls_store)))
-
-    def test_session_shims_warn(self, ls_traces, ls_store):
-        from repro.pipeline.session import InspectionSession
-
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            InspectionSession.from_strace_dir(ls_traces)
-        with pytest.warns(DeprecationWarning, match="from_source"):
-            InspectionSession.from_store(ls_store)
+    """``from_source`` is the one constructor the per-format shims
+    (``from_strace_dir``, ``from_store``) gave way to."""
 
     def test_session_from_source_all_schemes(self, ls_traces, ls_store):
         from repro.pipeline.session import InspectionSession
@@ -198,14 +179,3 @@ class TestDeprecatedShims:
             session = InspectionSession.from_source(spec)
             session.map_default()
             assert session.dfg.n_nodes > 0
-
-    def test_adapters_reexport_warns(self):
-        import importlib
-
-        import repro.adapters as adapters
-
-        importlib.reload(adapters)
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            assert adapters.read_csv_log is not None
-        with pytest.warns(DeprecationWarning, match="moved to"):
-            assert adapters.CSV_COLUMNS[0] == "cid"
