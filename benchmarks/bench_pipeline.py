@@ -14,7 +14,7 @@ from repro.core.eventlog import EventLog
 from repro.core.mapping import SiteVariables
 from repro.core.render.dot import render_dot
 from repro.core.statistics import IOStatistics
-from repro.elstore.convert import convert_strace_dir
+from repro.elstore.convert import convert_source
 from repro.elstore.reader import EventLogStore, read_event_log
 from repro.simulate.workloads.ior import JUWELS_SITE_VARIABLES
 
@@ -24,7 +24,7 @@ from conftest import paper_vs_measured
 @pytest.fixture(scope="module")
 def store_path(ior_exp_a_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("store") / "exp_a.elog"
-    convert_strace_dir(ior_exp_a_dir, out)
+    convert_source(ior_exp_a_dir, out)
     return out
 
 
@@ -40,7 +40,7 @@ def test_stage_pack(benchmark, ior_exp_a_dir, tmp_path):
 
     def pack():
         counter[0] += 1
-        return convert_strace_dir(
+        return convert_source(
             ior_exp_a_dir, tmp_path / f"packed{counter[0]}.elog")
 
     out = benchmark.pedantic(pack, rounds=3, iterations=1)

@@ -86,7 +86,6 @@ from repro.core.render import (
 from repro.elstore import (
     EventLogStore,
     convert_source,
-    convert_strace_dir,
     read_event_log,
     write_event_log,
 )
@@ -139,7 +138,6 @@ __all__ = [
     "render_timeline_svg",
     "EventLogStore",
     "convert_source",
-    "convert_strace_dir",
     "read_event_log",
     "write_event_log",
     "CsvLogSource",

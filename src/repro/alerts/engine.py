@@ -444,13 +444,17 @@ class AlertEngine:
         return state
 
     def restore_state(self, state: dict) -> None:
-        """Inverse of :meth:`to_state` (called by checkpoint load)."""
-        latches = state.get("rules", {})
+        """Inverse of :meth:`to_state` (called by checkpoint load).
+
+        ``"rules"`` and ``"history"`` are always written, so a missing
+        one raises ``KeyError`` (a corrupt sidecar); ``"compacted"`` is
+        absent until compaction happened.
+        """
+        latches = state["rules"]
         for rule in self.rules:
             if rule.name in latches:
                 rule.restore_latch(latches[rule.name])
-        self.history = [Alert.from_json(data)
-                        for data in state.get("history", [])]
+        self.history = [Alert.from_json(data) for data in state["history"]]
         self.compacted = {
             (str(rule), str(kind), str(subject)): int(count)
             for (rule, kind, subject), count

@@ -550,7 +550,7 @@ def cmd_fleet(args: argparse.Namespace) -> int:
 def _health_verdict(path: Path) -> dict:
     import json
 
-    from repro.telemetry import health_from_snapshot
+    from repro.telemetry import health_from_snapshot, render_health
 
     if not path.exists():
         raise ReproError(f"no such checkpoint: {path}")
@@ -561,13 +561,21 @@ def _health_verdict(path: Path) -> dict:
     if not isinstance(state, dict):
         raise ReproError(f"corrupt checkpoint {path}: top-level "
                          f"{type(state).__name__}, not an object")
-    snapshot = (state.get("telemetry") or {}).get("snapshot")
-    if not snapshot:
-        raise ReproError(
-            f"checkpoint {path} holds no telemetry snapshot — run the "
-            f"watch with --metrics-port or --metrics-log so polls are "
-            f"instrumented (sidecar version {state.get('version')!r})")
-    return health_from_snapshot(snapshot)
+    # A "telemetry" value of the wrong shape, at any depth, is as
+    # corrupt as a torn file: rendering the verdict once here checks
+    # the last poll's shape too.
+    try:
+        snapshot = (state.get("telemetry") or {}).get("snapshot")
+        if snapshot:
+            verdict = health_from_snapshot(snapshot)
+            render_health(verdict)
+            return verdict
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ReproError(f"corrupt checkpoint {path}: {exc}") from exc
+    raise ReproError(
+        f"checkpoint {path} holds no telemetry snapshot — run the "
+        f"watch with --metrics-port or --metrics-log so polls are "
+        f"instrumented (sidecar version {state.get('version')!r})")
 
 
 def cmd_health(args: argparse.Namespace) -> int:

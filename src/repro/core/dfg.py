@@ -228,7 +228,7 @@ class DFG:
         """Fold any number of shard graphs into one (n-ary union).
 
         ``DFG.union_all(DFG(L(c)) for c in cases) == DFG(L(C))`` — the
-        merge step of sharded ingestion (:mod:`repro.ingest.shards`).
+        Sec. IV-A law the union property tests check.
         Accumulates in place, so folding k shards with e edges each is
         O(k·e) rather than the O(k²·e) of repeated binary union.
         """

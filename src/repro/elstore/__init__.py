@@ -27,7 +27,7 @@ from repro.elstore.schema import (
 )
 from repro.elstore.writer import EventLogWriter, write_event_log
 from repro.elstore.reader import EventLogStore, read_event_log
-from repro.elstore.convert import convert_source, convert_strace_dir
+from repro.elstore.convert import convert_source
 
 __all__ = [
     "CASE_COLUMNS",
@@ -41,5 +41,4 @@ __all__ = [
     "EventLogStore",
     "read_event_log",
     "convert_source",
-    "convert_strace_dir",
 ]

@@ -7,8 +7,8 @@ suitable data format (such as a single HDF5 file)" (Sec. III, fn. 2).
 :class:`~repro.sources.TraceSource` API: any source that can enumerate
 cases streams into a single container — a strace directory, a CSV
 dump, a simulated workload (``sim:ior?ranks=4``), or another ``.elog``
-(re-packing). :func:`convert_strace_dir` keeps the strace-specific
-signature as a thin wrapper.
+(re-packing). A bare directory autodetects to ``strace:``, whose cases
+stream from the process-pool dispatcher of :mod:`repro.ingest.parallel`.
 """
 
 from __future__ import annotations
@@ -73,29 +73,3 @@ def convert_source(
             )
     return Path(dest_path)
 
-
-def convert_strace_dir(
-    source_dir: str | os.PathLike[str],
-    dest_path: str | os.PathLike[str],
-    *,
-    cids: set[str] | None = None,
-    strict: bool = True,
-    recursive: bool = False,
-    workers: int | None = None,
-    chunk_values: int = DEFAULT_CHUNK_VALUES,
-) -> Path:
-    """Parse a directory of strace files into one ``.elog`` container.
-
-    The strace-specific entry point; equivalent to
-    ``convert_source(StraceDirSource(source_dir, ...), dest_path)``.
-    Parsing fans out over ``workers`` processes (``None``
-    auto-detects; see :mod:`repro.ingest`) which columnarize each case
-    in place; the parent streams the columns into the container as
-    they arrive. ``recursive`` descends into nested per-host layouts.
-    """
-    from repro.sources import StraceDirSource
-
-    return convert_source(
-        StraceDirSource(source_dir, cids=cids, strict=strict,
-                        recursive=recursive, workers=workers),
-        dest_path, chunk_values=chunk_values)

@@ -2,28 +2,29 @@
 
 The paper treats ingestion as a preprocessing detail; at production
 scale it is the bottleneck — multi-GB trace directories with one file
-per rank. This subsystem makes ingestion scale along three independent
-axes, all of which preserve the sequential semantics *exactly*:
+per rank. This subsystem makes ingestion scale along two independent
+axes, both of which preserve the sequential semantics *exactly*:
 
 - :mod:`repro.ingest.streaming` — a generator pipeline
   (file → lines → merged rows) that holds one line at a time
   instead of a per-file token list, and diagnoses undecodable bytes
   instead of silently replacing them;
-- :mod:`repro.ingest.parallel` — a ``ProcessPoolExecutor`` fan-out of
-  per-file parsing, auto-sized to the available CPUs
-  (``workers=1`` recovers today's sequential path, bit for bit);
-- :mod:`repro.ingest.shards` — sharded DFG construction: per-case
-  graphs built where the records are and merged with the union
-  algebra, so ``union(shards) == DFG(whole log)`` by Sec. IV-A.
+- :mod:`repro.ingest.parallel` — the one fan-out of per-file parsing:
+  a process pool, auto-sized to the available CPUs, that streams
+  :class:`CaseColumns` in sorted-path order with one wire format and
+  one fallback rule (``workers=1`` is the in-process loop, and every
+  worker count yields the same bytes).
 
 :mod:`repro.ingest.summary` fingerprints a trace directory for the
 golden regression tests that lock all of this equivalence in.
 
-Entry points elsewhere accept ``workers=`` / ``recursive=`` and route
-through here: :func:`repro.strace.reader.read_trace_dir`,
-:class:`repro.sources.StraceDirSource` (behind
-``EventLog.from_source``), :func:`repro.elstore.convert.convert_source`
-and the CLI's ``--workers`` / ``--recursive`` flags.
+Every strace consumer routes through :func:`iter_case_columns`:
+:class:`repro.sources.StraceDirSource` (``iter_cases`` and, behind
+``EventLog.from_source``, ``event_log``),
+:func:`repro.elstore.convert.convert_source` and the CLI's
+``--workers`` / ``--recursive`` flags.
+:func:`repro.strace.reader.read_trace_dir` stays the sequential record
+reader.
 """
 
 from repro.ingest.streaming import TokenStream, TraceLines
@@ -33,16 +34,9 @@ from repro.ingest.parallel import (
     available_cpus,
     case_to_columns,
     frame_from_case_columns,
-    ingest_event_frame,
     iter_case_columns,
-    read_cases,
     resolve_workers,
     rows_to_columns,
-)
-from repro.ingest.shards import (
-    case_dfg,
-    dfg_from_trace_dir,
-    iter_case_dfgs,
 )
 from repro.ingest.summary import cases_summary, trace_dir_summary
 
@@ -54,14 +48,9 @@ __all__ = [
     "available_cpus",
     "case_to_columns",
     "frame_from_case_columns",
-    "ingest_event_frame",
     "iter_case_columns",
-    "read_cases",
     "resolve_workers",
     "rows_to_columns",
-    "case_dfg",
-    "dfg_from_trace_dir",
-    "iter_case_dfgs",
     "cases_summary",
     "trace_dir_summary",
 ]

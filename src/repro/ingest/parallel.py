@@ -1,48 +1,50 @@
-"""Process-pool fan-out over trace files.
+"""Process-pool fan-out over trace files: the one dispatcher.
 
 Cases are independent by construction — "the group of events in each
 trace file" (Sec. IV) shares nothing across files — so per-file parsing
-is embarrassingly parallel. This module runs
-:func:`~repro.strace.reader.read_trace_file` over N files on a
-``ProcessPoolExecutor`` (processes, not threads: tokenizing and
-argument parsing are pure-Python regex work, which threads cannot
-overlap under the GIL).
+is embarrassingly parallel. :func:`iter_case_columns` is the only
+fan-out: ``StraceDirSource.iter_cases``, its ``event_log`` and, through
+them, ``convert_source`` all stream through it. It runs on a
+``ProcessPoolExecutor`` (processes, not threads: the line parse is
+pure-Python regex work, which threads cannot overlap under the GIL).
 
-Determinism is preserved: tasks are submitted in sorted-path order and
-``Executor.map`` returns results in submission order, so the case list
-is identical to the sequential one — the ingest equivalence tests
-assert byte-identical frames for ``workers ∈ {1, 2, 4}``.
-
-Two wire formats cross the process boundary:
-
-* :func:`read_cases` ships full :class:`~repro.strace.reader.TraceCase`
-  objects — what callers of ``read_trace_dir`` expect;
-* :func:`ingest_event_frame` ships :class:`CaseColumns` — per-case
-  NumPy columns plus local string pools, an order of magnitude cheaper
-  to pickle than record objects. The parent re-encodes the local codes
-  into shared :class:`~repro.core.frame.FramePools` in case order,
-  reproducing ``EventFrame.from_cases`` bit for bit (the interning
-  sequence is identical, so codes, arrays and pools all match).
+- **One wire format.** A worker parses its files straight into
+  :class:`CaseColumns` — per-case NumPy columns plus local string
+  pools, an order of magnitude cheaper to pickle than record objects.
+  :func:`frame_from_case_columns` re-encodes the local codes into
+  shared :class:`~repro.core.frame.FramePools` in case order, so every
+  worker count builds the same frame bit for bit (the ingest
+  equivalence tests pin ``workers ∈ {1, 2, 4}``).
+- **One dispatch policy.** Files travel in chunks of about a quarter of
+  a worker's share, at most :data:`MAX_CHUNK_FILES`, and at most
+  :data:`CHUNKS_PER_WORKER` chunk futures per worker are pending. A
+  slow consumer — the disk-bound ``.elog`` writer — stalls the pool
+  instead of piling up results. Cases come out in sorted-path order.
+- **One fallback rule.** If the pool cannot be created or breaks
+  (sandboxes without semaphores, a spawn bootstrap without a
+  ``__main__`` guard, an OOM-killed worker), the files whose results
+  have not arrived yet are parsed in process, with one warning: no
+  case is lost or yielded twice. Errors raised *by* the parse (a
+  :class:`~repro._util.errors.TraceParseError` naming path and line)
+  propagate unchanged — they would fail sequentially too.
 
 ``resolve_workers`` implements the auto-detection policy: ``None``
 means "use the CPUs this process is allowed to run on" (capped, and
-never more than one worker per file); ``1`` short-circuits to the
-plain in-process loop, preserving the exact sequential behavior. If
-the platform cannot provide a process pool at all (sandboxes without
-semaphores are the usual culprit), the fan-out degrades to the
-sequential path rather than failing ingestion.
+never more than one worker per file); ``1`` is the plain in-process
+loop.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TypeVar
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -59,8 +61,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: and result pickling outweigh parse overlap for typical trace dirs.
 MAX_AUTO_WORKERS = 16
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
+#: Most files one chunk carries to a worker. Chunks amortize the
+#: per-future round trip; the cap bounds what one pending chunk holds.
+MAX_CHUNK_FILES = 16
+
+#: Pending chunk futures per worker: one being parsed and one queued,
+#: so no worker idles while the parent consumes a result.
+CHUNKS_PER_WORKER = 2
 
 
 def available_cpus() -> int:
@@ -115,7 +122,8 @@ def resolve_workers(workers: int | None, n_tasks: int | None = None) -> int:
     plain library call never spawns processes that re-import the
     caller's ``__main__`` or fork into unsafe frameworks. Explicit
     values are taken as-is (the caller opted in) except that the
-    count never exceeds the number of tasks. Always >= 1.
+    count never exceeds the number of tasks. Always >= 1; zero or a
+    negative count is rejected rather than degraded to one worker.
     """
     if workers is not None and workers < 1:
         raise ReproError(f"workers must be >= 1 or None (auto): {workers}")
@@ -128,102 +136,6 @@ def resolve_workers(workers: int | None, n_tasks: int | None = None) -> int:
     if n_tasks is not None:
         count = min(count, max(n_tasks, 1))
     return max(count, 1)
-
-
-def _parse_one(task: "tuple[Path, TraceFileName, bool]") -> "TraceCase":
-    """Worker: fully parse one trace file (runs in the child process).
-
-    Imports locally to keep :mod:`repro.ingest` importable from the
-    reader without a cycle, and so spawned children only pay for what
-    they use.
-    """
-    from repro.strace.reader import read_trace_file
-
-    path, name, strict = task
-    return read_trace_file(path, name=name, strict=strict)
-
-
-def _pool_map(fn: "Callable[[_T], _R]", tasks: "list[_T]",
-              workers: int) -> "list[_R] | None":
-    """Run ``fn`` over ``tasks`` on a process pool, in order.
-
-    Returns ``None`` when the *pool itself* is unusable — creation
-    denied (sandboxes without semaphores), or broken before completion
-    (spawn bootstrap without a ``__main__`` guard, OOM-killed worker) —
-    so callers can fall back to the sequential path. Errors raised *by*
-    ``fn`` (parse failures, missing files) propagate unchanged: they
-    would fail sequentially too, and must not trigger a full re-parse.
-    """
-    try:
-        pool = ProcessPoolExecutor(max_workers=workers,
-                                   mp_context=_pool_context())
-    except (OSError, PermissionError, RuntimeError):
-        return None
-    try:
-        with pool:
-            # ~4 chunks per worker amortize inter-process transfer
-            # without hurting load balance.
-            chunksize = max(1, len(tasks) // (workers * 4))
-            return list(pool.map(fn, tasks, chunksize=chunksize))
-    except BrokenProcessPool:
-        return None
-
-
-def _map_tasks(fn: "Callable[[_T], _R]", tasks: "list[_T]",
-               workers: int) -> "list[_R]":
-    """The shared dispatch policy of every list-shaped ingest path.
-
-    One task or one worker → plain in-process loop; otherwise fan out
-    via :func:`_pool_map` and, if the pool cannot be used at all, fall
-    back to the same in-process loop (with a warning — an ingest that
-    was asked to parallelize but could not should not look like a
-    performance bug).
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    results = _pool_map(fn, tasks, workers)
-    if results is None:  # pool unavailable on this platform
-        _warn_sequential_fallback(workers)
-        return [fn(task) for task in tasks]
-    return results
-
-
-def _warn_sequential_fallback(workers: int) -> None:
-    import warnings
-
-    warnings.warn(
-        f"process pool unavailable on this platform; parsing "
-        f"sequentially instead of on {workers} workers",
-        stacklevel=3)
-
-
-def read_cases(
-    found: "list[tuple[Path, TraceFileName]]",
-    *,
-    strict: bool = True,
-    workers: int = 1,
-) -> "list[TraceCase]":
-    """Parse discovered trace files into cases, ``workers`` at a time.
-
-    ``found`` is the output of
-    :func:`~repro.strace.reader.discover_trace_files` (already sorted);
-    the returned cases keep that order exactly, whatever the worker
-    count.
-    """
-    _check_worker_count(workers)
-    tasks = [(path, name, strict) for path, name in found]
-    return _map_tasks(_parse_one, tasks, workers)
-
-
-def _check_worker_count(workers: int) -> None:
-    """Reject zero/negative worker counts at the API boundary.
-
-    ``resolve_workers`` already rejects them for the ``None``-aware
-    entry points; the list-shaped paths take a concrete count and
-    would otherwise silently degrade 0/-1 to the sequential loop.
-    """
-    if workers < 1:
-        raise ReproError(f"workers must be >= 1: {workers}")
 
 
 # -- columnar wire format -----------------------------------------------------
@@ -310,18 +222,6 @@ def case_to_columns(case: "TraceCase") -> CaseColumns:
     return rows_to_columns(case.name, case.records, case.merge_stats)
 
 
-def _parse_one_columns(
-        task: "tuple[Path, TraceFileName, bool]") -> CaseColumns:
-    """Worker: parse one trace file straight into columns in the
-    child, so only arrays and distinct strings cross the process
-    boundary — and no record object is built on the way."""
-    from repro.strace.reader import read_trace_records
-
-    path, name, strict = task
-    rows, stats = read_trace_records(path, strict=strict, rows=True)
-    return rows_to_columns(name, rows, stats)
-
-
 def frame_from_case_columns(column_cases: "list[CaseColumns]",
                             pools: "FramePools | None" = None,
                             ) -> "EventFrame":
@@ -376,102 +276,96 @@ def frame_from_case_columns(column_cases: "list[CaseColumns]",
     return EventFrame(pools, columns)
 
 
+def _parse_columns(path: Path, name: "TraceFileName",
+                   strict: bool) -> CaseColumns:
+    """Parse one trace file straight into columns — no record object
+    is built on the way."""
+    from repro.strace.reader import read_trace_records
+
+    rows, stats = read_trace_records(path, strict=strict, rows=True)
+    return rows_to_columns(name, rows, stats)
+
+
+def _parse_chunk(chunk: "list[tuple[Path, TraceFileName]]",
+                 strict: bool) -> list[CaseColumns]:
+    """Worker: parse a chunk of files in the child, so only arrays and
+    distinct strings cross the process boundary."""
+    return [_parse_columns(path, name, strict) for path, name in chunk]
+
+
 def iter_case_columns(
     found: "list[tuple[Path, TraceFileName]]",
     *,
     strict: bool = True,
-    workers: int = 1,
+    workers: int | None = 1,
 ) -> "Iterator[CaseColumns]":
     """Stream discovered files as :class:`CaseColumns`, in order.
 
-    With ``workers > 1`` the parse+columnarize work runs on a process
-    pool with *bounded* in-flight submission (a window of ~4 tasks per
-    worker): a slow consumer — the disk-bound ``.elog`` writer — stalls
-    the producers instead of letting completed results pile up, so
-    memory stays O(workers · case) however large the directory.
-
-    A pool that cannot be created — or that breaks before producing
-    the first result — falls back to in-process streaming; a pool that
-    breaks mid-stream propagates (a partially consumed stream cannot
-    be restarted without duplicating yielded cases).
+    ``found`` is the output of
+    :func:`~repro.strace.reader.discover_trace_files` (already sorted);
+    the cases keep that order exactly, whatever the worker count.
+    ``workers`` is resolved by :func:`resolve_workers` (``None``
+    auto-detects); more than one fans the parse out over a process
+    pool under the module's dispatch policy and fallback rule.
 
     An invalid ``workers`` raises at the call, not at first ``next()``
     — hence the non-generator wrapper.
     """
-    _check_worker_count(workers)
-    return _iter_case_columns(found, strict=strict, workers=workers)
+    count = resolve_workers(workers, len(found))
+    return _iter_case_columns(found, strict, count)
 
 
-def _iter_case_columns(
-    found: "list[tuple[Path, TraceFileName]]",
-    *,
-    strict: bool,
-    workers: int,
-) -> "Iterator[CaseColumns]":
-    tasks = [(path, name, strict) for path, name in found]
-    if workers <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield _parse_one_columns(task)
-        return
+def _iter_case_columns(found: "list[tuple[Path, TraceFileName]]",
+                       strict: bool, workers: int,
+                       ) -> "Iterator[CaseColumns]":
+    done = 0
+    if workers > 1:
+        for chunk in _pooled_chunks(found, strict, workers):
+            yield from chunk
+            done += len(chunk)
+        if done < len(found):
+            warnings.warn(
+                f"process pool unavailable or broken; parsing the "
+                f"remaining {len(found) - done} of {len(found)} trace "
+                f"file(s) in process instead of on {workers} workers",
+                stacklevel=2)
+    for path, name in found[done:]:
+        yield _parse_columns(path, name, strict)
+
+
+def _pooled_chunks(found: "list[tuple[Path, TraceFileName]]",
+                   strict: bool, workers: int,
+                   ) -> "Iterator[list[CaseColumns]]":
+    """Each chunk's cases from a process pool, in order; stops early,
+    without raising, when the pool cannot be created or breaks."""
+    size = max(1, min(MAX_CHUNK_FILES, len(found) // (workers * 4)))
+    chunks = (found[i:i + size] for i in range(0, len(found), size))
+    window = CHUNKS_PER_WORKER * workers
     try:
         pool = ProcessPoolExecutor(max_workers=workers,
                                    mp_context=_pool_context())
-    except (OSError, PermissionError, RuntimeError):
-        _warn_sequential_fallback(workers)
-        for task in tasks:
-            yield _parse_one_columns(task)
+    except (OSError, RuntimeError):
         return
-    yielded = False
-    broke_before_first = False
+    pending: deque = deque()
+    drained = False
     try:
-        window = workers * 4
-        task_iter = iter(tasks)
-        pending = deque(pool.submit(_parse_one_columns, task)
-                        for task in itertools.islice(task_iter, window))
-        while pending:
+        while True:
             try:
-                result = pending.popleft().result()
+                pending.extend(
+                    pool.submit(_parse_chunk, chunk, strict)
+                    for chunk in itertools.islice(
+                        chunks, window - len(pending)))
+            except (BrokenProcessPool, OSError):  # broke, or cannot fork
+                return
+            if not pending:
+                drained = True
+                return
+            try:
+                cases = pending.popleft().result()
             except BrokenProcessPool:
-                if yielded:
-                    raise
-                broke_before_first = True
-                break
-            yielded = True
-            yield result
-            for task in itertools.islice(task_iter, 1):
-                pending.append(pool.submit(_parse_one_columns, task))
-    except BaseException:
-        # Consumer abandoned the stream or a parse failed: don't make
-        # the error wait for every in-flight parse to finish.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    if broke_before_first:  # nothing yielded: sequential retry is safe
-        _warn_sequential_fallback(workers)
-        for task in tasks:
-            yield _parse_one_columns(task)
-
-
-def ingest_event_frame(
-    directory: str | os.PathLike[str],
-    *,
-    cids: set[str] | None = None,
-    strict: bool = True,
-    recursive: bool = False,
-    workers: int | None = None,
-) -> "EventFrame":
-    """Trace directory → :class:`EventFrame`, the fast whole-log path.
-
-    Parse + columnarize runs per file — in process for ``workers=1``
-    (or a single file), on a pool otherwise — and the frames assemble
-    identically either way, because ``EventFrame.from_cases`` and this
-    path share the same columnar construction.
-    """
-    from repro.strace.reader import discover_trace_files
-
-    found = discover_trace_files(directory, cids=cids,
-                                 recursive=recursive)
-    count = resolve_workers(workers, len(found))
-    tasks = [(path, name, strict) for path, name in found]
-    return frame_from_case_columns(
-        _map_tasks(_parse_one_columns, tasks, count))
+                return
+            yield cases
+    finally:
+        # A consumer that abandoned the stream, a parse error or a
+        # broken pool must not wait for every pending parse to finish.
+        pool.shutdown(wait=drained, cancel_futures=not drained)

@@ -66,7 +66,6 @@ def trace_dir_summary(
     top: int = 5,
     strict: bool = True,
     recursive: bool = False,
-    workers: int | None = 1,
 ) -> dict:
     """Fingerprint a trace directory for golden regression testing.
 
@@ -75,6 +74,5 @@ def trace_dir_summary(
     """
     from repro.strace.reader import read_trace_dir
 
-    cases = read_trace_dir(directory, strict=strict, recursive=recursive,
-                           workers=workers)
+    cases = read_trace_dir(directory, strict=strict, recursive=recursive)
     return cases_summary(cases, mapping=mapping, top=top)

@@ -2,10 +2,12 @@
 
 The paper's native input (Sec. III), wrapped over the parallel
 ingestion engine (:mod:`repro.ingest`): discovery is sorted-path
-deterministic, per-file parsing fans out over ``workers`` processes,
-and the streaming case iterator, the whole-log fast path and every
-worker count yield byte-identical logs — pinned by the
-golden-fingerprint and equivalence suites.
+deterministic and per-file parsing fans out over ``workers`` processes
+through the one dispatcher,
+:func:`~repro.ingest.parallel.iter_case_columns`. The streaming case
+iterator, the whole log and every worker count therefore yield
+byte-identical logs — pinned by the golden-fingerprint and
+equivalence suites.
 """
 
 from __future__ import annotations
@@ -62,23 +64,21 @@ class StraceDirSource(TraceSource):
         """Stream cases in sorted-path order, ``workers`` at a time.
 
         Backed by :func:`~repro.ingest.parallel.iter_case_columns`
-        (bounded in-flight window), so a slow consumer — the ``.elog``
-        writer — keeps memory at O(workers · case).
+        (a bounded window of chunk futures), so a slow consumer — the
+        ``.elog`` writer — keeps memory bounded however large the
+        directory.
         """
-        from repro.ingest.parallel import iter_case_columns, resolve_workers
+        from repro.ingest.parallel import iter_case_columns
         from repro.strace.reader import discover_trace_files
 
         found = discover_trace_files(self.directory, cids=self.cids,
                                      recursive=self.recursive)
-        return iter_case_columns(
-            found, strict=self.strict,
-            workers=resolve_workers(self.workers, len(found)))
+        return iter_case_columns(found, strict=self.strict,
+                                 workers=self.workers)
 
     def event_log(self) -> "EventLog":
-        """The whole-log fast path (list-shaped pool map)."""
-        from repro.core.eventlog import EventLog
-        from repro.ingest.parallel import ingest_event_frame
-
-        return EventLog(ingest_event_frame(
-            self.directory, cids=self.cids, strict=self.strict,
-            recursive=self.recursive, workers=self.workers))
+        """The whole log, assembled from :meth:`iter_cases` as for every
+        source. Defined on this class so that perfbench's
+        ``ingest.cases`` span, which looks the method up in
+        ``vars(StraceDirSource)``, can wrap it."""
+        return super().event_log()

@@ -11,10 +11,10 @@ Both steps stream: :func:`read_trace_records` pipes the lazy lines of
 a :class:`~repro.ingest.streaming.TraceLines` straight into the
 :class:`~repro.strace.resume.IncrementalMerger`, which parses each line
 as it arrives, so only the current block of lines of a file is ever
-in memory; :func:`read_trace_dir` can fan the per-file work out over a
-process pool (``workers=``) — safe because cases are independent by
-construction and the resulting case list is ordered by file path
-either way.
+in memory. :func:`read_trace_dir` reads the record form one file at a
+time; the columnar form that feeds event-logs and the ``.elog`` store
+fans out over processes in :mod:`repro.ingest.parallel`, from the same
+:func:`discover_trace_files` order.
 """
 
 from __future__ import annotations
@@ -204,22 +204,14 @@ def read_trace_dir(
     cids: set[str] | None = None,
     strict: bool = True,
     recursive: bool = False,
-    workers: int | None = None,
 ) -> list[TraceCase]:
-    """Read every ``*.st`` file in a directory into cases.
+    """Read every ``*.st`` file in a directory into cases, in process.
 
     Files are discovered in sorted order for determinism. ``cids``
     optionally restricts to a subset of command identifiers — e.g.
     ``{"a"}`` reads only the ``ls`` run of the paper's Fig. 1 example.
     ``recursive`` descends into nested subdirectories (per-host trace
     layouts).
-
-    ``workers`` parses files concurrently on a process pool: ``None``
-    auto-detects from the available CPUs, ``1`` forces the exact
-    sequential path. Cases are independent per the paper's definition,
-    and results are returned in the same sorted-path order either way,
-    so the parallel path is observably identical to the sequential one
-    (a property the ingest test suite pins down).
 
     Raises
     ------
@@ -228,7 +220,5 @@ def read_trace_dir(
         fails to parse.
     """
     found = discover_trace_files(directory, cids=cids, recursive=recursive)
-    from repro.ingest.parallel import read_cases, resolve_workers
-
-    return read_cases(found, strict=strict,
-                      workers=resolve_workers(workers, len(found)))
+    return [read_trace_file(path, name=name, strict=strict)
+            for path, name in found]

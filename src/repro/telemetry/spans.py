@@ -28,7 +28,7 @@ import time
 from typing import Callable
 
 from repro._util.errors import ReproError
-from repro.telemetry.metrics import MetricsRegistry, rss_bytes
+from repro.telemetry.metrics import METRICS, MetricsRegistry, rss_bytes
 
 #: Version of the snapshot / persisted-state layout.
 SNAPSHOT_VERSION = 1
@@ -315,26 +315,25 @@ class Telemetry:
     def restore_state(self, state: dict | None) -> None:
         """Adopt a previous life's totals as counter/histogram bases.
 
-        Gauges and the last span are point-in-time and not restored;
-        ``overrun_streak`` deliberately resets — a streak is a
-        this-life cadence property.
+        ``None`` — every previous life ran uninstrumented — restores
+        nothing. Gauges and the last span are point-in-time and not
+        restored; ``overrun_streak`` deliberately resets — a streak is
+        a this-life cadence property. Sidecars load at one version, so
+        a missing key (``KeyError``) or a metric this build does not
+        declare (``ValueError``) means the sidecar is corrupt.
         """
-        if not state:
+        if state is None:
             return
-        snapshot = state.get("snapshot") or {}
-        for entry in snapshot.get("counters", ()):
-            try:
-                counter = self.registry.counter(entry["name"],
-                                                **entry.get("labels", {}))
-            except ReproError:
-                continue  # metric retired between versions
-            counter.restore(entry.get("value", 0))
-        for entry in snapshot.get("histograms", ()):
-            try:
-                histogram = self.registry.histogram(
-                    entry["name"], **entry.get("labels", {}))
-            except ReproError:
-                continue
-            histogram.restore(entry.get("counts", []),
-                              entry.get("sum", 0.0),
-                              entry.get("count", 0))
+        snapshot = state["snapshot"]
+        for entry in snapshot["counters"]:
+            self._restored("counter", entry).restore(entry["value"])
+        for entry in snapshot["histograms"]:
+            self._restored("histogram", entry).restore(
+                entry["counts"], entry["sum"], entry["count"])
+
+    def _restored(self, kind: str, entry: dict):
+        """The registry metric a snapshot entry restores into."""
+        name = entry["name"]
+        if name not in METRICS:
+            raise ValueError(f"unknown {kind} {name!r}")
+        return getattr(self.registry, kind)(name, **entry["labels"])

@@ -5,7 +5,7 @@ import pytest
 
 from repro._util.errors import StoreFormatError
 from repro.core.eventlog import EventLog
-from repro.elstore.convert import convert_strace_dir
+from repro.elstore.convert import convert_source
 from repro.elstore.reader import EventLogStore, read_event_log
 from repro.elstore.writer import EventLogWriter, write_event_log
 from repro.strace.naming import TraceFileName
@@ -135,7 +135,7 @@ class TestEventLogIntegration:
             read_event_log(path, cids={"zzz"})
 
     def test_convert_strace_dir(self, fig1_dir, tmp_path):
-        out = convert_strace_dir(fig1_dir, tmp_path / "conv.elog")
+        out = convert_source(fig1_dir, tmp_path / "conv.elog")
         store = EventLogStore(out)
         assert store.n_cases == 6
         assert store.n_events == 3 * 8 + 3 * 17

@@ -243,18 +243,39 @@ class TestHealthEdgeCases:
         torn.write_text("[1, 2]", encoding="utf-8")
         assert main(["health", str(torn)]) == 2
         assert "corrupt checkpoint" in capsys.readouterr().err
+        # So is a "telemetry" value of the wrong shape, at any depth.
+        for telemetry in ([1, 2], {"snapshot": [1]},
+                          {"snapshot": {"gauges": [5]}},
+                          {"snapshot": {"last_poll": 5}}):
+            torn.write_text(json.dumps({"version": CHECKPOINT_VERSION,
+                                        "telemetry": telemetry}),
+                            encoding="utf-8")
+            assert main(["health", str(torn)]) == 2
+            assert f"corrupt checkpoint {torn}" in capsys.readouterr().err
         # A watch resumed from a malformed sidecar: exit 2 naming the
-        # file, never a traceback.
+        # file, never a traceback. Sidecars load at one version, so a
+        # telemetry counter this build does not declare, or alert state
+        # without its history, is corrupt too — not skipped or
+        # defaulted.
         plain = tmp_path / "plain.ckpt.json"
+        rules = tmp_path / "rules.toml"
+        rules.write_text('[[rule]]\nname = "edges"\ntype = "new_edge"\n',
+                         encoding="utf-8")
         watch = ["watch", str(populated_dir), "--once", "--no-dfg",
-                 "--checkpoint", str(plain)]
+                 "--checkpoint", str(plain), "--rules", str(rules),
+                 "--metrics-log", str(tmp_path / "plain.mlog")]
         assert main(watch) == 0
-        state = json.loads(plain.read_text(encoding="utf-8"))
+        saved = plain.read_text(encoding="utf-8")
+        state = json.loads(saved)
         no_stats = {key: value for key, value in state.items()
                     if key != "stats"}
-        bad_offset = json.loads(plain.read_text(encoding="utf-8"))
+        bad_offset = json.loads(saved)
         bad_offset["files"][0]["offset"] = "abc"
-        for broken in (no_stats, bad_offset, [1, 2]):
+        renamed = json.loads(saved)
+        renamed["telemetry"]["snapshot"]["counters"][0]["name"] += "_x"
+        no_history = json.loads(saved)
+        del no_history["alerts"]["history"]
+        for broken in (no_stats, bad_offset, [1, 2], renamed, no_history):
             plain.write_text(json.dumps(broken), encoding="utf-8")
             capsys.readouterr()
             assert main(watch) == 2

@@ -16,12 +16,18 @@ and review the JSON diff like any other code change.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from repro.core.dfg import DFG
+from repro.core.eventlog import EventLog
+from repro.core.mapping import CallTopDirs
+from repro.ingest.parallel import frame_from_case_columns
 from repro.ingest.summary import trace_dir_summary
+from repro.sources import StraceDirSource, combine_merge_stats
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -98,9 +104,21 @@ def test_workload_fingerprint_matches_golden(name, tmp_path, request):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_fingerprint_stable_across_workers(name, tmp_path):
-    """The fingerprint (hence the golden) is worker-count independent."""
+    """The fingerprint (hence the golden) is worker-count independent:
+    taken by the sequential record reader, it also describes the
+    pooled column road — the same cases, events, merge diagnostics and
+    DFG at ``workers=2``."""
     directory = tmp_path / name
     directory.mkdir()
     WORKLOADS[name](directory)
-    assert trace_dir_summary(directory, workers=1) == \
-        trace_dir_summary(directory, workers=2)
+    summary = trace_dir_summary(directory)
+    cases = list(StraceDirSource(directory, workers=2).iter_cases())
+    merge = combine_merge_stats(case.merge_stats for case in cases)
+    log = EventLog(frame_from_case_columns(cases)) \
+        .with_mapping(CallTopDirs(levels=2))
+    dfg = DFG(log)
+    assert (len(cases), log.n_cases, log.n_events) == \
+        (summary["n_files"], summary["n_cases"], summary["n_events"])
+    assert dataclasses.asdict(merge) == summary["merge"]
+    assert {"nodes": dfg.n_nodes, "edges": dfg.n_edges,
+            "observations": dfg.total_observations()} == summary["dfg"]

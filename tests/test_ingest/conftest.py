@@ -8,6 +8,7 @@ are used to pin parallel/sequential equivalence.
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -72,3 +73,21 @@ def assert_logs_identical(one, other) -> None:
 def logs_identical():
     """The byte-identity assertion, as a fixture for test modules."""
     return assert_logs_identical
+
+
+def assert_cases_identical(one, other) -> None:
+    """Identical ``CaseColumns`` streams: the same cases in the same
+    order, with equal columns, string lists and merge statistics."""
+    assert [case.name for case in one] == [case.name for case in other]
+    for mine, theirs in zip(one, other):
+        for column, values in mine.columns().items():
+            assert np.array_equal(values, theirs.columns()[column]), column
+        assert (mine.calls, mine.paths) == (theirs.calls, theirs.paths)
+        assert dataclasses.asdict(mine.merge_stats) == \
+            dataclasses.asdict(theirs.merge_stats)
+
+
+@pytest.fixture(scope="session")
+def cases_identical():
+    """The per-case identity assertion, as a fixture for test modules."""
+    return assert_cases_identical

@@ -4,8 +4,8 @@ Two families, matching the paper's Sec. IV-A algebra:
 
 * **Shard-merge correctness** — for *any* activity log, the DFG of the
   union of cases equals the union of per-case DFGs. This is the law
-  sharded ingestion rests on, checked here over randomly generated
-  logs rather than just the simulate workloads.
+  live folding rests on, checked here over randomly generated logs
+  rather than just the simulate workloads.
 * **Parallel/sequential equivalence** — randomly generated trace
   directories ingest byte-identically for workers ∈ {1, 2, 4}.
 """
@@ -66,7 +66,7 @@ class TestUnionLaws:
     @given(activity_logs)
     def test_total_observations_additive(self, all_traces):
         """Σ edge counts == Σ over traces of (len(trace) - 1): the
-        endpoint-wrapped invariant, preserved by sharding."""
+        endpoint-wrapped invariant, preserved by union."""
         whole = DFG(ActivityLog(all_traces))
         assert whole.total_observations() == \
             sum(len(trace) - 1 for trace in all_traces)

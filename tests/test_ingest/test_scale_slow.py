@@ -1,9 +1,9 @@
 """Larger-scale equivalence checks, opt-in via ``--run-slow``.
 
 Tier-1 pins parallel/sequential equivalence on small directories;
-these repeat it at a scale where chunking, pool reuse and result
-streaming actually engage (dozens of files, tens of thousands of
-events). Excluded from the default run by the ``slow`` marker.
+these repeat it at a scale where multi-file chunks, the refilling
+window and result streaming all engage (dozens of files, tens of
+thousands of events). Excluded from the default run by the ``slow`` marker.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import pytest
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.mapping import CallTopDirs
-from repro.ingest.shards import dfg_from_trace_dir
 
 
 @pytest.fixture(scope="module")
@@ -43,9 +42,9 @@ def test_parallel_equivalence_at_scale(big_ior_dir, workers,
 
 
 @pytest.mark.slow
-def test_sharded_dfg_at_scale(big_ior_dir):
+def test_union_of_case_dfgs_at_scale(big_ior_dir):
     mapping = CallTopDirs(levels=2)
-    sharded = dfg_from_trace_dir(big_ior_dir, mapping, workers=4)
-    whole = DFG(EventLog.from_source(big_ior_dir)
-                .with_mapping(mapping))
-    assert sharded == whole
+    log = EventLog.from_source(big_ior_dir, workers=4).with_mapping(mapping)
+    shards = [DFG(EventLog(frame, mapping))
+              for _, frame in log.iter_cases()]
+    assert DFG.union_all(shards) == DFG(log)

@@ -95,7 +95,7 @@ class TestPolling:
         engine.poll()
         engine.finalize()
         assert cases_summary(engine.cases()) == \
-            cases_summary(read_trace_dir(tmp_path, workers=1))
+            cases_summary(read_trace_dir(tmp_path))
 
     def test_cases_without_sealed_records_still_intern(
             self, tmp_path, logs_identical):
@@ -113,7 +113,7 @@ class TestPolling:
         logs_identical(engine.snapshot_log(),
                        EventLog.from_source(tmp_path, workers=1))
         assert cases_summary(engine.cases()) == \
-            cases_summary(read_trace_dir(tmp_path, workers=1))
+            cases_summary(read_trace_dir(tmp_path))
 
     def test_finalize_consumes_late_appends_and_files(self, tmp_path,
                                                       ls_file_bytes,

@@ -63,7 +63,7 @@ def _assert_batch_identical(engine: LiveIngest, live_dir: Path) -> None:
                               batch_log.frame.column(column)), column
     assert engine.snapshot_dfg() == DFG(batch_log.with_mapping(MAPPING))
     assert cases_summary(engine.cases()) == \
-        cases_summary(read_trace_dir(live_dir, workers=1))
+        cases_summary(read_trace_dir(live_dir))
 
 
 class TestLiveEqualsBatch:

@@ -23,9 +23,9 @@ def ls_traces(tmp_path_factory) -> Path:
 @pytest.fixture(scope="session")
 def ls_store(ls_traces, tmp_path_factory) -> Path:
     """The same run packed into an ``.elog`` container."""
-    from repro.elstore.convert import convert_strace_dir
+    from repro.elstore.convert import convert_source
 
-    return convert_strace_dir(
+    return convert_source(
         ls_traces, tmp_path_factory.mktemp("sources_store") / "ls.elog")
 
 

@@ -158,8 +158,9 @@ class TestConvertSource:
 
     def test_strace_convert_unchanged_by_redesign(self, ls_traces,
                                                   ls_store, tmp_path):
-        """convert_strace_dir (the wrapped legacy path) still produces
-        the same bytes as convert_source over the strace scheme."""
+        """A bare directory (the session fixture's conversion) and the
+        explicit ``strace:`` scheme on a process pool write the same
+        bytes."""
         from repro.elstore.convert import convert_source
 
         out = convert_source(f"strace:{ls_traces}", tmp_path / "x.elog",

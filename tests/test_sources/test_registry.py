@@ -288,7 +288,7 @@ class TestReviewRegressions:
     def test_repack_byte_identical_when_orders_diverge(self, tmp_path):
         """Repack must follow the container's append order, not sorted
         case-id order, to stay byte-identical."""
-        from repro.elstore.convert import convert_source, convert_strace_dir
+        from repro.elstore.convert import convert_source
 
         directory = tmp_path / "traces"
         directory.mkdir()
@@ -299,7 +299,7 @@ class TestReviewRegressions:
         # because the host sits in the filename but not in the case id.
         for name in ["a_zzz_1.st", "a_aaa_2.st"]:
             (directory / name).write_text(line)
-        first = convert_strace_dir(directory, tmp_path / "one.elog")
+        first = convert_source(directory, tmp_path / "one.elog")
         second = convert_source(f"elog:{first}", tmp_path / "two.elog")
         assert first.read_bytes() == second.read_bytes()
 

@@ -1,13 +1,14 @@
 """Every parse and merge error names the file and the line — the same
-line in batch reading, the column path and the live follower."""
+line in batch reading, the column path (in process and on a process
+pool) and the live follower."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro._util.errors import TraceParseError
-from repro.ingest.parallel import ingest_event_frame
 from repro.live.tail import FileTail
+from repro.sources import StraceDirSource
 from repro.strace.reader import read_trace_file
 
 GOOD = "1  10:00:00.000001 close(3</x>) = 0 <0.000001>\n"
@@ -63,9 +64,20 @@ def test_batch_read_names_path_and_line(bad_trace):
 
 def test_column_path_names_the_same_line(bad_trace):
     path, message = bad_trace
-    error = _error(lambda: ingest_event_frame(path.parent, workers=1))
+    error = _error(StraceDirSource(path.parent, workers=1).event_log)
     assert (error.path, error.lineno) == (str(path), 2)
     assert message in str(error)
+
+
+def test_pool_workers_name_the_same_line(bad_trace):
+    """A parse error raised in a pool worker reaches the caller as the
+    same located error the in-process parse raises."""
+    path, _ = bad_trace
+    (path.parent / "a_host1_2.st").write_text(GOOD)
+    errors = [_error(StraceDirSource(path.parent, workers=workers).event_log)
+              for workers in (1, 2)]
+    assert [(e.path, e.lineno, str(e)) for e in errors] == \
+        [(str(path), 2, str(errors[0]))] * 2
 
 
 def test_live_follower_names_the_same_line(bad_trace):

@@ -176,20 +176,26 @@ class TestSnapshotRoundTrip:
         revived.count("polls_total")
         assert registry.counter("polls_total").value == 2
 
-    def test_restore_skips_retired_metric_names(self):
-        state = self.build().to_state()
-        state["snapshot"]["counters"].append(
-            {"name": "metric_retired_in_v6_total", "labels": {},
-             "value": 9})
-        state["snapshot"]["histograms"].append(
-            {"name": "gone_seconds", "labels": {},
-             "counts": [1], "sum": 0.5, "count": 1})
-        revived = Telemetry()
-        revived.restore_state(state)  # no ReproError
-        assert revived.registry.counter("polls_total").value == 1
+    def test_restore_rejects_undeclared_metric_names(self):
+        """Sidecars load at one version, so a metric this build does
+        not declare is corruption, not a retired name to skip."""
+        for kind, entry in (
+                ("counters", {"name": "metric_retired_in_v6_total",
+                              "labels": {}, "value": 9}),
+                ("histograms", {"name": "gone_seconds", "labels": {},
+                                "counts": [1], "sum": 0.5, "count": 1})):
+            state = self.build().to_state()
+            state["snapshot"][kind].append(entry)
+            with pytest.raises(ValueError, match=entry["name"]):
+                Telemetry().restore_state(state)
 
     def test_restore_tolerates_empty_state(self):
+        """An uninstrumented life persists ``None``: nothing to adopt.
+        A state no life writes is not tolerated."""
         telemetry = Telemetry()
         telemetry.restore_state(None)
-        telemetry.restore_state({})
-        telemetry.restore_state({"snapshot": None})
+        assert telemetry.registry.counter("polls_total").value == 0
+        with pytest.raises(KeyError):
+            telemetry.restore_state({})
+        with pytest.raises(TypeError):
+            telemetry.restore_state({"snapshot": None})
