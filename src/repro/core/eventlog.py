@@ -38,6 +38,9 @@ class EventLog:
                  mapping: Mapping | None = None) -> None:
         self._frame = frame.sorted_within_cases()
         self._mapping = mapping
+        #: ``(frame, case mask)`` of the log this one selected whole
+        #: cases from (see :attr:`case_origin`); None for any other log.
+        self._origin: tuple[EventFrame, np.ndarray] | None = None
 
     # -- constructors --------------------------------------------------------
 
@@ -81,6 +84,24 @@ class EventLog:
     def frame(self) -> EventFrame:
         """The underlying columnar frame (shared, do not mutate)."""
         return self._frame
+
+    @property
+    def case_origin(self) -> tuple[EventFrame, np.ndarray | None]:
+        """The frame this log's statistics come from, and which of its
+        cases this log holds.
+
+        ``(frame, None)`` for most logs: their own frame, every case.
+        A case-level child (:meth:`filtered_cids`,
+        :func:`~repro.core.partition.PartitionEL`) answers with the
+        frame it was cut from and a boolean mask over that frame's case
+        codes, so its statistics restrict the parent's (memoized) cell
+        table instead of rebuilding one. The child holds the frame, not
+        the parent log, so mutating the parent afterwards cannot reach
+        it; mutating the child drops the link.
+        """
+        if self._origin is None:
+            return self._frame, None
+        return self._origin
 
     @property
     def mapping(self) -> Mapping | None:
@@ -133,9 +154,7 @@ class EventLog:
         Mutates this log (paper semantics); returns self for chaining.
         """
         self._frame = self._frame.select(self._frame.fp_contains(substring))
-        if self._mapping is not None:
-            # Codes survive selection; nothing to recompute.
-            pass
+        self._origin = None
         return self
 
     def apply_mapping_fn(self, fn: Mapping | Callable[[Event], str | None],
@@ -148,6 +167,7 @@ class EventLog:
         mapping = mapping_from_callable(fn, name)
         self._frame = _apply_mapping(self._frame, mapping)
         self._mapping = mapping
+        self._origin = None
         return self
 
     # -- functional variants -----------------------------------------------------------
@@ -169,7 +189,21 @@ class EventLog:
 
     def filtered_cids(self, cids: Iterable[str]) -> "EventLog":
         """New log keeping only events of the given command identifiers."""
-        return self.filtered(self._frame.cid_in(cids))
+        return self.case_child(self._frame.cid_in(cids))
+
+    def case_child(self, mask: np.ndarray) -> "EventLog":
+        """:meth:`filtered`, linked to this log's cell table when the
+        row mask selects whole cases (see :attr:`case_origin`).
+
+        A mask that splits a case gives a plain filtered log.
+        """
+        child = self.filtered(mask)
+        case = self._frame.column("case")
+        keep = np.zeros(len(self._frame.pools.cases), dtype=bool)
+        keep[case[mask]] = True
+        if np.array_equal(keep[case], mask):
+            child._origin = (self.case_origin[0], keep)
+        return child
 
     def with_mapping(self, fn: Mapping | Callable[[Event], str | None],
                      name: str | None = None) -> "EventLog":

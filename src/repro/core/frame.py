@@ -28,7 +28,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, TypeVar
 
 import numpy as np
 
@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 #: Missing-value sentinel for code/size/duration columns.
 MISSING = -1
+
+_T = TypeVar("_T")
 
 #: Column names in canonical order (mirrors Eq. 1 plus the derived
 #: *case* and *activity* columns of the paper's Fig. 6 DataFrame).
@@ -82,7 +84,7 @@ class FramePools:
 class EventFrame:
     """A columnar table of events; the library's DataFrame substitute."""
 
-    __slots__ = ("pools", "_columns")
+    __slots__ = ("pools", "_columns", "_memo")
 
     def __init__(self, pools: FramePools,
                  columns: dict[str, np.ndarray]) -> None:
@@ -94,6 +96,21 @@ class EventFrame:
             raise ReproError(f"ragged columns: {lengths}")
         self.pools = pools
         self._columns = columns
+        self._memo: dict[str, object] = {}
+
+    def memoized(self, key: str, build: "Callable[[EventFrame], _T]") -> _T:
+        """``build(self)``, computed once per frame and cached.
+
+        A frame never changes after construction (every transformation
+        returns a new frame), so any pure function of its columns may
+        be kept on it — e.g. the statistics cell table, which a log and
+        every case-level child of it restrict instead of rebuilding.
+        """
+        try:
+            return self._memo[key]  # type: ignore[return-value]
+        except KeyError:
+            value = self._memo[key] = build(self)
+            return value
 
     # -- construction ------------------------------------------------------
 
@@ -198,10 +215,22 @@ class EventFrame:
     # -- ordering / grouping ---------------------------------------------------
 
     def sorted_within_cases(self) -> "EventFrame":
-        """Stable-sort rows by (case, start): the paper's case order."""
-        order = np.lexsort(
-            (self._columns["start"], self._columns["case"]))
-        return self.select(order)
+        """Stable-sort rows by (case, start): the paper's case order.
+
+        A frame already in that order — case codes never decreasing,
+        starts never decreasing within a case — is returned as is,
+        after one O(n) check: the stable sort would be the identity
+        permutation. Frames read from an ``.elog`` or ingested from
+        strace, and every case-level child of a sorted log, arrive
+        sorted.
+        """
+        case = self._columns["case"]
+        start = self._columns["start"]
+        later_case = case[1:] > case[:-1]
+        same_case = case[1:] == case[:-1]
+        if (later_case | (same_case & (start[1:] >= start[:-1]))).all():
+            return self
+        return self.select(np.lexsort((start, case)))
 
     def case_slices(self) -> list[tuple[int, np.ndarray]]:
         """Group rows by case: list of (case_code, row_indices).

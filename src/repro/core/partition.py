@@ -9,7 +9,10 @@ without); the general mechanism also supports arbitrary predicates
 Partitions are *case-level*: a case belongs wholly to G or wholly to R,
 because traces — and therefore DFGs — are per-case sequences; splitting
 a case between subsets would fabricate directly-follows relations that
-never happened.
+never happened. That is also what makes each half's Sec. IV-B
+statistics cheap: a half keeps its parent's frame and case mask
+(:meth:`~repro.core.eventlog.EventLog.case_child`), and its
+statistics restrict the parent's per-(activity, case) cells.
 """
 
 from __future__ import annotations
@@ -58,8 +61,8 @@ def partition_by_cid(
         raise PartitionError(
             "red partition is empty; need at least two distinct cids")
     frame = event_log.frame
-    green_log = event_log.filtered(frame.cid_in(green_set))
-    red_log = event_log.filtered(frame.cid_in(red_set))
+    green_log = event_log.case_child(frame.cid_in(green_set))
+    red_log = event_log.case_child(frame.cid_in(red_set))
     return green_log, red_log
 
 
@@ -80,7 +83,7 @@ def partition_by_predicate(
         raise PartitionError(
             "predicate produced an empty partition "
             f"(green={int(mask.sum())} of {len(mask)} events)")
-    return event_log.filtered(mask), event_log.filtered(~mask)
+    return event_log.case_child(mask), event_log.case_child(~mask)
 
 
 def PartitionEL(

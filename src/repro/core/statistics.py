@@ -22,41 +22,51 @@ The node labels in the paper's figures combine these as
 call :meth:`IOStatistics.load_label` / :meth:`IOStatistics.dr_label`
 to produce exactly those strings.
 
-Architecture: all statistics are folded through per-activity
-:class:`ActivityAccumulator` objects managed by a
-:class:`StatsAccumulator`. The accumulators absorb events one at a
-time (:meth:`StatsAccumulator.feed_event` — what the live engine calls
-at seal time) or a whole columnar frame at once
-(:meth:`StatsAccumulator.feed_frame` — the vectorized batch pass), and
-both roads produce *identical* :class:`IOStatistics` down to the float
-bit patterns: sums are integers, the Eq. 13 mean comes from exact
-partial sums (below) that no folding order can change, the sweep is
-order-free, and the per-case event order behind the Eq. 15 timelines
-is the same either way. This is what lets a live watcher render
-full-history statistics at O(delta) per refresh and lets checkpoints
-persist statistics across process restarts
-(:mod:`repro.live.checkpoint`).
+Architecture: two roads, one assembly. Batch statistics come from a
+:class:`CellTable` — per (activity, case) cell the event count, the
+duration and byte sums, whether any event moved bytes, the rids, and
+per activity the Eq. 13 rates and the ``start, end`` pairs — built once
+per mapped frame and memoized on it. The whole log assembles from the
+full table; a case-level child (a ``PartitionEL`` half) restricts its
+parent's table with a mask over case codes, so a comparison reads its
+events once, not three times. The live engine folds events one at a
+time into per-activity :class:`ActivityAccumulator` objects
+(:meth:`StatsAccumulator.feed_event`, called at seal time). Both roads
+end in the same helpers — the Eq. 13 mean from exact partial sums
+(:func:`_mean_rate`), the int64 sweep
+(:func:`~repro._util.intervals.max_concurrency_int64`), the lazy
+Eq. 15 rows and the Eq. 8 normalization (:func:`_fill`) — over the
+same integers and the same per-event rates, so they produce identical
+:class:`IOStatistics` down to the float bit patterns: sums are
+integers, the mean is the correctly rounded exact sum whatever the
+folding order, the sweep is order-free, and the per-case event order
+behind the timelines is the same either way. The hypothesis
+properties that feed random logs down both roads pin this. It is what
+lets a live watcher render full-history statistics at O(delta) per
+refresh and lets checkpoints persist statistics across process
+restarts (:mod:`repro.live.checkpoint`).
 
 Complexity of the batch pass: one group-by on the activity column —
-the O(mn) of Sec. V — then one :meth:`ActivityAccumulator.add_rows`
-per activity. Counts, sums, rank sets and the rate fold (a few
-C-level :func:`math.fsum` rounds, :func:`_exact_sum_extend`) run over
-the activity's whole columns, and the intervals reach the per-case
-buffers as one ``frombytes`` copy per activity-case run of the
-interleaved ``start, end`` column. Python-level steps are
-O(activities + activity-case runs), none per event, and no Python
-object is built per event. Derived per-activity scalars (max
-concurrency, mean rate) are cached and recomputed only for activities
-that received events since the last assembly — a touched activity
-re-sweeps its own interval buffers, joined into one int64 array, an
-untouched one costs O(1) — and Eq. 15 timeline rows are materialized
-lazily from the append-only per-case buffers, so the accumulators
-never hold a second O(events) copy of the history.
+the O(mn) of Sec. V — splits each activity's rows into one run per
+case (the frame is case-major); ``np.add.reduceat`` sums each run into
+its cell, and the rates, rids and interval pairs are gathered over the
+activity's whole columns. Assembling the whole log or any case subset
+is then O(activities) NumPy calls: per activity, sums over the
+selected cells, one :func:`math.fsum` over the selected rates, one
+sweep over the selected pairs and one ``np.unique`` over the selected
+rids. No Python-level step runs per event or per cell, and Eq. 15
+timeline rows are materialized only when asked for. On the live road,
+derived per-activity scalars (max concurrency, mean rate) are cached
+and recomputed only for activities that received events since the
+last assembly — a touched activity re-sweeps its own interval buffers,
+joined into one int64 array, an untouched one costs O(1) — and
+timeline rows come lazily from the append-only per-case buffers, so
+the accumulators never hold a second O(events) copy of the history.
 
-Memory. Scalar state is O(activities): the Eq. 13 mean is folded
-through exact non-overlapping partial sums (Shewchuk's algorithm, the
-machinery behind :func:`math.fsum`), so the mean of the per-event
-rates is bit-exact — the correctly rounded true sum divided by the
+Memory (live road). Scalar state is O(activities): the Eq. 13 mean
+is folded through exact non-overlapping partial sums (Shewchuk's
+algorithm, the machinery behind :func:`math.fsum`), so the mean of the
+per-event rates is bit-exact — the correctly rounded true sum divided by the
 count — without buffering a float per event, and independent of the
 order events were folded in. The only O(events) state left is the
 per-case interval buffers behind Eq. 15/16: one ``array('q')`` per
@@ -77,12 +87,13 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from itertools import chain, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro._util.errors import ReproError
-from repro._util.intervals import max_concurrency
+from repro._util.intervals import max_concurrency_int64
 from repro._util.sizes import format_bytes, format_rate
 from repro.core.frame import MISSING
 
@@ -175,26 +186,6 @@ def _exact_sum_step(partials: list[float], value: float) -> None:
     partials[i:] = [value]
 
 
-def _exact_sum_extend(partials: list[float], values: list[float]) -> None:
-    """Fold many values into exact partial sums with C-level rounds.
-
-    Batch counterpart of :func:`_exact_sum_step`, same invariant: each
-    :func:`math.fsum` round takes the correctly rounded remainder of
-    everything folded so far minus the rounds already peeled off, and
-    keeps it as a partial. A sum of doubles is a multiple of the
-    smallest subnormal, so a remainder that rounds to 0 *is* 0: the
-    partials then sum exactly to the true total. Each round shrinks
-    the remainder by ~2**-53, so a handful of O(n) rounds suffice.
-    ``values`` must be finite, as every Eq. 13 rate is.
-    """
-    terms = partials + values
-    rounds: list[float] = []
-    while head := math.fsum(terms):
-        rounds.append(head)
-        terms.append(-head)
-    partials[:] = rounds[::-1]
-
-
 def _encode_intervals(buffer: array) -> str:
     """An interval buffer as base64 of little-endian int64 ``start,
     end`` pairs — the sidecar's ``"intervals"`` string."""
@@ -210,6 +201,80 @@ def _decode_intervals(text: str) -> array:
     if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
         buffer.byteswap()
     return buffer
+
+
+# -- the one assembly --------------------------------------------------------
+#
+# Both roads — the live accumulators and the batch cell table — end in
+# the helpers below: the Eq. 13 mean from exact partials, the Eq. 16
+# sweep (:func:`max_concurrency_int64`), the lazy Eq. 15 rows, and the
+# Eq. 8 relative durations. That, and each road folding the same
+# integers and the same per-event rates, is what keeps them equal to
+# the bit.
+
+
+def _mean_rate(partials: list[float], count: int) -> float | None:
+    """The Eq. 13 mean of ``count`` rates; None without any.
+
+    ``partials`` is any list of floats whose *exact* sum is the sum of
+    the rates: an accumulator's Shewchuk partials, or the rates
+    themselves. :func:`math.fsum` rounds that exact sum correctly, so
+    every such list gives the same mean, bit for bit.
+    """
+    return math.fsum(partials) / count if count else None
+
+
+def _timeline_rows(runs: Iterable[tuple[str, int]],
+                   pairs: np.ndarray) -> list[tuple[str, int, int]]:
+    """Eq. 15 rows ``(case, start, end)``: ``runs`` gives each case and
+    its number of intervals, in the row order of the ``(n, 2)``
+    ``start, end`` array ``pairs``."""
+    owners = chain.from_iterable(repeat(case, n) for case, n in runs)
+    return list(zip(owners, pairs[:, 0].tolist(), pairs[:, 1].tolist()))
+
+
+class _Part(NamedTuple):
+    """One activity's statistics before the Eq. 8 normalization."""
+
+    activity: str
+    event_count: int
+    dur_sum: int
+    bytes_sum: int
+    has_transfers: bool
+    mean_rate: float | None
+    max_concurrency: int
+    ranks: int
+    cases: int
+    approximate: bool
+    timeline: "Callable[[], list[tuple[str, int, int]]]"
+
+
+def _fill(result: "IOStatistics", parts: list[_Part]) -> "IOStatistics":
+    """Store ``parts`` in ``result``, each with its Eq. 8 relative
+    duration over the parts' summed duration."""
+    total_dur = sum(part.dur_sum for part in parts)
+    result._stats = {
+        part.activity: ActivityStats(
+            activity=part.activity,
+            event_count=part.event_count,
+            total_dur_us=part.dur_sum,
+            relative_duration=(part.dur_sum / total_dur
+                               if total_dur > 0 else 0.0),
+            total_bytes=part.bytes_sum,
+            has_transfers=part.has_transfers,
+            process_data_rate=part.mean_rate,
+            max_concurrency=part.max_concurrency,
+            ranks=part.ranks,
+            cases=part.cases,
+            approximate=part.approximate,
+        )
+        for part in parts
+    }
+    result._timelines = {}
+    result._lazy_timelines = {part.activity: part.timeline
+                              for part in parts}
+    result._total_dur_us = total_dur
+    return result
 
 
 class ActivityAccumulator:
@@ -294,43 +359,6 @@ class ActivityAccumulator:
             self._coarsen(case_id)
         self._dirty = True
 
-    def add_rows(self, case_ids: Sequence[str], bounds: Sequence[int],
-                 *, rids: np.ndarray, starts: np.ndarray,
-                 ends: np.ndarray, durs: np.ndarray,
-                 sizes: np.ndarray) -> None:
-        """Fold all of this activity's rows of a frame (batch road).
-
-        ``case_ids[i]`` owns rows ``bounds[i]:bounds[i + 1]``, each run
-        in start order. ``ends`` must already be ``start + dur`` with
-        missing durations treated as zero; ``durs``/``sizes`` use the
-        frame's ``MISSING`` sentinel. Equivalent to :meth:`add_event`
-        per row: the sums and the rate fold run over the whole group
-        in C, and Python touches only the per-case buffer splits, each
-        one ``frombytes`` of a slice of the interleaved intervals.
-        """
-        self.event_count += len(starts)
-        valid_dur = durs != MISSING
-        self.dur_sum += int(durs[valid_dur].sum())
-        transfer = sizes != MISSING
-        if transfer.any():
-            self.has_transfers = True
-            self.bytes_sum += int(sizes[transfer].sum())
-        rate_mask = transfer & valid_dur & (durs > 0)
-        rates = (sizes[rate_mask] / (durs[rate_mask] / 1e6)).tolist()
-        if rates:
-            _exact_sum_extend(self._rate_partials, rates)
-            self.rate_count += len(rates)
-        self.rids.update(np.unique(rids).tolist())
-        # 16 bytes per row: the start and end int64s, interleaved.
-        pairs = memoryview(np.stack((starts, ends), axis=1)
-                           .astype(np.int64, copy=False)).cast("B")
-        for case_id, lo, hi in zip(case_ids, bounds, bounds[1:]):
-            buffer = self._case_timelines.setdefault(case_id, array("q"))
-            buffer.frombytes(pairs[16 * lo:16 * hi])
-            if self.window is not None and len(buffer) > 2 * self.window:
-                self._coarsen(case_id)
-        self._dirty = True
-
     def _coarsen(self, case_id: str) -> None:
         """Merge adjacent intervals of a case's buffer pairwise until
         it fits the window again.
@@ -367,13 +395,8 @@ class ActivityAccumulator:
             return self._view
         flat = np.frombuffer(b"".join(self._case_timelines.values()),
                              dtype=np.int64)
-        mc = max_concurrency(flat.reshape(-1, 2))
-        if self.rate_count:
-            mean_rate: float | None = (
-                math.fsum(self._rate_partials) / self.rate_count)
-        else:
-            mean_rate = None
-        self._view = (mc, mean_rate)
+        self._view = (max_concurrency_int64(flat.reshape(-1, 2)),
+                      _mean_rate(self._rate_partials, self.rate_count))
         self._dirty = False
         return self._view
 
@@ -395,10 +418,12 @@ class ActivityAccumulator:
                     for buffer in (self._case_timelines[case_id],)]
 
         def materialize() -> list[tuple[str, int, int]]:
-            return [(case_id, start, end)
-                    for case_id, buffer, length in captured
-                    for start, end in zip(buffer[0:length:2],
-                                          buffer[1:length:2])]
+            flat = np.frombuffer(
+                b"".join(buffer[:length] for _, buffer, length in captured),
+                dtype=np.int64)
+            return _timeline_rows(
+                ((case_id, length // 2) for case_id, _, length in captured),
+                flat.reshape(-1, 2))
 
         return materialize
 
@@ -410,16 +435,15 @@ class ActivityAccumulator:
 
 class StatsAccumulator:
     """Per-activity statistics folded incrementally — the engine behind
-    both batch :meth:`IOStatistics.compute_statistics` and the live
-    :meth:`~repro.live.engine.LiveIngest.statistics`.
+    the live :meth:`~repro.live.engine.LiveIngest.statistics`.
 
     Feed events through :meth:`feed_event` (one sealed record at a
-    time) or :meth:`feed_frame` (a whole columnar frame, vectorized);
-    then :meth:`statistics` assembles an :class:`IOStatistics`. The
-    two feeding roads commute with assembly: any split of the same
-    events over any interleaving of cases yields identical statistics,
-    because all cross-case state is either order-free (integer sums,
-    sets) or reassembled in the caller-supplied case order.
+    time); then :meth:`statistics` assembles an :class:`IOStatistics`,
+    equal to batch :meth:`IOStatistics.compute_statistics` of the same
+    events. Any split of the events over any interleaving of cases
+    yields identical statistics, because all cross-case state is
+    either order-free (integer sums, sets) or reassembled in the
+    caller-supplied case order.
 
     State round-trips through :meth:`to_state` / :meth:`from_state`
     for the live checkpoint sidecar.
@@ -440,11 +464,6 @@ class StatsAccumulator:
 
     def __len__(self) -> int:
         return len(self._activities)
-
-    @property
-    def total_duration_us(self) -> int:
-        """Denominator of Eq. 8 over everything folded so far."""
-        return sum(acc.dur_sum for acc in self._activities.values())
 
     def n_buffered_intervals(self) -> int:
         """Interval entries held across all per-case buffers — the
@@ -511,37 +530,6 @@ class StatsAccumulator:
             case_id, rid=rid, start_us=start_us, dur_us=dur_us,
             size=size)
 
-    def feed_frame(self, frame: "EventFrame") -> "StatsAccumulator":
-        """Fold every mapped row of a columnar frame, vectorized.
-
-        One group-by on the activity column, then one
-        :meth:`ActivityAccumulator.add_rows` per activity: within each
-        group the rows are already case-major and start-sorted (the
-        frame invariant), so per-case runs are boundary splits. Ends
-        are computed columnally and case codes decoded once per run —
-        no per-row Python.
-        """
-        pools = frame.pools
-        dur = frame.column("dur")
-        size = frame.column("size")
-        start = frame.column("start")
-        rid = frame.column("rid")
-        case = frame.column("case")
-        for code, rows in frame.groupby_activity():
-            durs = dur[rows]
-            sizes = size[rows]
-            starts = start[rows]
-            case_codes = case[rows]
-            bounds = [0, *(np.flatnonzero(np.diff(case_codes)) + 1)
-                      .tolist(), len(rows)]
-            self._accumulator(pools.activities.decode(code)).add_rows(
-                [pools.cases.decode(c)
-                 for c in case_codes[bounds[:-1]].tolist()],
-                bounds, rids=rid[rows], starts=starts,
-                ends=starts + np.where(durs != MISSING, durs, 0),
-                durs=durs, sizes=sizes)
-        return self
-
     # -- assembly ----------------------------------------------------------
 
     def statistics(self, case_order: Sequence[str] | None = None,
@@ -564,35 +552,19 @@ class StatsAccumulator:
             order_index: dict[str, int] = {}
         else:
             order_index = {case: i for i, case in enumerate(case_order)}
-        total_dur = self.total_duration_us
-        stats: dict[str, ActivityStats] = {}
-        lazy: dict[str, Callable[[], list[tuple[str, int, int]]]] = {}
+        parts = []
         for activity, acc in self._activities.items():
             ordered = tuple(sorted(
                 acc._case_timelines,
                 key=lambda c: (order_index[c], "") if c in order_index
                 else (len(order_index), c)))
             mc, mean_rate = acc.view()
-            stats[activity] = ActivityStats(
-                activity=activity,
-                event_count=acc.event_count,
-                total_dur_us=acc.dur_sum,
-                relative_duration=(acc.dur_sum / total_dur
-                                   if total_dur > 0 else 0.0),
-                total_bytes=acc.bytes_sum,
-                has_transfers=acc.has_transfers,
-                process_data_rate=mean_rate,
-                max_concurrency=mc,
-                ranks=len(acc.rids),
-                cases=len(acc._case_timelines),
-                approximate=acc.approximate,
-            )
-            lazy[activity] = acc.timeline_snapshot(ordered)
-        result = IOStatistics()
-        result._stats = stats
-        result._lazy_timelines = lazy
-        result._total_dur_us = total_dur
-        return result
+            parts.append(_Part(
+                activity, acc.event_count, acc.dur_sum, acc.bytes_sum,
+                acc.has_transfers, mean_rate, mc, len(acc.rids),
+                len(acc._case_timelines), acc.approximate,
+                acc.timeline_snapshot(ordered)))
+        return _fill(IOStatistics(), parts)
 
     # -- checkpoint state --------------------------------------------------
 
@@ -657,6 +629,149 @@ class StatsAccumulator:
                 f" events)")
 
 
+class _ActivityCells:
+    """One activity's slice of a :class:`CellTable`.
+
+    Per cell, in case-code order: ``cases`` (the case code),
+    ``counts``, ``durs`` and ``nbytes`` (the event count and the
+    duration and byte sums), ``transfers`` (any event with a size) and
+    ``rate_counts`` (events with an Eq. 13 rate). Beside them, in cell
+    order: every event's ``start, end`` ``pairs`` (``counts`` per
+    cell), the ``rates`` (``rate_counts`` per cell), and one ``rids``
+    entry per run of equal rids within a case, with its case code in
+    ``rid_cases``.
+    """
+
+    __slots__ = ("name", "cases", "counts", "durs", "nbytes",
+                 "transfers", "rate_counts", "rid_cases", "rids",
+                 "rates", "pairs")
+
+    _PER_CELL = ("cases", "counts", "durs", "nbytes", "transfers",
+                 "rate_counts")
+
+    def restricted(self, keep: np.ndarray | None,
+                   ) -> "_ActivityCells | None":
+        """The cells of the case codes ``keep`` marks (``None``: this
+        slice itself), or None when it marks none of them."""
+        if keep is None:
+            return self
+        chosen = keep[self.cases]
+        if not chosen.any():
+            return None
+        part = _ActivityCells()
+        part.name = self.name
+        for name in self._PER_CELL:
+            setattr(part, name, getattr(self, name)[chosen])
+        kept = keep[self.rid_cases]
+        part.rid_cases, part.rids = self.rid_cases[kept], self.rids[kept]
+        part.rates = self.rates[np.repeat(chosen, self.rate_counts)]
+        part.pairs = self.pairs[np.repeat(chosen, self.counts)]
+        return part
+
+
+class CellTable:
+    """The Sec. IV-B statistics of a mapped frame, kept per
+    (activity, case) cell, from which the statistics of the whole frame
+    or of any subset of its cases are assembled.
+
+    Built in one pass over the runs that
+    :meth:`~repro.core.frame.EventFrame.groupby_activity` yields — the
+    frame is case-major, so each activity's rows fall into one run per
+    case, and ``np.add.reduceat`` sums each run — with no Python-level
+    loop over events or cells. The table is a pure function of the
+    frame, so :meth:`of` memoizes it there: a log and every case-level
+    child cut from it (:attr:`~repro.core.eventlog.EventLog.case_origin`)
+    share one table.
+
+    :meth:`fill` restricts the table to a boolean mask over case codes:
+    per activity, sums and ``any`` over the selected cells, one
+    :func:`math.fsum` over the selected rates, one
+    :func:`~repro._util.intervals.max_concurrency_int64` sweep over the
+    selected pairs and ``np.unique`` over the selected rids —
+    O(activities) NumPy calls. Restriction commutes with selection:
+    the statistics of a case subset equal those of a fresh table over
+    just those cases, bit for bit, because every sum is an integer,
+    the rate sum is correctly rounded and the sweep is order-free.
+    """
+
+    def __init__(self, frame: "EventFrame") -> None:
+        self._case_pool = frame.pools.cases
+        activities = frame.pools.activities
+        dur = frame.column("dur")
+        size = frame.column("size")
+        start = frame.column("start")
+        rid = frame.column("rid")
+        case = frame.column("case")
+        self._activities: list[_ActivityCells] = []
+        for code, rows in frame.groupby_activity():
+            cases = case[rows]
+            durs = dur[rows]
+            sizes = size[rows]
+            rids = rid[rows]
+            head = np.empty(len(rows), dtype=bool)
+            head[0] = True
+            np.not_equal(cases[1:], cases[:-1], out=head[1:])
+            heads = np.flatnonzero(head)
+            timed = durs != MISSING
+            transfer = sizes != MISSING
+            spent = np.where(timed, durs, 0)
+            rated = transfer & timed & (durs > 0)
+            cells = _ActivityCells()
+            cells.name = activities.decode(code)
+            cells.cases = cases[heads]
+            cells.counts = np.diff(heads, append=len(rows))
+            cells.durs = np.add.reduceat(spent, heads)
+            cells.nbytes = np.add.reduceat(np.where(transfer, sizes, 0),
+                                           heads)
+            cells.transfers = np.logical_or.reduceat(transfer, heads)
+            cells.rate_counts = np.add.reduceat(rated, heads)
+            head[1:] |= rids[1:] != rids[:-1]
+            cells.rid_cases = cases[head]
+            cells.rids = rids[head]
+            cells.rates = sizes[rated] / (durs[rated] / 1e6)
+            starts = start[rows]
+            cells.pairs = np.stack((starts, starts + spent), axis=1)
+            self._activities.append(cells)
+
+    @classmethod
+    def of(cls, frame: "EventFrame") -> "CellTable":
+        """The table of ``frame``, built on first use and kept on it."""
+        return frame.memoized("cell_table", cls)
+
+    def fill(self, result: "IOStatistics",
+             keep: np.ndarray | None = None) -> "IOStatistics":
+        """Assemble into ``result`` the statistics of the cases whose
+        codes ``keep`` marks (``None``: every case). Timelines list the
+        cases in case-code order — the frame's interning order."""
+        parts = []
+        for cells in self._activities:
+            part = cells.restricted(keep)
+            if part is None:
+                continue
+            parts.append(_Part(
+                part.name, len(part.pairs), int(part.durs.sum()),
+                int(part.nbytes.sum()), bool(part.transfers.any()),
+                _mean_rate(part.rates.tolist(), len(part.rates)),
+                max_concurrency_int64(part.pairs),
+                len(np.unique(part.rids)), len(part.cases), False,
+                self._timeline(cells, keep)))
+        return _fill(result, parts)
+
+    def _timeline(self, cells: _ActivityCells, keep: np.ndarray | None,
+                  ) -> "Callable[[], list[tuple[str, int, int]]]":
+        """Lazy Eq. 15 rows of ``cells`` restricted to ``keep``; the
+        handle holds the case mask, not a copy of the intervals."""
+        decode = self._case_pool.decode
+
+        def materialize() -> list[tuple[str, int, int]]:
+            part = cells.restricted(keep)
+            return _timeline_rows(
+                zip(map(decode, part.cases.tolist()),
+                    part.counts.tolist()), part.pairs)
+
+        return materialize
+
+
 class IOStatistics:
     """Per-activity statistics over an event-log (paper Fig. 6, step 4).
 
@@ -686,22 +801,15 @@ class IOStatistics:
     def compute_statistics(self, event_log: "EventLog") -> "IOStatistics":
         """Compute all statistics; replaces any previous results.
 
-        Implemented as "feed the frame once" into a fresh
-        :class:`StatsAccumulator` and assemble — the accumulators the
-        live engine feeds per sealed event, so batch and live
-        statistics cannot drift apart.
+        Assembled from the :class:`CellTable` of the log's frame — or,
+        for a case-level child such as a ``PartitionEL`` half, from the
+        parent frame's table restricted to the child's cases (see
+        :attr:`~repro.core.eventlog.EventLog.case_origin`), so the
+        halves of a comparison cost no second pass over their events.
         """
         event_log._require_mapping()
-        frame = event_log.frame
-        accumulator = StatsAccumulator().feed_frame(frame)
-        pool = frame.pools.cases
-        case_order = [pool.decode(code) for code in range(len(pool))]
-        computed = accumulator.statistics(case_order=case_order)
-        self._stats = computed._stats
-        self._timelines = computed._timelines
-        self._lazy_timelines = computed._lazy_timelines
-        self._total_dur_us = computed._total_dur_us
-        return self
+        frame, keep = event_log.case_origin
+        return CellTable.of(frame).fill(self, keep)
 
     # -- access -------------------------------------------------------------------
 

@@ -230,11 +230,11 @@ class Histogram:
 
     def restore(self, counts: list, total: float, count: int) -> None:
         if len(counts) != len(self.base_counts):
-            # A bucket-grid change between versions: fold everything
-            # into +Inf rather than misattribute latencies.
-            folded = [0] * len(self.base_counts)
-            folded[-1] = int(sum(counts))
-            counts = folded
+            # Sidecars load at one version, and a bucket-grid change
+            # bumps it: a count list of another length is corruption.
+            raise ValueError(
+                f"histogram {self.name!r} restores {len(counts)} bucket "
+                f"counts, expected {len(self.base_counts)}")
         self.base_counts = [int(c) for c in counts]
         self.base_sum = float(total)
         self.base_count = int(count)

@@ -1,5 +1,5 @@
 """Architecture guardrails: one road each for sources, strace fan-out,
-sidecars and the watch loop.
+batch statistics, sidecars and the watch loop.
 
 Every input goes through ``from_source``/``open_source``, every strace
 consumer fans out through ``iter_case_columns`` on the one process
@@ -27,13 +27,14 @@ SRC = REPO / "src"
 
 #: Names of removed roads: the second watch driver, the per-format
 #: constructors and CSV package that ``from_source`` replaced, the
-#: multi-version sidecar loader, and the list-map, record and shard
-#: fan-outs that ``iter_case_columns`` replaced.
+#: multi-version sidecar loader, the list-map, record and shard
+#: fan-outs that ``iter_case_columns`` replaced, and the batch feed of
+#: the live accumulators that the statistics cell table replaced.
 REMOVED_NAMES = ("run_watch", "from_strace_dir", "from_store",
                  "_LOADABLE_VERSIONS", "repro.adapters",
                  "ingest_event_frame", "read_cases", "_map_tasks",
                  "_pool_map", "dfg_from_trace_dir", "iter_case_dfgs",
-                 "convert_strace_dir")
+                 "convert_strace_dir", "feed_frame", "add_rows")
 
 
 def test_adapters_package_is_gone():

@@ -1,10 +1,15 @@
 """The columnar EventFrame (DataFrame substitute)."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import ReproError
-from repro.core.frame import MISSING, EventFrame, FramePools
+from repro.core.eventlog import EventLog
+from repro.core.frame import COLUMN_ORDER, MISSING, EventFrame, FramePools
+from repro.sources.csv_log import write_csv_log
 from repro.strace.reader import read_trace_dir
 
 
@@ -162,3 +167,90 @@ class TestRowAccess:
     def test_with_activity_codes_length_checked(self, frame):
         with pytest.raises(ReproError):
             frame.with_activity_codes(np.zeros(3, dtype=np.int32))
+
+
+def _frame_of(cases: list[int], starts: list[int]) -> EventFrame:
+    """A frame over the given case codes and starts; ``pid`` numbers
+    the input rows so a reordering shows in every column."""
+    pools = FramePools()
+    for code in range(max(cases, default=-1) + 1):
+        pools.cases.intern(f"c{code}")
+    n = len(cases)
+    columns = {name: np.zeros(n, dtype=np.int64)
+               for name in ("rid", "dur", "size")}
+    columns.update(
+        case=np.array(cases, dtype=np.int32),
+        start=np.array(starts, dtype=np.int64),
+        pid=np.arange(n, dtype=np.int64),
+        cid=np.zeros(n, dtype=np.int32),
+        host=np.zeros(n, dtype=np.int32),
+        call=np.zeros(n, dtype=np.int32),
+        fp=np.full(n, MISSING, dtype=np.int32),
+        activity=np.full(n, MISSING, dtype=np.int32))
+    return EventFrame(pools, columns)
+
+
+def _assert_lexsorted(result: EventFrame, frame: EventFrame) -> None:
+    expected = frame.select(np.lexsort((frame.column("start"),
+                                        frame.column("case"))))
+    for name in COLUMN_ORDER:
+        assert result.column(name).tolist() == \
+            expected.column(name).tolist(), name
+
+
+class TestSortOnce:
+    """``sorted_within_cases`` skips the sort exactly when the stable
+    sort would be the identity."""
+
+    def test_sorted_frame_comes_back_as_itself(self, frame):
+        ordered = frame.sorted_within_cases()
+        assert ordered.sorted_within_cases() is ordered
+        empty = EventFrame.empty()
+        assert empty.sorted_within_cases() is empty
+
+    @pytest.mark.parametrize("cases, starts, in_order", [
+        ([0, 0, 0, 1, 1], [1, 5, 3, 2, 4], False),
+        ([0, 1, 0, 1, 0], [1, 2, 3, 4, 5], False),
+        ([1, 1, 0, 0], [1, 2, 3, 4], False),
+        ([0, 0, 1, 1], [7, 7, 3, 3], True),
+    ], ids=["backward-start", "interleaved-cases", "cases-descending",
+            "ties-and-later-case-earlier"])
+    def test_frame_equals_the_lexsort(self, cases, starts, in_order):
+        frame = _frame_of(cases, starts)
+        result = frame.sorted_within_cases()
+        _assert_lexsorted(result, frame)
+        assert (result is frame) == in_order
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5)),
+                    max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_lexsort_on_random_frames(self, rows):
+        frame = _frame_of([case for case, _ in rows],
+                          [start for _, start in rows])
+        result = frame.sorted_within_cases()
+        _assert_lexsorted(result, frame)
+        assert result.sorted_within_cases() is result
+
+    def test_shuffled_csv_rows(self, fig1_dir, tmp_path):
+        """Rows of a CSV log in any order come out case-major and
+        start-sorted, holding the same events per case."""
+        original = EventLog.from_source(fig1_dir)
+        path = write_csv_log(original, tmp_path / "log.csv")
+        header, *body = path.read_text(encoding="utf-8") \
+            .splitlines(keepends=True)
+        random.Random(7).shuffle(body)
+        path.write_text(header + "".join(body), encoding="utf-8")
+        shuffled = EventLog.from_source(f"csv:{path}")
+        assert shuffled.frame.sorted_within_cases() is shuffled.frame
+
+        def events(log):
+            return {case: sorted(zip(part.column("start").tolist(),
+                                     part.decoded("call"),
+                                     part.decoded("fp"),
+                                     part.column("dur").tolist(),
+                                     part.column("size").tolist()))
+                    for case, part in log.iter_cases()}
+
+        assert events(shuffled) == events(original)
+        for _, part in shuffled.iter_cases():
+            assert (np.diff(part.column("start")) >= 0).all()

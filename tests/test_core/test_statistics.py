@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro._util.errors import ReproError
 from repro.core.eventlog import EventLog
 from repro.core.frame import MISSING
-from repro.core.mapping import CallTopDirs
+from repro.core.mapping import CallPath, CallTopDirs
+from repro.core.partition import PartitionEL, partition_by_predicate
 from repro.core.statistics import (
+    CellTable,
     IOStatistics,
     StatsAccumulator,
-    _exact_sum_extend,
     _exact_sum_step,
+    _mean_rate,
 )
 from tests.strategies import EVENT_ROWS, mapped_log
 
@@ -208,22 +210,29 @@ class TestAccessors:
         assert len(IOStatistics(log)) == 8
 
 
-def assert_feeds_agree(log: EventLog) -> None:
-    """Batch ``IOStatistics`` ≡ one ``feed_event`` per mapped row."""
+def fed(log: EventLog) -> StatsAccumulator:
+    """The live road: one ``feed_event`` per mapped row of ``log``."""
     frame = log.frame
     pools = frame.pools
-    fed = StatsAccumulator()
+    accumulator = StatsAccumulator()
     for row in np.flatnonzero(frame.column("activity") != MISSING):
         dur = int(frame.column("dur")[row])
         size = int(frame.column("size")[row])
-        fed.feed_event(
+        accumulator.feed_event(
             pools.activities.decode(int(frame.column("activity")[row])),
             pools.cases.decode(int(frame.column("case")[row])),
             rid=int(frame.column("rid")[row]),
             start_us=int(frame.column("start")[row]),
             dur_us=None if dur == MISSING else dur,
             size=None if size == MISSING else size)
-    live = fed.statistics(case_order=[
+    return accumulator
+
+
+def assert_feeds_agree(log: EventLog) -> None:
+    """Batch ``IOStatistics`` (the cell table) ≡ one ``feed_event``
+    per mapped row (the live accumulators)."""
+    pools = log.frame.pools
+    live = fed(log).statistics(case_order=[
         pools.cases.decode(c) for c in range(len(pools.cases))])
     batch = IOStatistics(log)
     assert live.activities() == batch.activities()
@@ -247,19 +256,22 @@ class TestExactRateFold:
     @settings(max_examples=300, deadline=None)
     def test_batch_fold_equals_step_fold_and_exact_sum(self, before,
                                                        values):
-        """The C-level ``fsum`` rounds of the batch road leave partials
-        that sum exactly to the true total, like the live per-value
-        Shewchuk step, into empty and non-empty partials alike."""
+        """The batch road's Eq. 13 mean — one ``fsum`` over the raw
+        rates — equals the live road's, whose per-value Shewchuk steps
+        (continued from restored partials, ``before``) keep partials
+        that sum exactly to the true total: both are the correctly
+        rounded exact sum."""
         stepped: list[float] = []
         for value in before:
             _exact_sum_step(stepped, value)
-        batched = list(stepped)
         for value in values:
             _exact_sum_step(stepped, value)
-        _exact_sum_extend(batched, values)
-        exact = sum(map(Fraction, before + values), Fraction(0))
-        assert sum(map(Fraction, batched), Fraction(0)) == exact
-        assert math.fsum(batched) == math.fsum(stepped) == float(exact)
+        rates = before + values
+        exact = sum(map(Fraction, rates), Fraction(0))
+        assert sum(map(Fraction, stepped), Fraction(0)) == exact
+        assert math.fsum(stepped) == math.fsum(rates) == float(exact)
+        assert _mean_rate(stepped, len(rates)) == \
+            _mean_rate(rates, len(rates))
 
 
 #: Events as (activity, case, rid, bound, bound, has_dur, size): the
@@ -285,8 +297,8 @@ class TestStatsAccumulator:
 
     def test_event_by_event_feed_equals_frame_feed(self, fig1_dir):
         """Feeding one event at a time (the live road) produces
-        field-identical statistics to the vectorized frame feed (the
-        batch road) — floats included, no approx."""
+        field-identical statistics to the batch cell table — floats
+        included, no approx."""
         assert_feeds_agree(self._mapped_log(fig1_dir))
 
     @given(EVENT_ROWS)
@@ -298,7 +310,7 @@ class TestStatsAccumulator:
 
     def test_state_roundtrip(self, fig1_dir):
         log = self._mapped_log(fig1_dir)
-        accumulator = StatsAccumulator().feed_frame(log.frame)
+        accumulator = fed(log)
         revived = StatsAccumulator.from_state(accumulator.to_state())
         one = accumulator.statistics()
         two = revived.statistics()
@@ -310,7 +322,9 @@ class TestStatsAccumulator:
     @settings(max_examples=200, deadline=None)
     def test_json_state_roundtrip_is_byte_exact(self, events, window):
         """Through a JSON sidecar and back, every interval buffer is
-        byte-identical and the statistics are equal, windowed or not."""
+        byte-identical and the statistics are equal, windowed or not.
+        An activity spanning 2**61 µs or more is beyond the int64
+        sweep: then both sides refuse it alike."""
         accumulator = StatsAccumulator(window=window)
         for activity, case, rid, one, two, has_dur, size in events:
             start, end = min(one, two), max(one, two)
@@ -328,7 +342,13 @@ class TestStatsAccumulator:
                     ._case_timelines.items()} == \
                 {case: buffer.tobytes()
                  for case, buffer in acc._case_timelines.items()}
-        before = accumulator.statistics()
+        try:
+            before = accumulator.statistics()
+        except ValueError as exc:
+            assert "2**61" in str(exc)
+            with pytest.raises(ValueError, match=r"2\*\*61"):
+                revived.statistics()
+            return
         after = revived.statistics()
         assert after.activities() == before.activities()
         for activity in before.activities():
@@ -340,9 +360,108 @@ class TestStatsAccumulator:
         """Without an explicit order the flat-directory layout (case
         ids sorted) matches the frame interning order."""
         log = self._mapped_log(fig1_dir)
-        accumulator = StatsAccumulator().feed_frame(log.frame)
+        accumulator = fed(log)
         batch = IOStatistics(log)
         implicit = accumulator.statistics()
         for activity in batch.activities():
             assert implicit.timeline(activity) == \
                 batch.timeline(activity)
+
+
+def assert_statistics_equal(one: IOStatistics, two: IOStatistics) -> None:
+    """Every field of every activity (floats with ``==``), the Eq. 8
+    denominator and every timeline."""
+    assert one.activities() == two.activities()
+    assert one.total_duration_us == two.total_duration_us
+    for activity in one.activities():
+        assert one[activity] == two[activity], activity
+        assert one.timeline(activity) == two.timeline(activity), activity
+
+
+class TestCellRestriction:
+    """A case-level child's statistics restrict its parent's cell table
+    (``EventLog.case_origin``); they must be what a fresh build over
+    the child's rows gives, bit for bit."""
+
+    @given(EVENT_ROWS, st.sets(st.integers(0, 5)), st.sets(st.integers(0, 5)))
+    @example(rows=[(0, "read", "/p/a", 5, 3, 10, 0),
+                   (1, "write", "/p/b", 7, 2, 4, 1),
+                   (2, "read", "/p/a", 6, 1, 8, 2)],
+             green={0, 2}, again={2})
+    @settings(max_examples=200, deadline=None)
+    def test_child_statistics_equal_a_fresh_build(self, rows, green,
+                                                  again):
+        """Random mapped logs and random non-empty case subsets, halves
+        lacking activities of the other included; a half split again
+        restricts the same root table."""
+        log = mapped_log(rows)
+        present = set(log.case_ids())
+        green_cases = {f"c{i}" for i in green}
+        assume(present & green_cases and present - green_cases)
+        halves = partition_by_predicate(log, green_cases.__contains__)
+        again_cases = {f"c{i}" for i in again}
+        if len(set(halves[0].case_ids()) - again_cases) and \
+                set(halves[0].case_ids()) & again_cases:
+            halves += partition_by_predicate(halves[0],
+                                             again_cases.__contains__)
+        for half in halves:
+            root, keep = half.case_origin
+            assert root is log.frame and keep is not None
+            fresh = EventLog(half.frame, half.mapping)
+            assert fresh.case_origin == (half.frame, None)
+            assert_statistics_equal(IOStatistics(half),
+                                    IOStatistics(fresh))
+
+    def test_one_table_serves_the_log_and_its_halves(self, fig1_dir,
+                                                     monkeypatch):
+        log = EventLog.from_source(fig1_dir)
+        log.apply_mapping_fn(CallTopDirs(levels=2))
+        built = []
+        real_init = CellTable.__init__
+
+        def counting_init(self, frame):
+            built.append(frame)
+            real_init(self, frame)
+
+        monkeypatch.setattr(CellTable, "__init__", counting_init)
+        green, red = PartitionEL(log)
+        for part in (log, green, red, log, green.filtered_cids(["a"])):
+            IOStatistics(part)
+        assert built == [log.frame]
+
+    def _halves(self, fig1_dir):
+        log = EventLog.from_source(fig1_dir)
+        log.apply_mapping_fn(CallTopDirs(levels=2))
+        return log, PartitionEL(log)
+
+    def test_mutating_the_parent_leaves_the_halves_alone(self, fig1_dir):
+        log, halves = self._halves(fig1_dir)
+        before = [IOStatistics(half) for half in halves]
+        log.apply_fp_filter("/usr/lib")
+        for half, stats in zip(halves, before):
+            assert_statistics_equal(IOStatistics(half), stats)
+        log.apply_mapping_fn(CallPath())
+        for half, stats in zip(halves, before):
+            assert_statistics_equal(IOStatistics(half), stats)
+
+    def test_mutating_a_half_drops_its_link(self, fig1_dir):
+        log, (green, red) = self._halves(fig1_dir)
+        whole = IOStatistics(green)
+        green.apply_fp_filter("/usr/lib")
+        assert green.case_origin == (green.frame, None)
+        filtered = IOStatistics(green)
+        assert filtered.activities() != whole.activities()
+        assert_statistics_equal(
+            filtered, IOStatistics(EventLog(green.frame, green.mapping)))
+        red.apply_mapping_fn(CallPath())
+        assert red.case_origin == (red.frame, None)
+        assert_statistics_equal(
+            IOStatistics(red), IOStatistics(EventLog(red.frame, CallPath())))
+
+    def test_event_level_filters_build_their_own_table(self, fig1_dir):
+        log, _ = self._halves(fig1_dir)
+        reads = log.filtered_calls(["read"])
+        assert reads.case_origin == (reads.frame, None)
+        assert set(IOStatistics(reads).activities()) == \
+            {a for a in IOStatistics(log).activities()
+             if a.startswith("read")}

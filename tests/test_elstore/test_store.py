@@ -1,13 +1,19 @@
 """The .elog columnar container: write/read round trips, laziness."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from repro._util.errors import StoreFormatError
+from repro.cli import main
 from repro.core.eventlog import EventLog
 from repro.elstore.convert import convert_source
 from repro.elstore.reader import EventLogStore, read_event_log
+from repro.elstore.schema import HEADER_FMT, HEADER_SIZE
 from repro.elstore.writer import EventLogWriter, write_event_log
+from repro.sources import ElstoreSource
 from repro.strace.naming import TraceFileName
 from repro.strace.parser import ParsedRecord
 
@@ -234,3 +240,138 @@ class TestColumnProjection:
         full = store.read_case("b9157")
         partial = store.read_case("b9157", columns=["size"])
         assert (partial["size"] == full["size"]).all()
+
+
+def _two_cid_store(path, chunk_values=4):
+    """16 cases over cids ``a``/``b``, written in a shuffled order with
+    small chunks, so the one-pass read joins many chunks per column."""
+    with EventLogWriter(path, chunk_values=chunk_values) as writer:
+        for rid in (7, 2, 12, 0, 15, 9, 4, 11, 1, 14, 5, 8, 13, 3, 10, 6):
+            writer.add_case_records(
+                TraceFileName("ab"[rid % 2], f"h{rid % 3}", rid),
+                [_record(100 * rid + 3 * i, size=rid + i, dur=i % 4,
+                         fp=None if i % 5 == 0 else f"/d{i % 3}",
+                         call=("read", "write", "openat")[i % 3])
+                 for i in range(rid % 7 + 1)])
+    return path
+
+
+def _rewrite_toc(path, edit):
+    """Re-serialize the container's TOC after ``edit(toc)``, keeping
+    every data byte where it was."""
+    data = path.read_bytes()
+    magic, version, reserved, toc_offset, toc_len = struct.unpack(
+        HEADER_FMT, data[:HEADER_SIZE])
+    toc = json.loads(data[toc_offset:toc_offset + toc_len])
+    edit(toc)
+    raw = json.dumps(toc).encode("utf-8")
+    path.write_bytes(struct.pack(HEADER_FMT, magic, version, reserved,
+                                 toc_offset, len(raw))
+                     + data[HEADER_SIZE:toc_offset] + raw)
+
+
+def _chunk(toc, index=5, column="start"):
+    return toc["cases"][index]["columns"][column]["chunks"][0]
+
+
+class TestOnePassRead:
+    def test_equals_per_case_reads(self, tmp_path):
+        """The whole-file read yields, column for column, the per-case
+        reads laid end to end in sorted case order — and a frame that
+        is already sorted, so ``EventLog`` keeps it as is."""
+        path = _two_cid_store(tmp_path / "log.elog")
+        store = EventLogStore(path)
+        frame = read_event_log(path).frame
+        for name in ("pid", "call", "start", "dur", "fp", "size"):
+            joined = np.concatenate([store.read_case(case)[name]
+                                     for case in store.case_ids()])
+            assert frame.column(name).tolist() == joined.tolist(), name
+        assert frame.decoded("case") == [
+            case for case in store.case_ids()
+            for _ in range(store.case_meta(case).n_events)]
+        assert frame.column("rid").tolist() == [
+            store.case_meta(case).rid for case in store.case_ids()
+            for _ in range(store.case_meta(case).n_events)]
+        assert frame.sorted_within_cases() is frame
+
+    def test_cid_subset_reads_only_those_cases(self, tmp_path):
+        path = _two_cid_store(tmp_path / "log.elog")
+        frame = read_event_log(path, cids={"b"}).frame
+        assert set(frame.decoded("cid")) == {"b"}
+        assert frame.n_events == sum(
+            EventLogStore(path).case_meta(case).n_events
+            for case in EventLogStore(path).case_ids()
+            if case.startswith("b"))
+
+    def test_crc_mismatch_names_column_and_offset(self, tmp_path):
+        path = _two_cid_store(tmp_path / "log.elog")
+        offset = EventLogStore(path).case_meta("a12").columns["dur"] \
+            .chunks[1].offset
+        data = bytearray(path.read_bytes())
+        data[offset] ^= 0xFF
+        path.write_bytes(data)
+        with pytest.raises(StoreFormatError,
+                           match=f"CRC mismatch in column 'dur' at "
+                                 f"offset {offset}"):
+            read_event_log(path)
+
+    def test_dtype_change_across_cases_rejected(self, tmp_path):
+        """One join per column needs one dtype per column."""
+        path = _two_cid_store(tmp_path / "log.elog")
+
+        def narrow(toc):
+            toc["cases"][2]["columns"]["pid"]["dtype"] = "<i4"
+
+        _rewrite_toc(path, narrow)
+        with pytest.raises(StoreFormatError,
+                           match=r"column 'pid' of case 'a12' is <i4, "
+                                 r"not <i8 like the cases before it"):
+            read_event_log(path)
+
+    def test_value_count_mismatch_rejected(self, tmp_path):
+        path = _two_cid_store(tmp_path / "log.elog")
+
+        def inflate(toc):
+            toc["cases"][2]["n_events"] += 1
+
+        _rewrite_toc(path, inflate)
+        with pytest.raises(StoreFormatError,
+                           match=r"column 'pid' of case 'a12' has 6 "
+                                 r"values, expected 7"):
+            read_event_log(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda toc: toc.pop("cases"), "corrupt TOC: missing key 'cases'"),
+    (lambda toc: toc["cases"][3].pop("rid"),
+     "corrupt TOC: missing key 'rid'"),
+    (lambda toc: toc.update(pools=[]), "corrupt TOC: "),
+    (lambda toc: toc["cases"][2].update(n_events="many"),
+     "corrupt TOC: "),
+    (lambda toc: toc["cases"][4]["columns"].pop("size"),
+     r"corrupt TOC: case '\w+' lacks columns \['size'\]"),
+    (lambda toc: toc["cases"][6]["columns"]["dur"].update(dtype="oops"),
+     "corrupt TOC: column 'dur': "),
+    (lambda toc: _chunk(toc).__setitem__(0, -40),
+     r"chunk of column 'start' in case '\w+' at offset -40"),
+    (lambda toc: _chunk(toc, 9, "fp").__setitem__(0, 1 << 40),
+     r"chunk of column 'fp' in case '\w+' at offset 1099511627776 "
+     r"\(\d+ bytes\) lies outside the file"),
+], ids=["no-cases", "no-rid", "pools-list", "bad-n-events",
+        "missing-column", "bad-dtype", "negative-offset",
+        "offset-past-eof"])
+def test_malformed_toc_is_a_located_store_error(tmp_path, capsys, edit,
+                                                message):
+    """A TOC that decodes but is malformed, or points a chunk outside
+    the file, fails at open with the path — through the whole-log read,
+    the streaming per-case read, and the CLI (exit 2) — never as a
+    ``KeyError`` traceback or a bare errno."""
+    path = _two_cid_store(tmp_path / "log.elog")
+    _rewrite_toc(path, edit)
+    with pytest.raises(StoreFormatError, match=message) as caught:
+        read_event_log(path)
+    assert str(path) in str(caught.value)
+    with pytest.raises(StoreFormatError, match=message):
+        list(ElstoreSource(path).iter_cases())
+    assert main(["report", f"elog:{path}"]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err

@@ -225,7 +225,7 @@ class TestRenderPathIsIncremental:
             raise AssertionError(
                 "idle refresh recomputed max_concurrency")
 
-        monkeypatch.setattr(statistics_module, "max_concurrency",
+        monkeypatch.setattr(statistics_module, "max_concurrency_int64",
                             forbidden)
         second = engine.statistics()
         for activity in first.activities():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -148,6 +149,32 @@ class TestCli:
         assert main(["watch", str(trace_dir), "--once",
                      "--checkpoint", str(sidecar)]) == 0
         assert "poll 2:" in capsys.readouterr().out
+
+    def test_histogram_bucket_mismatch_is_a_corrupt_checkpoint(
+            self, tmp_path, ls_file_bytes, capsys):
+        """An instrumented sidecar whose ``phase_seconds`` counts no
+        longer fit the bucket grid cannot be restored: exit 2 naming
+        the sidecar, never a silent fold into +Inf."""
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        _write_all(trace_dir, ls_file_bytes)
+        sidecar = tmp_path / "ckpt.json"
+        watch = ["watch", str(trace_dir), "--once", "--no-dfg",
+                 "--checkpoint", str(sidecar),
+                 "--metrics-log", str(tmp_path / "m.jsonl")]
+        assert main(watch) == 0
+        state = json.loads(sidecar.read_text(encoding="utf-8"))
+        phases = [entry for entry
+                  in state["telemetry"]["snapshot"]["histograms"]
+                  if entry["name"] == "phase_seconds"]
+        assert phases and len(phases[0]["counts"]) > 2
+        phases[0]["counts"] = phases[0]["counts"][:2]
+        sidecar.write_text(json.dumps(state), encoding="utf-8")
+        capsys.readouterr()
+        assert main(watch) == 2
+        err = capsys.readouterr().err
+        assert f"corrupt checkpoint {sidecar}" in err
+        assert "phase_seconds" in err
 
     def test_no_dfg_watch_still_accumulates_statistics(self, tmp_path,
                                                        ls_file_bytes):

@@ -113,15 +113,16 @@ class TestRestartBases:
         assert revived.merged_count == 2
         assert revived.merged_sum == pytest.approx(0.004)
 
-    def test_histogram_grid_change_folds_into_inf(self):
-        """A sidecar from a version with a different bucket grid must
-        not misattribute latencies — everything folds into +Inf."""
+    def test_histogram_bucket_count_mismatch_is_corrupt(self):
+        """Sidecars load at one version, and a bucket-grid change bumps
+        it: counts for another grid are corruption, neither folded into
+        +Inf nor half restored."""
         revived = MetricsRegistry().histogram("poll_seconds")
-        revived.restore([5, 7], 1.25, 12)  # two-bucket legacy grid
-        merged = revived.merged_counts()
-        assert merged[-1] == 12
-        assert sum(merged[:-1]) == 0
-        assert revived.merged_sum == 1.25
+        with pytest.raises(ValueError, match="restores 2 bucket counts"):
+            revived.restore([5, 7], 1.25, 12)
+        assert sum(revived.merged_counts()) == 0
+        assert revived.merged_count == 0
+        assert revived.merged_sum == 0.0
 
 
 class TestHistogramBuckets:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util.intervals import (
+    MAX_SWEEP_SPAN,
     max_concurrency,
+    max_concurrency_int64,
     max_concurrency_naive,
     merge_intervals,
     span,
@@ -197,3 +199,41 @@ class TestConcurrencyProfile:
         profile = concurrency_profile(intervals)
         assert max(c for _, c in profile) == max_concurrency(intervals)
         assert profile[-1][1] == 0
+
+
+#: Integer intervals as (start, length): ties and zero lengths likely.
+int_spans = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(0, 6)), max_size=40)
+
+
+class TestInt64Sweep:
+    """The packed-key sweep the statistics run on."""
+
+    @given(int_spans, st.sampled_from(
+        [0, -(2**62), 2**62 - 100, -(2**62) + MAX_SWEEP_SPAN - 100]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_naive_reference(self, spans, offset):
+        """Equal to the O(n²) reference on integer intervals with ties
+        and zero-length intervals — also shifted next to ±2**62, where
+        float64 could no longer tell neighbouring microseconds apart,
+        as long as the span stays under 2**61."""
+        pairs = np.array([(s, s + n) for s, n in spans],
+                         dtype=np.int64).reshape(-1, 2)
+        assert max_concurrency_int64(pairs + offset) == \
+            max_concurrency_naive(pairs) == max_concurrency(pairs)
+
+    def test_span_of_2_61_or_more_raises(self):
+        assert max_concurrency_int64(
+            np.array([[0, MAX_SWEEP_SPAN - 1]])) == 1
+        for pairs in ([[0, MAX_SWEEP_SPAN]],
+                      [[-(2**62), -(2**62)], [2**62, 2**62]],
+                      [[-(2**63), 2**63 - 1]]):
+            with pytest.raises(ValueError, match=r"2\*\*61"):
+                max_concurrency_int64(np.array(pairs, dtype=np.int64))
+
+    def test_rejects_what_the_float_sweep_rejects(self):
+        assert max_concurrency_int64(np.empty((0, 2), dtype=np.int64)) == 0
+        with pytest.raises(ValueError, match="end precedes start"):
+            max_concurrency_int64(np.array([[10, 5]]))
+        with pytest.raises(ValueError, match="expected an"):
+            max_concurrency_int64(np.zeros((3, 3), dtype=np.int64))
