@@ -83,6 +83,36 @@ def _load_args(args: argparse.Namespace) -> EventLog:
     return _open_source_args(args).event_log()
 
 
+def _at_least(parse, minimum):
+    """argparse type: ``parse(text)``, rejected below ``minimum`` at
+    parse time with a message instead of a failure deeper down."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum} (got {value})")
+        return value
+    return convert
+
+
+_positive_int_arg = _at_least(int, 1)
+
+
+def _job_arg(field: str):
+    """argparse type for a flag setting the numeric
+    :class:`~repro.fleet.job.JobSpec` field ``field``: its bound is
+    the spec's (:data:`~repro.fleet.job.MINIMUMS`), checked at parse
+    time so the error names the flag."""
+    from repro.fleet.job import MINIMUMS
+
+    return _at_least(float if field == "interval" else int,
+                     MINIMUMS[field])
+
+
 def _workers_arg(text: str) -> int:
     """argparse type for ``--workers``: a positive integer, rejected at
     parse time with a readable message instead of a pool failure."""
@@ -91,44 +121,6 @@ def _workers_arg(text: str) -> int:
     except argparse.ArgumentTypeError as exc:
         raise argparse.ArgumentTypeError(
             f"{exc}; omit the flag to auto-detect") from None
-
-
-def _nonneg_float_arg(text: str) -> float:
-    """argparse type for ``--interval``: a non-negative number
-    (``time.sleep`` rejects negatives with a raw traceback)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid float value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
-    return value
-
-
-def _positive_int_arg(text: str) -> int:
-    """argparse type for ``--polls``: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1 (got {value})")
-    return value
-
-
-def _nonneg_int_arg(text: str) -> int:
-    """argparse type for ``--max-restarts``: an integer >= 0 (0 means
-    a failed job stops on its first failure, no restart attempts)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0 (got {value})")
-    return value
 
 
 def _port_arg(text: str) -> int:
@@ -142,20 +134,6 @@ def _port_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a port number 0-65535 (got {value}; 0 binds an "
             f"ephemeral port)")
-    return value
-
-
-def _window_arg(text: str) -> int:
-    """argparse type for ``--window``: an integer >= 2 (a coarsening
-    pass merges adjacent pairs — below two entries there is nothing to
-    merge into)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2 (got {value})")
     return value
 
 
@@ -183,15 +161,17 @@ def _mapping(args: argparse.Namespace):
 
 
 def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
+    from repro.fleet.job import MAPPING_NAMES, JobSpec
+
     parser.add_argument("source", help=SOURCE_HELP)
     _add_ingest_options(parser)
     parser.add_argument("--filter", default=None, metavar="SUBSTR",
                         help="keep only events whose path contains SUBSTR")
-    parser.add_argument("--mapping", default="topdirs",
-                        choices=("topdirs", "path", "call", "site"),
+    parser.add_argument("--mapping", default=JobSpec.mapping,
+                        choices=MAPPING_NAMES,
                         help="event→activity mapping (default: the "
                              "paper's call+top-2-dirs)")
-    parser.add_argument("--levels", type=int, default=2,
+    parser.add_argument("--levels", type=int, default=JobSpec.levels,
                         help="directory levels for the mapping")
     parser.add_argument("--exclude-calls", default=None, metavar="A,B",
                         help="drop these syscalls before synthesis "
@@ -224,16 +204,25 @@ def _record_batch_run(args: argparse.Namespace, log: EventLog,
 
 
 def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--catalog", default=None, metavar="FILE",
+    parser.add_argument("--catalog", metavar="FILE",
                         help="record this run (DFG, per-activity "
                              "statistics, metadata, fingerprint) into "
                              "a run catalog (created if missing; see "
                              "docs/catalog.md and `st-inspector runs`)")
-    parser.add_argument("--run-name", default=None, metavar="NAME",
+    parser.add_argument("--run-name", metavar="NAME",
                         help="name the cataloged run is recorded "
-                             "under (default: the source's basename); "
-                             "`runs list --app NAME` and catalog: "
-                             "baselines filter on it")
+                             "under (default: the source's basename; "
+                             "needs --catalog); `runs list --app "
+                             "NAME` and catalog: baselines filter on "
+                             "it")
+
+
+def _check_catalog_args(args: argparse.Namespace) -> None:
+    """Reject ``--run-name`` without ``--catalog`` in a fleet job's
+    words, before the source is read."""
+    from repro.fleet.job import check_requires
+
+    check_requires(vars(args))
 
 
 def _print_json(payload) -> None:
@@ -295,6 +284,7 @@ def cmd_simulate_ior(args: argparse.Namespace) -> int:
 def cmd_convert(args: argparse.Namespace) -> int:
     from repro.elstore.convert import convert_source
 
+    _check_catalog_args(args)
     out = convert_source(_open_source_args(args), args.output)
     from repro.elstore.reader import EventLogStore
 
@@ -305,13 +295,13 @@ def cmd_convert(args: argparse.Namespace) -> int:
         # Catalog the packed artifact under the default mapping (the
         # paper's call+top-2-dirs — `report --catalog` records under
         # whatever --mapping it was given instead).
-        from repro.fleet.job import mapping_from_name
+        from repro.fleet.job import JobSpec, mapping_from_name
         from repro.sources import ElstoreSource
 
         log = ElstoreSource(out).event_log()
-        mapping = mapping_from_name("topdirs", 2)
+        mapping = mapping_from_name(JobSpec.mapping, JobSpec.levels)
         log.apply_mapping_fn(mapping)
-        _record_batch_run(args, log, mapping, 2)
+        _record_batch_run(args, log, mapping, JobSpec.levels)
     return 0
 
 
@@ -331,6 +321,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    _check_catalog_args(args)
     log = _prepared_log(args)
     stats = IOStatistics(log)
     if args.json:
@@ -460,40 +451,27 @@ def cmd_counters(args: argparse.Namespace) -> int:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
+    from dataclasses import fields
+
     from repro.fleet import FleetScheduler, JobSpec
 
-    # JobSpec.build wires rules (a malformed file raises
-    # AlertConfigError naming the offending rule), sink flags,
-    # telemetry and checkpoint restore. Anything it raises is a
+    # The watch parser leaves every flag not given off ``args``, so
+    # only the given ones reach the spec: JobSpec's defaults are the
+    # only defaults, and JobSpec.build validates the job (the fleet's
+    # rules) before building anything. Anything it raises is a
     # *configuration* error → main() → exit 2.
-    spec = JobSpec(
-        source=args.directory,
-        interval=args.interval,
-        polls=1 if args.once else args.polls,
-        checkpoint=args.checkpoint,
-        rules=args.rules,
-        baseline=args.baseline,
-        alert_log=args.alert_log,
-        emit=args.emit,
-        window=args.window,
-        memory_budget=args.memory_budget,
-        compact_emit=args.compact_emit,
-        mapping=args.mapping,
-        levels=args.levels,
-        recursive=args.recursive,
-        lenient=args.lenient,
-        show_dfg=not args.no_dfg,
-        top=args.top,
-        telemetry=(args.metrics_port is not None
-                   or args.metrics_log is not None),
-        metrics_log=args.metrics_log,
-        catalog=args.catalog,
-        run_name=(args.run_name or _default_run_name(args.directory)
-                  if args.catalog else None),
-    )
+    given = {item.name: getattr(args, item.name)
+             for item in fields(JobSpec) if item.name in args}
+    if "once" in args:
+        given["polls"] = 1
+    if "catalog" in given:
+        given.setdefault("run_name", _default_run_name(args.directory))
+    spec = JobSpec(source=args.directory,
+                   telemetry="metrics_port" in args or "metrics_log" in args,
+                   **given)
     job = spec.build()
     server = None
-    if args.metrics_port is not None:
+    if "metrics_port" in args:
         from repro.telemetry.exposition import MetricsServer
 
         server = MetricsServer(job.engine.telemetry, args.metrics_port)
@@ -556,7 +534,7 @@ def _health_verdict(path: Path) -> dict:
         raise ReproError(f"no such checkpoint: {path}")
     try:
         state = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReproError(f"corrupt checkpoint {path}: {exc}") from exc
     if not isinstance(state, dict):
         raise ReproError(f"corrupt checkpoint {path}: top-level "
@@ -701,6 +679,8 @@ def cmd_export_csv(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.fleet.job import MAPPING_NAMES, JobSpec
+
     parser = argparse.ArgumentParser(
         prog="st-inspector",
         description="DFG synthesis of I/O system-call traces "
@@ -788,43 +768,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=None)
     p.set_defaults(fn=cmd_counters)
 
-    p = sub.add_parser("watch",
+    # Flags not given stay off the namespace (argument_default), so
+    # cmd_watch hands JobSpec only the given ones.
+    p = sub.add_parser("watch", argument_default=argparse.SUPPRESS,
                        help="live-monitor a growing trace directory "
                             "(incremental ingestion + standing DFG)")
     p.add_argument("directory", help="trace directory being written "
                                      "(may still be empty)")
-    p.add_argument("--interval", type=_nonneg_float_arg, default=2.0,
+    p.add_argument("--interval", type=_job_arg("interval"),
                    metavar="SEC",
-                   help="seconds between polls (default: 2)")
+                   help=f"seconds between polls (default: "
+                        f"{JobSpec.interval:g})")
     p.add_argument("--once", action="store_true",
                    help="poll a single time and exit")
-    p.add_argument("--polls", type=_positive_int_arg, default=None,
-                   metavar="N",
+    p.add_argument("--polls", type=_job_arg("polls"), metavar="N",
                    help="stop after N polls (default: run until ^C)")
-    p.add_argument("--checkpoint", default=None, metavar="FILE",
+    p.add_argument("--checkpoint", metavar="FILE",
                    help="JSON sidecar making ingestion resumable: "
                         "loaded if present, rewritten after every poll")
-    p.add_argument("--window", type=_window_arg, default=None,
-                   metavar="N",
+    p.add_argument("--window", type=_job_arg("window"), metavar="N",
                    help="bound per-case statistics memory: coarsen "
                         "interval/rate buffers past N entries "
                         "(scalar stats stay exact; merge counts and "
                         "timelines become upper bounds, marked '~'; "
                         "default: unbounded)")
-    p.add_argument("--memory-budget", type=_positive_int_arg,
-                   default=None, metavar="BYTES",
+    p.add_argument("--memory-budget", type=_job_arg("memory_budget"),
+                   metavar="BYTES",
                    help="adaptive --window: derive and re-derive the "
                         "per-case interval-buffer cap each poll so "
                         "the measured buffer footprint stays under "
                         "BYTES (mutually exclusive with --window)")
-    p.add_argument("--emit", default=None, metavar="FILE",
+    p.add_argument("--emit", metavar="FILE",
                    help="stream sealed records to a durable journal "
                         "next to FILE and pack FILE as an .elog on "
                         "exit — byte-identical to batch `convert` of "
                         "the directory, surviving kill/restart cycles "
                         "(combine with --checkpoint)")
-    p.add_argument("--compact-emit", type=_positive_int_arg,
-                   default=None, metavar="BYTES",
+    p.add_argument("--compact-emit", type=_job_arg("compact_emit"),
+                   metavar="BYTES",
                    help="rolling journal compaction: whenever the "
                         "checkpointed part of the --emit journal "
                         "exceeds BYTES, pack it into FILE and "
@@ -832,17 +813,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "O(window) over a week-long watch (requires "
                         "--emit and --checkpoint; the final .elog "
                         "stays byte-identical to batch `convert`)")
-    p.add_argument("--rules", default=None, metavar="FILE",
+    p.add_argument("--rules", metavar="FILE",
                    help="alerting rules file (TOML, or *.json): "
                         "threshold rules over the refresh deltas, "
                         "evaluated every poll (see docs/rules.md); "
                         "fired alerts render as a pane and route to "
                         "the configured sinks")
-    p.add_argument("--alert-log", default=None, metavar="FILE",
+    p.add_argument("--alert-log", metavar="FILE",
                    help="append fired alerts as JSON lines to FILE "
                         "(adds a jsonl sink on top of the rules "
                         "file's [sinks]); requires --rules")
-    p.add_argument("--baseline", default=None, metavar="SOURCE",
+    p.add_argument("--baseline", metavar="SOURCE",
                    help="reference run for against='baseline' and "
                         "absent_from_baseline rules — any trace "
                         "source (elog:good.elog, sim:ior?ranks=4, a "
@@ -852,25 +833,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also follow .st files in nested subdirectories")
     p.add_argument("--lenient", action="store_true",
                    help="tolerate corrupt input (as for batch ingestion)")
-    p.add_argument("--mapping", default="topdirs",
-                   choices=("topdirs", "path", "call", "site"),
+    p.add_argument("--mapping", choices=MAPPING_NAMES,
                    help="event→activity mapping (default: the paper's "
                         "call+top-2-dirs)")
-    p.add_argument("--levels", type=int, default=2,
+    p.add_argument("--levels", type=int,
                    help="directory levels for the mapping")
-    p.add_argument("--no-dfg", action="store_true",
+    p.add_argument("--no-dfg", dest="show_dfg", action="store_false",
                    help="print the status/diff summary only, skip the "
                         "ASCII DFG")
-    p.add_argument("--top", type=int, default=5,
+    p.add_argument("--top", type=_job_arg("top"),
                    help="rows in the change-diff summary")
-    p.add_argument("--metrics-port", type=_port_arg, default=None,
-                   metavar="PORT",
+    p.add_argument("--metrics-port", type=_port_arg, metavar="PORT",
                    help="serve Prometheus text on 127.0.0.1:PORT"
                         "/metrics and a JSON health verdict on "
                         "/healthz for the life of the watch (0 binds "
                         "an ephemeral port, announced on stdout); "
                         "turns telemetry on")
-    p.add_argument("--metrics-log", default=None, metavar="FILE",
+    p.add_argument("--metrics-log", metavar="FILE",
                    help="append one JSON telemetry snapshot per poll "
                         "to FILE (the offline twin of --metrics-port "
                         "for hosts nothing scrapes); turns telemetry "
@@ -887,7 +866,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-job keys override (see docs/fleet.md)")
     p.add_argument("--once", action="store_true",
                    help="poll every job a single time and exit")
-    p.add_argument("--polls", type=_positive_int_arg, default=None,
+    p.add_argument("--polls", type=_job_arg("polls"), default=None,
                    metavar="N",
                    help="stop each job after N polls (default: run "
                         "until ^C)")
@@ -898,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "/metrics and the worst-of-jobs verdict on "
                         "/healthz (0 binds an ephemeral port); turns "
                         "telemetry on for every job")
-    p.add_argument("--max-restarts", type=_nonneg_int_arg,
+    p.add_argument("--max-restarts", type=_at_least(int, 0),
                    default=None, metavar="N",
                    help="stop a job after N consecutive failed "
                         "restart cycles instead of backing off "

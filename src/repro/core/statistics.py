@@ -114,6 +114,10 @@ METRIC_NAMES: tuple[str, ...] = (
     "process_data_rate",
 )
 
+#: The smallest interval window: coarsening merges adjacent pairs, so
+#: a buffer of fewer than two intervals has nothing to merge into.
+MIN_WINDOW = 2
+
 
 @dataclass(frozen=True, slots=True)
 class ActivityStats:
@@ -456,11 +460,8 @@ class StatsAccumulator:
     """
 
     def __init__(self, window: int | None = None) -> None:
-        if window is not None and window < 2:
-            raise ValueError(
-                f"window must be >= 2 intervals, got {window}")
-        self.window = window
         self._activities: dict[str, ActivityAccumulator] = {}
+        self.set_window(window)
 
     def __len__(self) -> int:
         return len(self._activities)
@@ -500,9 +501,9 @@ class StatsAccumulator:
         activities keep reporting ``approximate=True``. Scalar
         statistics are untouched either way.
         """
-        if window is not None and window < 2:
-            raise ValueError(
-                f"window must be >= 2 intervals, got {window}")
+        if window is not None and window < MIN_WINDOW:
+            raise ValueError(f"window must be >= {MIN_WINDOW} "
+                             f"intervals, got {window}")
         self.window = window
         for acc in self._activities.values():
             acc.window = window

@@ -28,12 +28,16 @@ next to its trace tree and be launched from anywhere.
 
 Every validation error is a :class:`FleetConfigError` (a
 :class:`~repro._util.errors.ReproError`, so the CLI maps it to exit
-2) naming the offending job and key. Jobs writing to the same
-``checkpoint``/``emit``/``alert_log`` path are rejected up front —
-two engines appending to one journal corrupt it quietly. A shared
-``catalog`` is the exception (the run catalog is multi-writer by
-design), but a catalog path doubling as an exclusive write path, or
-two jobs recording under one run name into one catalog, is rejected.
+2) naming the offending job and key. The rules of one job — each
+key's type and bound, the keys another key needs, one file per write
+path — are :meth:`~repro.fleet.job.JobSpec.validate`'s, the same
+``st-inspector watch`` applies; this module adds the rules across
+jobs. Jobs writing to the same ``checkpoint``/``emit``/journal/
+``alert_log`` path are rejected up front — two engines appending to
+one journal corrupt it quietly. A shared ``catalog`` is the exception
+(the run catalog is multi-writer by design), but a catalog path
+doubling as an exclusive write path, or two jobs recording under one
+run name into one catalog, is rejected.
 """
 
 from __future__ import annotations
@@ -64,83 +68,31 @@ DEFAULT_KEYS = ("interval", "rules", "baseline", "window", "mapping",
 JOB_KEYS = DEFAULT_KEYS + ("source", "checkpoint", "emit", "alert_log",
                            "run_name", "compact_emit")
 
-_MAPPINGS = ("topdirs", "path", "call", "site")
+#: Fleet keys spelled differently from the :class:`JobSpec` field
+#: they set.
+_FIELDS = {"dfg": "show_dfg"}
 
 
 class FleetConfigError(ReproError):
     """A malformed fleet config — message names the job and key."""
 
 
-def _type_error(where: str, job: str | None, key: str,
-                want: str, got) -> FleetConfigError:
-    place = f"job {job!r}: " if job else ""
-    return FleetConfigError(
-        f"{where}: {place}key {key!r} must be {want} "
-        f"(got {got!r})")
+def _resolve_path(base: Path, value):
+    """Join a relative path onto the config directory; anything not a
+    string passes through for :meth:`JobSpec.validate` to reject."""
+    if not isinstance(value, str) or os.path.isabs(value):
+        return value
+    return str(base / value)
 
 
-def _check_types(entry: dict, where: str, job: str | None) -> None:
-    for key, want, kinds in (
-            ("interval", "a number >= 0", (int, float)),
-            ("window", "an integer >= 2", (int,)),
-            ("memory_budget", "an integer >= 1 (bytes)", (int,)),
-            ("compact_emit", "an integer >= 1 (bytes)", (int,)),
-            ("levels", "an integer", (int,)),
-            ("top", "an integer >= 1", (int,)),
-            ("recursive", "a boolean", (bool,)),
-            ("lenient", "a boolean", (bool,)),
-            ("dfg", "a boolean", (bool,)),
-            ("source", "a string", (str,)),
-            ("rules", "a string", (str,)),
-            ("baseline", "a string", (str,)),
-            ("checkpoint", "a string", (str,)),
-            ("emit", "a string", (str,)),
-            ("alert_log", "a string", (str,)),
-            ("catalog", "a string", (str,)),
-            ("run_name", "a string", (str,)),
-            ("mapping", "a string", (str,))):
-        if key not in entry:
-            continue
-        value = entry[key]
-        # bool is an int subclass: a numeric key must not accept it.
-        if isinstance(value, bool) and bool not in kinds:
-            raise _type_error(where, job, key, want, value)
-        if not isinstance(value, kinds):
-            raise _type_error(where, job, key, want, value)
-    if "interval" in entry and entry["interval"] < 0:
-        raise _type_error(where, job, "interval", "a number >= 0",
-                          entry["interval"])
-    if "window" in entry and entry["window"] < 2:
-        raise _type_error(where, job, "window", "an integer >= 2",
-                          entry["window"])
-    if "memory_budget" in entry and entry["memory_budget"] < 1:
-        raise _type_error(where, job, "memory_budget",
-                          "an integer >= 1 (bytes)",
-                          entry["memory_budget"])
-    if "compact_emit" in entry and entry["compact_emit"] < 1:
-        raise _type_error(where, job, "compact_emit",
-                          "an integer >= 1 (bytes)",
-                          entry["compact_emit"])
-    if "top" in entry and entry["top"] < 1:
-        raise _type_error(where, job, "top", "an integer >= 1",
-                          entry["top"])
-    if "mapping" in entry and entry["mapping"] not in _MAPPINGS:
-        raise _type_error(where, job, "mapping",
-                          f"one of {_MAPPINGS}", entry["mapping"])
-
-
-def _resolve_path(base: Path, value: str | None) -> str | None:
-    if value is None:
-        return None
-    return str(base / value) if not os.path.isabs(value) else value
-
-
-def _resolve_source(base: Path, value: str) -> str:
+def _resolve_source(base: Path, value):
     """Join a path-shaped source spec onto the config directory,
     preserving the scheme spelling (``strace:traces/a`` stays a
     ``strace:`` URI; ``sim:`` and friends pass through untouched)."""
     from repro.sources import parse_source_spec
 
+    if not isinstance(value, str):
+        return value
     spec = parse_source_spec(value)
     if spec.scheme is None:
         return _resolve_path(base, spec.target)
@@ -172,7 +124,6 @@ def parse_fleet_data(data: dict, *, where: str,
             f"{where}: unknown top-level key(s) {unknown} — defaults "
             f"are {sorted(DEFAULT_KEYS)}, jobs live under [jobs.NAME]")
     defaults = {key: data[key] for key in DEFAULT_KEYS if key in data}
-    _check_types(defaults, where, None)
     jobs_table = data.get("jobs")
     if not isinstance(jobs_table, dict) or not jobs_table:
         raise FleetConfigError(
@@ -196,99 +147,47 @@ def parse_fleet_data(data: dict, *, where: str,
             raise FleetConfigError(
                 f"{where}: job {name!r}: unknown key(s) {unknown} — "
                 f"job keys are {sorted(JOB_KEYS)}")
-        _check_types(entry, where, name)
-        merged = {**defaults, **entry}
+        merged = {_FIELDS.get(key, key): value
+                  for key, value in {**defaults, **entry}.items()}
         if "source" not in merged:
             raise FleetConfigError(
                 f"{where}: job {name!r} has no source (the trace "
                 f"directory to watch)")
-        spec = JobSpec(
-            name=name,
-            source=_resolve_source(base, merged["source"]),
-            interval=float(merged.get("interval", 2.0)),
-            checkpoint=_resolve_path(base, merged.get("checkpoint")),
-            rules=_resolve_path(base, merged.get("rules")),
-            baseline=(_resolve_source(base, merged["baseline"])
-                      if merged.get("baseline") else None),
-            alert_log=_resolve_path(base, merged.get("alert_log")),
-            emit=_resolve_path(base, merged.get("emit")),
-            window=merged.get("window"),
-            memory_budget=merged.get("memory_budget"),
-            compact_emit=merged.get("compact_emit"),
-            mapping=merged.get("mapping", "topdirs"),
-            levels=merged.get("levels", 2),
-            recursive=merged.get("recursive", False),
-            lenient=merged.get("lenient", False),
-            show_dfg=merged.get("dfg", True),
-            top=merged.get("top", 5),
-            catalog=_resolve_path(base, merged.get("catalog")),
-            run_name=merged.get("run_name"),
-        )
-        if spec.run_name and not spec.catalog:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has run_name but no catalog "
-                f"(run names label cataloged runs)")
-        if spec.catalog and not spec.run_name:
+        for key in ("checkpoint", "rules", "alert_log", "emit",
+                    "catalog"):
+            if key in merged:
+                merged[key] = _resolve_path(base, merged[key])
+        merged["source"] = _resolve_source(base, merged["source"])
+        if merged.get("baseline"):
+            merged["baseline"] = _resolve_source(base, merged["baseline"])
+        if "catalog" in merged:
             # Cataloged runs default to the job name so every job's
             # history stays separable (runs list --app NAME).
-            spec = spec.with_overrides(run_name=name)
-        if spec.alert_log and not spec.rules:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has alert_log but no rules "
-                f"(no rules, nothing to fire)")
-        if spec.baseline and not spec.rules:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has baseline but no rules "
-                f"(no rules, nothing to compare)")
-        if spec.window is not None and spec.memory_budget is not None:
-            raise FleetConfigError(
-                f"{where}: job {name!r} sets both window and "
-                f"memory_budget — the budget derives the window, pick "
-                f"one")
-        if spec.compact_emit is not None and not spec.emit:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has compact_emit but no emit "
-                f"(there is no journal to compact)")
-        if spec.compact_emit is not None and not spec.checkpoint:
-            raise FleetConfigError(
-                f"{where}: job {name!r} has compact_emit but no "
-                f"checkpoint (compaction only packs journal bytes a "
-                f"durable sidecar already accounts for)")
-        write_paths = [(key, getattr(spec, key))
-                       for key in ("checkpoint", "emit", "alert_log")
-                       if getattr(spec, key) is not None]
-        if spec.emit is not None:
-            # The journal the engine appends next to its emit
-            # destination is a write path too — it must not collide
-            # with another job's paths or the shared catalog.
-            write_paths.append(("emit journal",
-                               f"{spec.emit}.journal"))
-        for key, value in write_paths:
-            resolved = os.path.normpath(value)
+            merged.setdefault("run_name", name)
+        spec = JobSpec(name=name, **merged)
+        try:
+            spec.validate()
+        except ReproError as exc:
+            raise FleetConfigError(f"{where}: {exc}") from None
+        paths = spec.write_paths()
+        catalog = paths.pop("catalog", None)
+        for key, resolved in paths.items():
             if resolved in writers:
                 other, other_key = writers[resolved]
                 raise FleetConfigError(
-                    f"{where}: job {name!r} {key} {value!r} collides "
+                    f"{where}: job {name!r} {key} {resolved!r} collides "
                     f"with job {other!r} {other_key} — each job needs "
                     f"its own write paths")
             writers[resolved] = (name, key)
-        if spec.catalog:
+        if catalog is not None:
             # The catalog is multi-writer (WAL + transactional
             # appends): jobs *sharing* a catalog is the point. What is
             # rejected is a catalog path doubling as some job's
-            # exclusive write path, and two jobs recording under one
-            # run name into one catalog — their histories would
-            # interleave indistinguishably.
-            resolved = os.path.normpath(str(spec.catalog))
-            if resolved in writers:
-                other, other_key = writers[resolved]
-                raise FleetConfigError(
-                    f"{where}: job {name!r} catalog {spec.catalog!r} "
-                    f"collides with job {other!r} {other_key} — a run "
-                    f"catalog cannot double as a "
-                    f"checkpoint/emit/journal/alert_log path")
-            catalogs[resolved] = name
-            key = (resolved, spec.run_name)
+            # exclusive write path (checked once all jobs are in), and
+            # two jobs recording under one run name into one catalog —
+            # their histories would interleave indistinguishably.
+            catalogs[catalog] = name
+            key = (catalog, spec.run_name)
             if key in run_names:
                 raise FleetConfigError(
                     f"{where}: job {name!r} records run name "

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro._util.errors import ReproError
-from repro.live.engine import LiveIngest, PollResult
+from repro.core.mapping import CallOnly, CallPath, CallTopDirs, SiteVariables
+from repro.live.engine import (ENGINE_MINIMUMS, LiveIngest, PollResult,
+                               check_engine_options)
 from repro.live.watch import WatchView
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -46,24 +48,61 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _WATCHABLE_SCHEMES = ("strace",)
 
 
+def _site_variables(levels: int) -> SiteVariables:
+    from repro.simulate.workloads.ior import JUWELS_SITE_VARIABLES
+
+    return SiteVariables(JUWELS_SITE_VARIABLES, extra_levels=levels - 1)
+
+
+#: Each event→activity mapping a job can name, built for ``levels``.
+_MAPPING_FACTORIES = {
+    "topdirs": lambda levels: CallTopDirs(levels=levels),
+    "path": lambda levels: CallPath(),
+    "call": lambda levels: CallOnly(),
+    "site": _site_variables,
+}
+
+#: The names ``--mapping`` and a job's ``mapping`` key accept.
+MAPPING_NAMES = tuple(_MAPPING_FACTORIES)
+
+
 def mapping_from_name(name: str, levels: int = 2):
     """The event→activity mapping behind ``--mapping NAME`` — shared
-    by the watch CLI and fleet job specs."""
-    from repro.core.mapping import (CallOnly, CallPath, CallTopDirs,
-                                    SiteVariables)
+    by the CLI and job specs."""
+    factory = _MAPPING_FACTORIES.get(name)
+    if factory is None:
+        raise ReproError(f"unknown mapping {name!r}")
+    return factory(levels)
 
-    if name == "topdirs":
-        return CallTopDirs(levels=levels)
-    if name == "path":
-        return CallPath()
-    if name == "call":
-        return CallOnly()
-    if name == "site":
-        from repro.simulate.workloads.ior import JUWELS_SITE_VARIABLES
 
-        return SiteVariables(JUWELS_SITE_VARIABLES,
-                             extra_levels=levels - 1)
-    raise ReproError(f"unknown mapping {name!r}")
+#: What a :class:`JobSpec` field accepts, by the text of its
+#: annotation (less any ``| None``), and the words a rejection uses; a
+#: fleet file spells every path as a string.
+_KINDS = {"bool": (bool, "a boolean"), "int": (int, "an integer"),
+          "float": ((int, float), "a number"), "str": (str, "a string"),
+          "str | os.PathLike[str]": ((str, os.PathLike), "a string")}
+
+#: The least value of each numeric field. The ``watch`` flags check
+#: theirs against this table at parse time, so the error names the
+#: flag.
+MINIMUMS = {"interval": 0, "polls": 1, "top": 1, **ENGINE_MINIMUMS}
+
+#: Fields that mean nothing alone: field → (the field it needs, why).
+REQUIRES = {
+    "alert_log": ("rules", "nothing to fire: --alert-log and "
+                           "--baseline require --rules"),
+    "baseline": ("rules", "nothing to compare: --alert-log and "
+                          "--baseline require --rules"),
+    "run_name": ("catalog", "run names label cataloged runs"),
+}
+
+
+def check_requires(values) -> None:
+    """Reject a set field whose needed field (:data:`REQUIRES`) is
+    unset; ``values`` maps field names to values."""
+    for key, (needs, why) in REQUIRES.items():
+        if values.get(key) and not values.get(needs):
+            raise ReproError(f"{key} but no {needs} ({why})")
 
 
 @dataclass(frozen=True)
@@ -99,7 +138,6 @@ class JobSpec:
     recursive: bool = False
     lenient: bool = False
     show_dfg: bool = True
-    show_stats: bool = True
     top: int = 5
     telemetry: bool = False
     metrics_log: str | os.PathLike[str] | None = None
@@ -113,6 +151,67 @@ class JobSpec:
 
     def with_overrides(self, **changes) -> "JobSpec":
         return replace(self, **changes)
+
+    def validate(self) -> None:
+        """Reject a job no front end may start, before anything of it
+        is built.
+
+        The one home of every per-job rule: each field's type, bound
+        and choices; the fields another needs (:data:`REQUIRES`) and
+        the engine's own rules
+        (:func:`~repro.live.engine.check_engine_options`); and one
+        file per write path. ``watch`` and a ``fleet.toml`` both go
+        through here, so they admit the same jobs with the same
+        messages.
+        """
+        try:
+            for item in fields(self):
+                value = getattr(self, item.name)
+                if value is None and item.type.endswith(" | None"):
+                    continue
+                kinds, want = _KINDS[item.type.removesuffix(" | None")]
+                minimum = MINIMUMS.get(item.name)
+                if item.name == "mapping":
+                    want = f"one of {MAPPING_NAMES}"
+                elif minimum is not None:
+                    want = f"{want} >= {minimum}"
+                # bool is an int subclass: a number must not accept it.
+                if (not isinstance(value, kinds)
+                        or (isinstance(value, bool) and kinds is not bool)
+                        or (minimum is not None and value < minimum)
+                        or (item.name == "mapping"
+                            and value not in MAPPING_NAMES)):
+                    raise ReproError(f"key {item.name!r} must be {want} "
+                                     f"(got {value!r})")
+            check_requires(vars(self))
+            check_engine_options(
+                window=self.window, memory_budget=self.memory_budget,
+                compact_emit=self.compact_emit, emit=self.emit,
+                checkpoint=self.checkpoint)
+            seen: dict[str, str] = {}
+            for key, path in self.write_paths().items():
+                if path in seen:
+                    raise ReproError(
+                        f"{key} {path!r} collides with the job's "
+                        f"{seen[path]} — each write path needs its own "
+                        f"file")
+                seen[path] = key
+        except ReproError as exc:
+            raise ReproError(f"job {self.name!r}: {exc}") from None
+
+    def write_paths(self) -> dict[str, str]:
+        """Every file the job writes, by key, normalized the way write
+        paths are compared: the exclusive ones, then the ``catalog``
+        (which fleet jobs may share)."""
+        from repro.live.emit import journal_path
+
+        paths = {"checkpoint": self.checkpoint, "emit": self.emit,
+                 "emit journal": self.emit and journal_path(self.emit),
+                 "alert_log": self.alert_log,
+                 "metrics_log": self.metrics_log,
+                 "catalog": self.catalog}
+        return {key: os.path.normpath(path)
+                for key, path in paths.items() if path}
 
     def resolve_directory(self) -> Path:
         """The trace directory behind ``source`` — a bare path or a
@@ -138,10 +237,12 @@ class JobSpec:
         """Construct the engine — the ``cmd_watch`` wiring, extracted.
 
         Raises :class:`~repro._util.errors.ReproError` for anything a
-        startup should reject (missing directory, malformed rules,
-        sink flags without rules) so callers can keep configuration
-        errors (exit 2) apart from runtime failures (exit 1).
+        startup should reject (a job :meth:`validate` rejects, a
+        missing directory, malformed rules) so callers can keep
+        configuration errors (exit 2) apart from runtime failures
+        (exit 1).
         """
+        self.validate()
         directory = self.resolve_directory()
         if not directory.is_dir():
             raise ReproError(
@@ -157,10 +258,6 @@ class JobSpec:
             extra = [JsonlSink(self.alert_log)] if self.alert_log else None
             alerts = AlertEngine.from_rules_file(
                 self.rules, baseline=self.baseline, extra_sinks=extra)
-        elif self.alert_log or self.baseline:
-            raise ReproError(
-                "--alert-log/--baseline require --rules (no rules, "
-                "nothing to fire or compare)")
         if self.catalog:
             from repro.catalog import AlertExportBuffer, RunCatalog
 
@@ -226,7 +323,6 @@ class WatchJob:
                  interval: float = 2.0,
                  polls: int | None = None,
                  show_dfg: bool = True,
-                 show_stats: bool = True,
                  top: int = 5,
                  metrics_log: str | os.PathLike[str] | None = None,
                  spec: JobSpec | None = None) -> None:
@@ -235,7 +331,6 @@ class WatchJob:
             interval = spec.interval
             polls = spec.polls
             show_dfg = spec.show_dfg
-            show_stats = spec.show_stats
             top = spec.top
             metrics_log = spec.metrics_log
         if metrics_log is not None and not engine.telemetry.enabled:
@@ -249,11 +344,9 @@ class WatchJob:
         self.interval = interval
         self.polls = polls
         self.show_dfg = show_dfg
-        self.show_stats = show_stats
         self.top = top
         self.metrics_log = metrics_log
-        self.view = WatchView(engine, show_dfg=show_dfg,
-                              show_stats=show_stats, top=top)
+        self.view = WatchView(engine, show_dfg=show_dfg, top=top)
         #: pending → running → done; failed/stopped via the scheduler.
         self.state = "pending"
         self.completed = 0
@@ -329,7 +422,7 @@ class WatchJob:
         self.engine.close()
         self.engine = self.spec.build_engine()
         self.view = WatchView(self.engine, show_dfg=self.show_dfg,
-                              show_stats=self.show_stats, top=self.top)
+                              top=self.top)
         self._emit_packed = False
         self._cataloged = False
 

@@ -316,7 +316,7 @@ def load_checkpoint(engine: "LiveIngest",
     stale.unlink(missing_ok=True)
     try:
         state = json.loads(target.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ReproError(f"corrupt checkpoint {path}: {exc}") from exc
     # Valid JSON of the wrong shape (a key missing, a value of the
     # wrong type) is as corrupt as a torn file.

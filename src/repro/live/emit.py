@@ -71,6 +71,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 JOURNAL_FORMAT = 2
 
 
+def journal_path(elog_path: str | os.PathLike[str]) -> Path:
+    """The journal behind an emit destination: ``<name>.journal``
+    beside it — the one place its name is derived."""
+    elog_path = Path(elog_path)
+    return elog_path.with_name(elog_path.name + ".journal")
+
+
 def _fsync_handle(handle) -> None:
     """Durability seam: fsync an open file (fault-injection target)."""
     os.fsync(handle.fileno())
@@ -133,8 +140,7 @@ class EmitJournal:
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
         self.elog_path = Path(elog_path)
-        self.journal_path = self.elog_path.with_name(
-            self.elog_path.name + ".journal")
+        self.journal_path = journal_path(elog_path)
         parent = self.journal_path.parent
         if not parent.is_dir():
             raise ReproError(

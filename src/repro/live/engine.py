@@ -53,7 +53,8 @@ from repro.core.event import Event
 from repro.core.eventlog import EventLog
 from repro.core.incremental import IncrementalDFG
 from repro.core.mapping import CallTopDirs, Mapping, mapping_from_callable
-from repro.core.statistics import IOStatistics, StatsAccumulator
+from repro.core.statistics import (MIN_WINDOW, IOStatistics,
+                                   StatsAccumulator)
 from repro.live.tail import FileTail
 from repro.strace.naming import TraceFileName
 from repro.telemetry.spans import NULL_TELEMETRY
@@ -62,6 +63,37 @@ from repro.strace.reader import TraceCase, discover_trace_files
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alerts import AlertEngine
+
+#: The least value of each numeric engine option.
+ENGINE_MINIMUMS = {"window": MIN_WINDOW, "memory_budget": 1,
+                   "compact_emit": 1}
+
+
+def check_engine_options(*, window: int | None = None,
+                         memory_budget: int | None = None,
+                         compact_emit: int | None = None,
+                         emit=None, checkpoint=None) -> None:
+    """Reject engine options :class:`LiveIngest` cannot honour — run
+    by the engine before it touches anything, and by
+    :meth:`repro.fleet.job.JobSpec.validate` for every watch job."""
+    for key, value in (("window", window),
+                       ("memory_budget", memory_budget),
+                       ("compact_emit", compact_emit)):
+        if value is not None and value < ENGINE_MINIMUMS[key]:
+            raise ReproError(
+                f"key {key!r} must be an integer >= "
+                f"{ENGINE_MINIMUMS[key]} (got {value!r})")
+    if window is not None and memory_budget is not None:
+        raise ReproError(
+            "window and memory_budget are mutually exclusive — the "
+            "budget derives the window, pick one")
+    if compact_emit is not None and not emit:
+        raise ReproError("compact_emit but no emit (there is no "
+                         "journal to compact)")
+    if compact_emit is not None and not checkpoint:
+        raise ReproError(
+            "compact_emit but no checkpoint (compaction only packs "
+            "journal bytes a durable sidecar already accounts for)")
 
 
 @dataclass(slots=True)
@@ -215,6 +247,9 @@ class LiveIngest:
                  checkpoint: str | os.PathLike[str] | None = None,
                  alerts: "AlertEngine | None" = None,
                  telemetry=None) -> None:
+        check_engine_options(window=window, memory_budget=memory_budget,
+                             compact_emit=compact_emit, emit=emit,
+                             checkpoint=checkpoint)
         self.directory = Path(directory)
         self.mapping = mapping_from_callable(
             mapping if mapping is not None else CallTopDirs(levels=2))
@@ -222,20 +257,6 @@ class LiveIngest:
         self.strict = strict
         self.recursive = recursive
         self.incremental = IncrementalDFG(add_endpoints=add_endpoints)
-        if window is not None and window < 2:
-            raise ReproError(
-                f"window must be >= 2 intervals (got {window}); omit "
-                f"it for exact unbounded statistics")
-        if memory_budget is not None:
-            if window is not None:
-                raise ReproError(
-                    "window and memory_budget are mutually exclusive: "
-                    "a byte budget derives the window, a fixed window "
-                    "ignores the budget — pass one or the other")
-            if memory_budget < 1:
-                raise ReproError(
-                    f"memory_budget must be >= 1 byte, "
-                    f"got {memory_budget}")
         self.memory_budget = memory_budget
         self.window = window
         self.stats = StatsAccumulator(window=window)
@@ -269,20 +290,6 @@ class LiveIngest:
                 emit, telemetry=self.telemetry)
         else:
             self.emit_journal = None
-        if compact_emit is not None:
-            if compact_emit < 1:
-                raise ReproError(
-                    f"compact_emit must be >= 1 byte, got {compact_emit}")
-            if self.emit_journal is None:
-                raise ReproError(
-                    "compact_emit without emit: there is no journal "
-                    "to compact — pass emit=... (the CLI's --emit)")
-            if checkpoint is None:
-                raise ReproError(
-                    "compact_emit requires checkpoint=...: compaction "
-                    "only packs journal bytes a durable sidecar "
-                    "already accounts for, so without checkpoints it "
-                    "would never run")
         self.compact_emit = compact_emit
         self.checkpoint_path = Path(checkpoint) if checkpoint else None
         if self.checkpoint_path is not None \
@@ -391,7 +398,7 @@ class LiveIngest:
             return
         per_entry = self.stats.approx_buffer_bytes() / entries
         target_entries = int(self.memory_budget / per_entry)
-        window = max(2, target_entries // n_buffers)
+        window = max(MIN_WINDOW, target_entries // n_buffers)
         if window != self.window:
             self.stats.set_window(window)
             self.window = window

@@ -39,10 +39,9 @@ class WatchView:
     """Stateful renderer of watch refreshes (remembers the baseline)."""
 
     def __init__(self, engine: LiveIngest, *, show_dfg: bool = True,
-                 show_stats: bool = True, top: int = 5) -> None:
+                 top: int = 5) -> None:
         self.engine = engine
         self.show_dfg = show_dfg
-        self.show_stats = show_stats
         self.top = top
         self._baseline: DFG | None = None
 
@@ -141,11 +140,9 @@ class WatchView:
         restarts, so the Load/DR labels always describe the same span
         of events as the graph they annotate.
         """
-        stats = None
-        if self.show_stats:
-            computed = self.engine.statistics()
-            if len(computed):
-                stats = computed
+        stats = self.engine.statistics()
+        if not len(stats):
+            stats = None
         styler = (PartitionColoring(current, self._baseline, stats)
                   if self._baseline is not None else None)
         return render_ascii(current, stats, styler)

@@ -18,7 +18,7 @@ parallel engine's columnar wire format, also the ``.elog`` writer's
 input shape) via :meth:`TraceSource.iter_cases`, or a whole
 :class:`~repro.core.eventlog.EventLog` via
 :meth:`TraceSource.event_log`. Capability flags (``supports_workers``,
-``supports_recursive``, ``supports_tail``) declare which ingest
+``supports_recursive``, ``supports_strict``) declare which ingest
 options a source honors; unsupported requests warn instead of being
 silently ignored.
 

@@ -21,7 +21,7 @@ contract out:
   source that can enumerate cases gets a correct log for free;
   sources with a faster direct path override it.
 - Capability flags (:attr:`supports_workers`,
-  :attr:`supports_recursive`, :attr:`supports_tail`) declare which
+  :attr:`supports_recursive`, :attr:`supports_strict`) declare which
   ingest options a source honors, so a requested-but-unsupported
   option warns (:class:`UnsupportedSourceOptionWarning`) instead of
   being silently dropped.
@@ -87,9 +87,6 @@ class TraceSource(abc.ABC):
     #: only sources that run the strace tokenizer/merger have a
     #: lenient mode.
     supports_strict: ClassVar[bool] = False
-    #: Whether the underlying input can grow and be tailed live
-    #: (:mod:`repro.live` can follow it).
-    supports_tail: ClassVar[bool] = False
 
     @abc.abstractmethod
     def iter_cases(self) -> "Iterator[CaseColumns]":

@@ -37,7 +37,6 @@ class StraceDirSource(TraceSource):
     supports_workers = True
     supports_recursive = True
     supports_strict = True
-    supports_tail = True
 
     def __init__(self, directory: str | os.PathLike[str], *,
                  cids: set[str] | None = None,

@@ -1,5 +1,6 @@
 """Architecture guardrails: one road each for sources, strace fan-out,
-batch statistics, sidecars and the watch loop.
+batch statistics, sidecars and the watch loop, and one definition of
+a watch job.
 
 Every input goes through ``from_source``/``open_source``, every strace
 consumer fans out through ``iter_case_columns`` on the one process
@@ -28,13 +29,17 @@ SRC = REPO / "src"
 #: Names of removed roads: the second watch driver, the per-format
 #: constructors and CSV package that ``from_source`` replaced, the
 #: multi-version sidecar loader, the list-map, record and shard
-#: fan-outs that ``iter_case_columns`` replaced, and the batch feed of
-#: the live accumulators that the statistics cell table replaced.
+#: fan-outs that ``iter_case_columns`` replaced, the batch feed of
+#: the live accumulators that the statistics cell table replaced, the
+#: per-front-end copies of the watch-job rules that
+#: ``JobSpec.validate`` replaced, and two options nothing read.
 REMOVED_NAMES = ("run_watch", "from_strace_dir", "from_store",
                  "_LOADABLE_VERSIONS", "repro.adapters",
                  "ingest_event_frame", "read_cases", "_map_tasks",
                  "_pool_map", "dfg_from_trace_dir", "iter_case_dfgs",
-                 "convert_strace_dir", "feed_frame", "add_rows")
+                 "convert_strace_dir", "feed_frame", "add_rows",
+                 "_check_types", "_window_arg", "_nonneg_float_arg",
+                 "_MAPPINGS", "supports_tail", "show_stats")
 
 
 def test_adapters_package_is_gone():
@@ -63,6 +68,59 @@ def test_no_source_file_names_a_removed_road(name):
                 path.read_text(encoding="utf-8").splitlines(), 1)
             if name in line]
     assert hits == []
+
+
+class TestOneDefinitionOfAWatchJob:
+    """``JobSpec`` owns every per-job default, bound and name list; the
+    ``watch`` and fleet front ends keep only their syntax."""
+
+    def test_fleet_parser_restates_no_default(self):
+        from dataclasses import fields
+
+        from repro.fleet import JobSpec
+
+        names = {item.name for item in fields(JobSpec)} | {"dfg"}
+        tree = ast.parse((SRC / "repro/fleet/config.py")
+                         .read_text(encoding="utf-8"))
+        defaulted = [node.args[0].value for node in ast.walk(tree)
+                     if isinstance(node, ast.Call)
+                     and getattr(node.func, "attr", None) == "get"
+                     and len(node.args) == 2
+                     and isinstance(node.args[0], ast.Constant)
+                     and node.args[0].value in names]
+        assert defaulted == []
+
+    def test_watch_parser_restates_no_default(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        defaults = {action.dest: action.default
+                    for action in sub.choices["watch"]._actions
+                    if action.dest in ("interval", "mapping", "levels",
+                                       "top")}
+        assert defaults == dict.fromkeys(
+            ("interval", "mapping", "levels", "top"), argparse.SUPPRESS)
+
+    def test_mapping_names_are_spelled_once(self):
+        from repro.fleet.job import MAPPING_NAMES
+
+        def spelled(node) -> set:
+            items = node.keys if isinstance(node, ast.Dict) else \
+                getattr(node, "elts", ())
+            return {item.value for item in items
+                    if isinstance(item, ast.Constant)}
+
+        lists = [path.relative_to(SRC).as_posix()
+                 for path in sorted(SRC.rglob("*.py"))
+                 for node in ast.walk(ast.parse(
+                     path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.Tuple, ast.List, ast.Set,
+                                      ast.Dict))
+                 and set(MAPPING_NAMES) <= spelled(node)]
+        assert lists == ["repro/fleet/job.py"]
 
 
 def _perfbench_targets() -> list[tuple[str, str]]:

@@ -54,6 +54,21 @@ class TestBatchRecording:
         assert row["name"] == "packed"
         assert row["n_events"] > 0
 
+    @pytest.mark.parametrize("command", ["report", "convert"])
+    def test_run_name_without_catalog_is_a_usage_error(
+            self, tmp_path, fig1_dir, capsys, command):
+        """A run name labels a cataloged run: without --catalog it is
+        rejected in a fleet job's words, before the source is read."""
+        out_elog = tmp_path / "fig1.elog"
+        argv = [command, str(fig1_dir),
+                *([str(out_elog)] if command == "convert" else []),
+                "--run-name", "nightly"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "run_name but no catalog" in captured.err
+        assert captured.out == ""
+        assert not out_elog.exists()
+
     def test_report_json_is_machine_readable(self, fig1_dir, capsys):
         assert main(["report", str(fig1_dir), "--json"]) == 0
         payload = _json_out(capsys)

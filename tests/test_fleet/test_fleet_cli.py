@@ -280,6 +280,14 @@ class TestHealthEdgeCases:
             capsys.readouterr()
             assert main(watch) == 2
             assert f"corrupt checkpoint {plain}" in capsys.readouterr().err
+        # Bytes that are not UTF-8 at all are as corrupt as torn JSON,
+        # for health and for a resuming watch.
+        plain.write_bytes(b"\xff\xfegarbage")
+        capsys.readouterr()
+        assert main(["health", str(plain)]) == 2
+        assert f"corrupt checkpoint {plain}" in capsys.readouterr().err
+        assert main(watch) == 2
+        assert f"corrupt checkpoint {plain}" in capsys.readouterr().err
 
     def test_uninstrumented_sidecar_is_a_usage_error(self, tmp_path,
                                                      populated_dir,

@@ -135,7 +135,6 @@ class TestCapabilityFlags:
         source = open_source(str(ls_traces))
         assert source.supports_workers
         assert source.supports_recursive
-        assert source.supports_tail
 
     def test_workers_on_strace_dir_does_not_warn(self, ls_traces,
                                                  recwarn):
