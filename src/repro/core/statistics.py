@@ -88,7 +88,8 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator,
+                    NamedTuple, Sequence)
 
 import numpy as np
 
@@ -461,6 +462,10 @@ class StatsAccumulator:
 
     def __init__(self, window: int | None = None) -> None:
         self._activities: dict[str, ActivityAccumulator] = {}
+        #: ``(activity, case)`` cells fed an event since a caller last
+        #: cleared this set — how the live checkpoint finds the
+        #: buffers that grew since its last save without a scan.
+        self.fed: set[tuple[str, str]] = set()
         self.set_window(window)
 
     def __len__(self) -> int:
@@ -530,6 +535,7 @@ class StatsAccumulator:
         self._accumulator(activity).add_event(
             case_id, rid=rid, start_us=start_us, dur_us=dur_us,
             size=size)
+        self.fed.add((activity, case_id))
 
     # -- assembly ----------------------------------------------------------
 
@@ -569,7 +575,26 @@ class StatsAccumulator:
 
     # -- checkpoint state --------------------------------------------------
 
-    def to_state(self) -> dict:
+    def exact_buffers(self, cells: Iterable[tuple[str, str]] | None
+                      = None) -> Iterator[tuple[str, str, array]]:
+        """``(activity, case, buffer)`` for every interval buffer of an
+        activity never coarsened — the buffers that only ever grow at
+        the end, which the live checkpoint appends to its interval
+        segment instead of rewriting (:mod:`repro.live.checkpoint`).
+        ``cells`` restricts them to those ``(activity, case)`` pairs,
+        e.g. :attr:`fed`."""
+        if cells is None:
+            for activity, acc in self._activities.items():
+                if not acc.approximate:
+                    for case, buffer in acc._case_timelines.items():
+                        yield activity, case, buffer
+            return
+        for activity, case in cells:
+            acc = self._activities[activity]
+            if not acc.approximate:
+                yield activity, case, acc._case_timelines[case]
+
+    def to_state(self, *, with_exact_buffers: bool = True) -> dict:
         """JSON-serializable state (live checkpoint sidecars).
 
         Floats (the exact-sum rate partials) are stored as JSON
@@ -577,34 +602,38 @@ class StatsAccumulator:
         doubles exactly, so restored statistics stay bit-identical to
         an uninterrupted run. Each case's interval buffer is one
         base64 string of little-endian int64 ``start, end`` pairs
-        (``"intervals"``).
+        (``"intervals"``). ``with_exact_buffers=False`` leaves the
+        ``"cases"`` out of every activity never coarsened: the caller
+        keeps those buffers (:meth:`exact_buffers`) elsewhere and hands
+        them back to :meth:`from_state`.
         """
-        return {
-            "activities": {
-                activity: {
-                    "event_count": acc.event_count,
-                    "dur_sum": acc.dur_sum,
-                    "bytes_sum": acc.bytes_sum,
-                    "has_transfers": acc.has_transfers,
-                    "approximate": acc.approximate,
-                    "rids": sorted(acc.rids),
-                    "rate_count": acc.rate_count,
-                    "rate_partials": list(acc._rate_partials),
-                    "cases": {
-                        case: {"intervals": _encode_intervals(buffer)}
-                        for case, buffer
-                        in sorted(acc._case_timelines.items())
-                    },
+        activities = {}
+        for activity, acc in sorted(self._activities.items()):
+            state = activities[activity] = {
+                "event_count": acc.event_count,
+                "dur_sum": acc.dur_sum,
+                "bytes_sum": acc.bytes_sum,
+                "has_transfers": acc.has_transfers,
+                "approximate": acc.approximate,
+                "rids": sorted(acc.rids),
+                "rate_count": acc.rate_count,
+                "rate_partials": list(acc._rate_partials),
+            }
+            if with_exact_buffers or acc.approximate:
+                state["cases"] = {
+                    case: {"intervals": _encode_intervals(buffer)}
+                    for case, buffer in sorted(acc._case_timelines.items())
                 }
-                for activity, acc in sorted(self._activities.items())
-            },
-        }
+        return {"activities": activities}
 
     @classmethod
-    def from_state(cls, state: dict,
-                   window: int | None = None) -> "StatsAccumulator":
+    def from_state(cls, state: dict, window: int | None = None, *,
+                   exact_buffers: dict[str, dict[str, array]]
+                   | None = None) -> "StatsAccumulator":
         """Rebuild from :meth:`to_state` output; buffers longer than
-        ``window`` intervals coarsen on load."""
+        ``window`` intervals coarsen on load. An activity saved
+        without its ``"cases"`` takes its buffers from
+        ``exact_buffers`` (activity -> case -> buffer)."""
         accumulator = cls(window=window)
         for activity, acc_state in state["activities"].items():
             acc = accumulator._accumulator(str(activity))
@@ -617,8 +646,13 @@ class StatsAccumulator:
             acc.rate_count = int(acc_state["rate_count"])
             acc._rate_partials = [
                 float(p) for p in acc_state["rate_partials"]]
-            for case, case_state in sorted(acc_state["cases"].items()):
-                buffer = _decode_intervals(case_state["intervals"])
+            cases = acc_state.get("cases")
+            if cases is None:
+                buffers = exact_buffers[activity]
+            else:
+                buffers = {case: _decode_intervals(case_state["intervals"])
+                           for case, case_state in sorted(cases.items())}
+            for case, buffer in buffers.items():
                 acc._case_timelines[str(case)] = buffer
                 if window is not None and len(buffer) > 2 * window:
                     acc._coarsen(str(case))

@@ -203,9 +203,13 @@ class JobSpec:
         """Every file the job writes, by key, normalized the way write
         paths are compared: the exclusive ones, then the ``catalog``
         (which fleet jobs may share)."""
+        from repro.live.checkpoint import segment_path
         from repro.live.emit import journal_path
 
-        paths = {"checkpoint": self.checkpoint, "emit": self.emit,
+        paths = {"checkpoint": self.checkpoint,
+                 "checkpoint segment":
+                     self.checkpoint and segment_path(self.checkpoint),
+                 "emit": self.emit,
                  "emit journal": self.emit and journal_path(self.emit),
                  "alert_log": self.alert_log,
                  "metrics_log": self.metrics_log,

@@ -30,7 +30,9 @@ Layering (bottom → top):
 - :mod:`repro.live.checkpoint` — JSON sidecar serialization of the
   full follower + graph + statistics state, so a killed watcher
   restarts from the recorded byte offsets instead of re-parsing
-  gigabytes, with statistics still covering the full run.
+  gigabytes, with statistics still covering the full run. The
+  per-event interval buffers go to an append-only segment beside the
+  sidecar, so a save writes only what grew since the last one.
 - :mod:`repro.live.watch` — the ``st-inspector watch`` refresh view:
   ASCII summary with change highlighting, an alert pane, and a
   sealing-starvation note in the status line. The loop driving it is

@@ -11,11 +11,13 @@ already-parsed byte:
 - the incremental graph: edge counts, node frequencies and each case's
   tail activity (:meth:`~repro.core.incremental.IncrementalDFG.to_state`);
 - the statistics accumulators: per-activity counts, sums, rank sets,
-  the exact-sum rate partials and the per-case interval buffers
-  (base64 of little-endian int64 ``start, end`` pairs)
+  the exact-sum rate partials and the interval buffers of coarsened
+  (``approximate``) activities, base64 of little-endian int64
+  ``start, end`` pairs
   (:meth:`~repro.core.statistics.StatsAccumulator.to_state`), so a
   restarted watcher renders *full-history* node annotations instead of
   statistics covering only its own lifetime;
+- the interval segment's durable length and name table (below);
 - the alert state: per-rule latch sets, per-subject cooldown
   timestamps, the fired-alert history and its compacted counts of an
   attached :class:`~repro.alerts.AlertEngine`, so a restarted watcher
@@ -41,14 +43,39 @@ instructions to delete it and re-watch the directory. A sidecar that
 parses but lacks a key or holds a value of the wrong shape is a
 corrupt checkpoint, and says so, like one that is not JSON at all.
 
-Durability. The sidecar is written atomically *and* durably: the temp
-file is fsynced before ``os.replace`` and the directory is fsynced
-after, so a crash or power loss at any point surfaces either the
-previous complete sidecar or the new complete sidecar — never a torn
-or empty one. A stale ``*.tmp`` from a kill between write and replace
-is removed on the next load. File paths are stored relative to the
-trace directory, so a checkpoint travels with the directory (e.g.
-onto another node of the cluster).
+The interval segment. The interval buffers of activities never
+coarsened only grow at the end, and they are the one part of the state
+that grows with every event. They live in ``<sidecar>.intervals``
+(:func:`segment_path`), an append-only file of blocks: a header of
+three little-endian uint32 — the activity's and the case's index in
+the sidecar's ``"segment"`` name table, and ``n`` — then ``n``
+little-endian int64 ``start, end`` pairs. Each save appends one block
+per buffer that grew since the previous save, holding only the new
+intervals, and records the segment's new length in the sidecar. A
+restore reads the segment up to the recorded length, checks every
+block against it and the name table, appends each block to its buffer
+and only then applies the window; bytes past the recorded length (a
+save killed before its sidecar landed) are truncated away — the emit
+journal's discipline (:mod:`repro.live.emit`). Blocks of an activity
+coarsened since are dead: its buffers ride inline in the sidecar.
+This module is the only one that knows the format.
+
+Durability. The sidecar is written atomically *and* durably: the
+segment delta is fsynced first, then the temp file is fsynced before
+``os.replace`` and the directory is fsynced after, so a crash or power
+loss at any point surfaces either the previous complete sidecar or the
+new complete sidecar — never a torn or empty one — and the segment
+holds at least every byte the surviving sidecar records. A stale
+``*.tmp`` from a kill between write and replace is removed on the next
+load. File paths are stored relative to the trace directory, so a
+checkpoint travels with the directory (e.g. onto another node of the
+cluster).
+
+Cost. A save is O(files + activities + edges + new intervals): the
+sidecar holds per-file follower state, the graph, per-activity
+scalars, the alert and telemetry state and the coarsened buffers
+(which a window bounds), and the segment gains 16 bytes per interval
+sealed since the previous save plus 12 per grown buffer.
 """
 
 from __future__ import annotations
@@ -56,8 +83,11 @@ from __future__ import annotations
 import base64
 import json
 import os
+import struct
+import sys
+from array import array
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro._util.errors import ReproError
 from repro.core.incremental import IncrementalDFG
@@ -72,7 +102,199 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the state layout changes; :func:`restore_engine` loads
 #: only this version and rejects every other one.
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
+
+#: A segment block header: the activity's name index, the case's name
+#: index, and the number of ``start, end`` int64 pairs that follow.
+_BLOCK = struct.Struct("<III")
+
+
+def segment_path(checkpoint: str | os.PathLike[str]) -> Path:
+    """The interval segment behind a sidecar: ``<name>.intervals``
+    beside it — the one place its name is derived."""
+    checkpoint = Path(checkpoint)
+    return checkpoint.with_name(checkpoint.name + ".intervals")
+
+
+def _write_segment(handle, data: bytes) -> None:
+    """Durability seam: append one save's blocks (fault-injection
+    target)."""
+    handle.write(data)
+
+
+def _fsync_segment(handle) -> None:
+    """Durability seam: fsync the flushed segment (fault-injection
+    target)."""
+    os.fsync(handle.fileno())
+
+
+class _Append(NamedTuple):
+    """One save's segment delta, computed before anything is written."""
+
+    #: The blocks to append.
+    data: bytes
+    #: The segment length and name table once they are appended.
+    length: int
+    names: list[str]
+    #: ``((activity, case), entries)``: how many int64 entries of each
+    #: grown buffer the segment holds once they are appended.
+    saved: list[tuple[tuple[str, str], int]]
+
+
+class IntervalSegment:
+    """The append-only interval segment beside one sidecar, and how much
+    of each exact buffer it holds (see the module docstring).
+
+    ``length`` and ``names`` are what the sidecar on disk records;
+    :meth:`delta` computes a save's append without changing them, and
+    :meth:`commit` adopts it once the sidecar recording it is in place.
+    ``path`` is None for a segment whose deltas are never written.
+    """
+
+    def __init__(self, path: Path | None) -> None:
+        self.path = path
+        self.length = 0
+        self.names: list[str] = []
+        self._index: dict[str, int] = {}
+        self._saved: dict[tuple[str, str], int] = {}
+
+    def delta(self, stats: StatsAccumulator) -> _Append:
+        """Blocks for every exact buffer entry the segment lacks, in
+        (activity, case) order. A segment holding anything looks only
+        at the cells fed since its last save (``stats.fed``, cleared
+        by :func:`save_checkpoint`); an empty one at every cell."""
+        saved = self._saved
+        grown = []
+        for activity, case, buffer in stats.exact_buffers(
+                stats.fed if self.length else None):
+            done = saved.get((activity, case), 0)
+            if len(buffer) > done:
+                grown.append((activity, case, done, buffer))
+        grown.sort()
+        index = self._index
+        added: dict[str, int] = {}
+
+        def code(name: str) -> int:
+            found = index.get(name)
+            if found is None:
+                found = added.setdefault(name, len(index) + len(added))
+            return found
+
+        parts: list = []
+        entries = []
+        for activity, case, done, buffer in grown:
+            chunk = buffer[done:]
+            if sys.byteorder == "big":  # pragma: no cover - LE hosts
+                chunk.byteswap()
+            parts += (_BLOCK.pack(code(activity), code(case),
+                                  len(chunk) // 2), chunk)
+            entries.append(((activity, case), done + len(chunk)))
+        data = b"".join(parts)
+        return _Append(data, self.length + len(data),
+                       self.names + list(added), entries)
+
+    def write(self, append: _Append) -> None:
+        """Append a delta at the recorded length, durably. Bytes past
+        that length — left by a save that died before its sidecar
+        landed — are cut first."""
+        with open(self.path, "ab") as handle:
+            size = handle.tell()
+            if size < self.length:
+                raise ReproError(
+                    f"checkpoint segment {self.path} holds {size} bytes, "
+                    f"fewer than the {self.length} its sidecar records "
+                    f"— it was cut behind the watch")
+            if size > self.length:
+                handle.truncate(self.length)
+            _write_segment(handle, append.data)
+            handle.flush()
+            _fsync_segment(handle)
+
+    def commit(self, append: _Append) -> None:
+        """Adopt a delta whose sidecar is in place."""
+        for name in append.names[len(self.names):]:
+            self._index[name] = len(self.names)
+            self.names.append(name)
+        self._saved.update(append.saved)
+        self.length = append.length
+
+    @classmethod
+    def replay(cls, path: Path, record: dict, stats_state: dict,
+               ) -> tuple["IntervalSegment", dict[str, dict[str, array]]]:
+        """Read the segment a sidecar records; returns it with the
+        buffers of every activity the sidecar keeps no ``"cases"`` for
+        (activity -> case -> buffer).
+
+        Raises ValueError naming the segment for a segment shorter
+        than recorded, a block naming an unknown name index or running
+        past the recorded length, and buffers that disagree with the
+        sidecar's event counts — never a silently short buffer.
+        """
+        segment = cls(path)
+        segment.length = int(record["length"])
+        segment.names = [str(name) for name in record["names"]]
+        segment._index = {name: i for i, name in enumerate(segment.names)}
+        activities = stats_state["activities"]
+        buffers: dict[str, dict[str, array]] = {
+            activity: {} for activity, acc_state in activities.items()
+            if "cases" not in acc_state}
+        data, longer = b"", False
+        try:
+            with open(path, "rb") as handle:
+                data = handle.read(segment.length)
+                longer = bool(handle.read(1))
+        except FileNotFoundError:
+            pass
+        if len(data) < segment.length:
+            raise ValueError(
+                f"segment {path} holds {len(data)} bytes, fewer than "
+                f"the {segment.length} the sidecar records")
+
+        def corrupt(block: int, detail: str) -> ValueError:
+            return ValueError(
+                f"segment {path}: the block at byte {block} {detail}")
+
+        past = f"runs past the recorded length {segment.length}"
+        view = memoryview(data)
+        names = segment.names
+        block = 0
+        while block < segment.length:
+            start = block + _BLOCK.size
+            if start > segment.length:
+                raise corrupt(block, past)
+            a_code, c_code, n = _BLOCK.unpack_from(view, block)
+            end = start + 16 * n
+            if end > segment.length:
+                raise corrupt(block, past)
+            if max(a_code, c_code) >= len(names):
+                raise corrupt(block, f"names index {max(a_code, c_code)} "
+                                     f"of a {len(names)}-name table")
+            activity = names[a_code]
+            cases = buffers.get(activity)
+            if cases is not None:
+                cases.setdefault(names[c_code], array("q")).frombytes(
+                    view[start:end])
+            elif activity not in activities:
+                raise corrupt(block, f"holds intervals of {activity!r}, "
+                                     f"an activity the sidecar lacks")
+            # Else the activity was coarsened since: its buffers ride
+            # inline in the sidecar and this block is dead.
+            block = end
+        for activity, cases in buffers.items():
+            held = sum(map(len, cases.values())) // 2
+            counted = int(activities[activity]["event_count"])
+            if held != counted:
+                raise ValueError(
+                    f"segment {path} holds {held} intervals of "
+                    f"{activity!r} but the sidecar counts {counted} "
+                    f"events")
+            for case, buffer in cases.items():
+                if sys.byteorder == "big":  # pragma: no cover
+                    buffer.byteswap()
+                segment._saved[(activity, case)] = len(buffer)
+        if longer:
+            os.truncate(path, segment.length)
+        return segment, buffers
 
 
 def _record_to_state(record: tuple) -> dict:
@@ -88,9 +310,9 @@ def _record_from_state(state: dict) -> ParsedRecord:
     return ParsedRecord._make(state[field] for field in ParsedRecord._fields)
 
 
-def _tail_to_state(tail: FileTail, directory: Path) -> dict:
+def _tail_to_state(tail: FileTail) -> dict:
     return {
-        "path": tail.path.relative_to(directory).as_posix(),
+        "path": tail.relpath,
         "cid": tail.name.cid,
         "host": tail.name.host,
         "rid": tail.name.rid,
@@ -112,10 +334,11 @@ def _tail_from_state(state: dict, directory: Path,
                      strict: bool) -> FileTail:
     from repro.strace.naming import TraceFileName
 
-    path = directory / state["path"]
+    relpath = str(state["path"])
     name = TraceFileName(cid=state["cid"], host=state["host"],
                          rid=int(state["rid"]))
-    tail = FileTail(path, name, strict=strict)
+    tail = FileTail(directory / relpath, name, strict=strict,
+                    relpath=relpath)
     tail.offset = int(state["offset"])
     tail.carry = base64.b64decode(state["carry"])
     tail.lineno = int(state["lineno"])
@@ -131,14 +354,23 @@ def _tail_from_state(state: dict, directory: Path,
     return tail
 
 
-def engine_state(engine: "LiveIngest") -> dict:
+def engine_state(engine: "LiveIngest",
+                 append: _Append | None = None) -> dict:
     """The full resumable state of a :class:`LiveIngest`, as JSON data.
+
+    ``append`` is the interval-segment delta saved with it (default:
+    the one the engine's next save to its own checkpoint appends); the
+    state records the segment's length and name table once it is
+    appended.
 
     When an emit journal is attached, it is fsynced *here* and the
     durable offset recorded — the sidecar must never account for
     records the journal does not durably hold (the restore path
     truncates the journal back to this offset).
     """
+    if append is None:
+        own = engine._segment or IntervalSegment(None)
+        append = own.delta(engine.stats)
     emit_offset = (engine.emit_journal.sync()
                    if engine.emit_journal is not None else None)
     emit_packed = (engine.emit_journal.packed_offset
@@ -154,10 +386,11 @@ def engine_state(engine: "LiveIngest") -> dict:
         "total_events": engine.total_events,
         "emit_offset": emit_offset,
         "emit_packed": emit_packed,
-        "files": [_tail_to_state(engine._tails[path], engine.directory)
+        "files": [_tail_to_state(engine._tails[path])
                   for path in sorted(engine._tails)],
         "dfg": engine.incremental.to_state(),
-        "stats": engine.stats.to_state(),
+        "stats": engine.stats.to_state(with_exact_buffers=False),
+        "segment": {"length": append.length, "names": append.names},
         "alerts": _alert_state(engine),
         "telemetry": _telemetry_state(engine),
     }
@@ -187,8 +420,21 @@ def _telemetry_state(engine: "LiveIngest") -> dict | None:
     return engine._telemetry_state
 
 
-def restore_engine(engine: "LiveIngest", state: dict) -> None:
-    """Load :func:`engine_state` output into a freshly built engine."""
+def _segment_for(engine: "LiveIngest", target: Path) -> IntervalSegment:
+    """The segment a save to ``target`` appends to: the engine's own
+    when ``target`` is its checkpoint, else an empty one, so a sidecar
+    saved anywhere else gets a complete segment of its own."""
+    if target != engine.checkpoint_path:
+        return IntervalSegment(segment_path(target))
+    if engine._segment is None:
+        engine._segment = IntervalSegment(segment_path(target))
+    return engine._segment
+
+
+def restore_engine(engine: "LiveIngest", state: dict,
+                   path: str | os.PathLike[str]) -> None:
+    """Load :func:`engine_state` output, saved at ``path``, into a
+    freshly built engine."""
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ReproError(
@@ -208,10 +454,6 @@ def restore_engine(engine: "LiveIngest", state: dict) -> None:
     engine.n_polls = int(state["n_polls"])
     engine.total_events = int(state["total_events"])
     engine.incremental = IncrementalDFG.from_state(state["dfg"])
-    # Passing the engine's window coarsens buffers saved unwindowed
-    # (or under a wider window) down to this life's cap on load.
-    engine.stats = StatsAccumulator.from_state(state["stats"],
-                                               window=engine.window)
     if engine.emit_journal is not None:
         emit_offset = state["emit_offset"]
         if emit_offset is None:
@@ -244,6 +486,17 @@ def restore_engine(engine: "LiveIngest", state: dict) -> None:
                     f"delete checkpoint, journal and .elog and "
                     f"re-watch")
             engine.emit_journal.truncate_to(int(emit_offset))
+    segment, buffers = IntervalSegment.replay(
+        segment_path(path), state["segment"], state["stats"])
+    # The segment is replayed first; passing the engine's window then
+    # coarsens buffers saved unwindowed (or under a wider window) down
+    # to this life's cap.
+    engine.stats = StatsAccumulator.from_state(
+        state["stats"], window=engine.window, exact_buffers=buffers)
+    if Path(path) == engine.checkpoint_path:
+        # Saves to the engine's checkpoint append to this segment;
+        # any other load leaves them to write a complete one.
+        engine._segment = segment
     alert_state = state["alerts"]
     engine._alert_state = alert_state
     if engine.alerts is not None:
@@ -265,30 +518,43 @@ def save_checkpoint(engine: "LiveIngest",
                     path: str | os.PathLike[str]) -> Path:
     """Serialize the engine atomically *and durably* to ``path``.
 
-    The temp file is fsynced before ``os.replace`` and the directory
-    entry is fsynced after: a crash or power loss at any instant of
-    this function leaves either the previous complete sidecar or the
-    new complete one on disk — never a zero-length or torn file
+    The intervals sealed since the previous save are appended to the
+    segment beside ``path`` and fsynced first; then the sidecar's temp
+    file is fsynced before ``os.replace`` and the directory entry is
+    fsynced after: a crash or power loss at any instant of this
+    function leaves either the previous complete sidecar or the new
+    complete one on disk — never a zero-length or torn file
     (``os.replace`` alone guarantees only name atomicity, not that the
-    replacing *contents* reached the platter). Pinned by the
-    crash-consistency tests in ``tests/test_live``.
+    replacing *contents* reached the platter) — and a segment holding
+    every byte that sidecar records. Pinned by the crash-consistency
+    tests in ``tests/test_live``. A ``path`` other than the engine's
+    own checkpoint gets a complete segment of its own.
 
-    Cost: O(accumulated state), not O(delta) — each save rewrites the
-    whole sidecar (compactly — no whitespace). The interval buffers
-    dominate, at ~21 bytes of base64 per interval and one C-level
-    encode per buffer; bound them with ``LiveIngest(window=...)`` for
-    week-long watches, and bound a chatty alert history with the rules
-    file's ``history_limit``.
+    Cost: O(files + activities + edges + new intervals) — the sidecar
+    is rewritten whole (compactly — no whitespace) but holds no
+    per-event state except the buffers of coarsened activities, which
+    the window bounds, while the segment grows by 16 bytes per new
+    interval. Bound a chatty alert history with the rules file's
+    ``history_limit``.
     """
     target = Path(path)
-    payload = json.dumps(engine_state(engine), sort_keys=True,
+    segment = _segment_for(engine, target)
+    append = segment.delta(engine.stats)
+    payload = json.dumps(engine_state(engine, append), sort_keys=True,
                          separators=(",", ":"))
+    if append.data:
+        segment.write(append)
     temp = target.with_name(target.name + ".tmp")
     with open(temp, "w", encoding="utf-8") as handle:
         handle.write(payload)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(temp, target)
+    # The sidecar on disk records the delta now, so the next save
+    # appends after it even if the directory fsync below fails.
+    segment.commit(append)
+    if segment is engine._segment:
+        engine.stats.fed.clear()
     _fsync_directory(target.parent)
     return target
 
@@ -321,7 +587,7 @@ def load_checkpoint(engine: "LiveIngest",
     # Valid JSON of the wrong shape (a key missing, a value of the
     # wrong type) is as corrupt as a torn file.
     try:
-        restore_engine(engine, state)
+        restore_engine(engine, state, target)
     except KeyError as exc:
         raise ReproError(
             f"corrupt checkpoint {path}: missing key {exc}") from exc

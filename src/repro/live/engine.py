@@ -202,7 +202,11 @@ class LiveIngest:
         week-long watch instead of O(events).
     checkpoint:
         Optional sidecar path. If the file exists, the engine resumes
-        from it; :meth:`save_checkpoint` rewrites it atomically.
+        from it; :meth:`save_checkpoint` rewrites it atomically and
+        appends the intervals sealed since the previous save to the
+        segment ``<checkpoint>.intervals`` beside it
+        (:mod:`repro.live.checkpoint`). A fresh engine deletes a
+        leftover segment.
     alerts:
         Optional :class:`~repro.alerts.AlertEngine` evaluated by the
         watch loop after every poll. Attached here (rather than at the
@@ -283,6 +287,9 @@ class LiveIngest:
         # the same treatment for watches restarted with telemetry off.
         self._alert_state: dict | None = None
         self._telemetry_state: dict | None = None
+        # The checkpoint's interval segment (repro.live.checkpoint),
+        # set by the first save or by a restore.
+        self._segment = None
         if emit is not None:
             from repro.live.emit import EmitJournal
 
@@ -298,11 +305,19 @@ class LiveIngest:
 
             load_checkpoint(self, self.checkpoint_path)
             self.restored = True
-        elif self.emit_journal is not None:
-            # A fresh watch owns its journal: a leftover journal (and
-            # its compacted .elog prefix) from an earlier run would
-            # pollute the pack with records this engine re-seals.
-            self.emit_journal.reset()
+        else:
+            if self.checkpoint_path is not None:
+                from repro.live.checkpoint import segment_path
+
+                # A fresh watch owns its interval segment: a leftover
+                # one belongs to a sidecar that is gone.
+                segment_path(self.checkpoint_path).unlink(missing_ok=True)
+            if self.emit_journal is not None:
+                # A fresh watch owns its journal: a leftover journal
+                # (and its compacted .elog prefix) from an earlier run
+                # would pollute the pack with records this engine
+                # re-seals.
+                self.emit_journal.reset()
 
     # -- discovery ---------------------------------------------------------
 
@@ -408,8 +423,9 @@ class LiveIngest:
         """The follower of a discovered file, registering new ones."""
         tail = self._tails.get(path)
         if tail is None:
-            tail = FileTail(path, name, strict=self.strict,
-                            telemetry=self.telemetry)
+            tail = FileTail(
+                path, name, strict=self.strict, telemetry=self.telemetry,
+                relpath=path.relative_to(self.directory).as_posix())
             self._tails[path] = tail
             self._case_paths[name.case_id] = path
             result.new_files.append(name.case_id)
@@ -572,7 +588,9 @@ class LiveIngest:
 
     def save_checkpoint(self,
                         path: str | os.PathLike[str] | None = None) -> Path:
-        """Atomically write the resumable state sidecar."""
+        """Atomically write the resumable state sidecar, appending
+        the new intervals to its segment (a ``path`` other than the
+        engine's checkpoint gets a complete segment of its own)."""
         from repro.live.checkpoint import save_checkpoint
 
         target = Path(path) if path is not None else self.checkpoint_path

@@ -49,6 +49,9 @@ class FileTail:
     ----------
     path, name:
         The file and its (cid, host, rid) case identity.
+    relpath:
+        The path relative to the watched directory, in POSIX form —
+        the name a checkpoint stores (None for a tail followed alone).
     offset:
         Bytes consumed so far (everything before it is parsed or held
         in :attr:`carry`). Checkpoints persist this.
@@ -58,17 +61,19 @@ class FileTail:
         reports (including ``decode_replacements``).
     """
 
-    __slots__ = ("path", "name", "strict", "default_pid", "offset",
-                 "carry", "lineno", "merger", "finished", "telemetry")
+    __slots__ = ("path", "name", "relpath", "strict", "default_pid",
+                 "offset", "carry", "lineno", "merger", "finished",
+                 "telemetry")
 
     def __init__(self, path: str | os.PathLike[str],
                  name: TraceFileName | None = None, *,
                  strict: bool = True, default_pid: int = 0,
-                 telemetry=None) -> None:
+                 telemetry=None, relpath: str | None = None) -> None:
         from repro.strace.naming import parse_trace_filename
 
         self.path = Path(path)
         self.name = name or parse_trace_filename(self.path.name)
+        self.relpath = relpath
         self.strict = strict
         self.default_pid = default_pid
         self.offset = 0

@@ -170,14 +170,22 @@ def discover_trace_files(
     if not dir_path.is_dir():
         raise TraceParseError(f"not a directory: {dir_path}")
     if recursive:
-        entries = sorted(dir_path.rglob(f"*{TRACE_SUFFIX}"))
+        matches = sorted(dir_path.rglob(f"*{TRACE_SUFFIX}"))
+        entries = [path for path in matches
+                   if path.suffix == TRACE_SUFFIX and path.is_file()]
     else:
-        entries = sorted(dir_path.iterdir())
+        # Path.suffix's rule without a Path per entry: a name that is
+        # only the suffix (".st") is a hidden file with no suffix.
+        with os.scandir(dir_path) as listing:
+            names = sorted(
+                entry.name for entry in listing
+                if entry.name.endswith(TRACE_SUFFIX)
+                and len(entry.name) > len(TRACE_SUFFIX)
+                and entry.is_file())
+        entries = [dir_path / name for name in names]
     found: list[tuple[Path, TraceFileName]] = []
     seen: dict[str, Path] = {}
     for entry in entries:
-        if entry.suffix != TRACE_SUFFIX or not entry.is_file():
-            continue
         name = parse_trace_filename(entry.name)
         if cids is not None and name.cid not in cids:
             continue

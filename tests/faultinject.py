@@ -10,7 +10,8 @@ copies that grew in ``test_live``/``test_alerts``/``test_catalog``:
 - :func:`kill_call` — generic nth-call kill switch for a module-level
   seam (``os.fsync``, ``os.replace``, a ``_fsync_directory`` helper).
 - :func:`kill_checkpoint_at` / :data:`CHECKPOINT_KILL_POINTS` — the
-  checkpoint save steps (temp fsync → replace → dir fsync).
+  checkpoint save steps (segment write → segment fsync → temp fsync →
+  replace → dir fsync).
 - :func:`kill_compaction_at` / :data:`COMPACTION_KILL_POINTS` — the
   six durability steps of one emit-journal compaction (three for the
   ``.elog`` rewrite, three for the journal rewrite).
@@ -29,6 +30,7 @@ around the killed operation.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from pathlib import Path
@@ -78,14 +80,30 @@ def kill_method(monkeypatch, owner, method: str, *,
 
 # -- checkpoint save kill points -------------------------------------------
 
-#: The durability steps of one checkpoint save, in order.
-CHECKPOINT_KILL_POINTS = ("temp_fsync", "replace", "dir_fsync")
+#: The durability steps of one checkpoint save, in order: the interval
+#: segment's append and its fsync, then the sidecar's temp fsync,
+#: replace and directory fsync.
+CHECKPOINT_KILL_POINTS = ("segment_write", "segment_fsync", "temp_fsync",
+                          "replace", "dir_fsync")
 
 
 def kill_checkpoint_at(monkeypatch, point: str) -> None:
     """Abort the next checkpoint save at one of its durability steps
-    (see :data:`CHECKPOINT_KILL_POINTS`)."""
-    if point == "temp_fsync":
+    (see :data:`CHECKPOINT_KILL_POINTS`). The segment steps are reached
+    only by a save that grew an interval buffer."""
+    if point == "segment_write":
+        kill_call(monkeypatch, checkpoint_module, "_write_segment",
+                  message="killed during segment write")
+    elif point == "segment_fsync":
+        kill_call(monkeypatch, checkpoint_module, "_fsync_segment",
+                  message="killed during segment fsync")
+    elif point == "temp_fsync":
+        # The segment's fsync seam calls os.fsync too, earlier in the
+        # save: keep it on the real call so the kill lands on the
+        # temp file's.
+        real_fsync = os.fsync
+        monkeypatch.setattr(checkpoint_module, "_fsync_segment",
+                            lambda handle: real_fsync(handle.fileno()))
         kill_call(monkeypatch, checkpoint_module.os, "fsync",
                   message="killed during temp fsync")
     elif point == "replace":

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (HealthCheck, assume, example, given, settings,
+                        strategies as st)
 
 from repro._util.errors import ReproError
 from repro.core.eventlog import EventLog
@@ -388,7 +389,11 @@ class TestCellRestriction:
                    (1, "write", "/p/b", 7, 2, 4, 1),
                    (2, "read", "/p/a", 6, 1, 8, 2)],
              green={0, 2}, again={2})
-    @settings(max_examples=200, deadline=None)
+    # The assume() below rejects most random (rows, green) draws by
+    # design (green must split the cases present), which can trip the
+    # generation health check on some seeds.
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
     def test_child_statistics_equal_a_fresh_build(self, rows, green,
                                                   again):
         """Random mapped logs and random non-empty case subsets, halves

@@ -63,6 +63,13 @@ CASES = [
     ("checkpoint-is-catalog", ["--checkpoint", "F", "--catalog", "F"],
      {"checkpoint": "F", "catalog": "F"},
      "catalog '{F}' collides with the job's checkpoint"),
+    ("checkpoint-segment-is-alert-log",
+     ["--rules", "rules.toml", "--checkpoint", "F",
+      "--alert-log", "F.intervals"],
+     {"rules": "rules.toml", "checkpoint": "F",
+      "alert_log": "F.intervals"},
+     "alert_log '{F.intervals}' collides with the job's checkpoint "
+     "segment"),
 ]
 
 #: Path-valued flags: their values are made absolute for the watch.
@@ -78,7 +85,7 @@ def _absolute(tmp_path, flags):
 
 
 def _fragment(tmp_path, fragment):
-    for name in ("F", "run.elog.journal"):
+    for name in ("F", "F.intervals", "run.elog.journal"):
         fragment = fragment.replace("{" + name + "}",
                                     str(tmp_path / name))
     return fragment

@@ -1,8 +1,9 @@
 """Checkpoint durability: a kill at *any* instant of a save leaves a
 loadable sidecar.
 
-``save_checkpoint`` writes a temp file, fsyncs it, ``os.replace``s it
-over the target, then fsyncs the directory entry. These tests kill the
+``save_checkpoint`` appends the new intervals to the segment and
+fsyncs it, writes a temp file, fsyncs it, ``os.replace``s it over the
+target, then fsyncs the directory entry. These tests kill the
 writer at every step boundary (by making the step raise, which aborts
 the save exactly where a SIGKILL would) and assert the invariant: the
 sidecar on disk is always one of the two *complete* states — never
@@ -65,10 +66,10 @@ class TestKillDuringSave:
         # the two complete states (which one depends on the point).
         survivor = json.loads(sidecar.read_text())
         assert survivor in (old_state, new_state)
-        if point in ("temp_fsync", "replace"):
+        if point == "dir_fsync":  # replace happened; only the dir
+            assert survivor == new_state  # fsync was lost
+        else:
             assert survivor == old_state
-        else:  # replace happened; only the dir fsync was lost
-            assert survivor == new_state
         # And a fresh life restores from it without complaint.
         revived = LiveIngest(trace_dir, checkpoint=sidecar)
         assert revived.total_events == survivor["total_events"]
@@ -114,17 +115,17 @@ class TestDurabilitySteps:
     def test_save_fsyncs_temp_and_directory(self, tmp_path,
                                             ls_file_bytes,
                                             monkeypatch):
-        """The save path really performs both fsyncs, in order:
-        temp-file fsync strictly before replace, directory fsync
-        strictly after."""
+        """The save path really performs all three fsyncs, in order:
+        the segment's, then the temp file's, strictly before replace,
+        and the directory's strictly after."""
         trace_dir, sidecar = _grown(tmp_path, ls_file_bytes)
         engine = LiveIngest(trace_dir, checkpoint=sidecar)
         engine.poll()
-        calls: list[str] = []
+        calls: list = []
         real_fsync, real_replace = os.fsync, os.replace
 
         def traced_fsync(fd):
-            calls.append("fsync")
+            calls.append(os.fstat(fd).st_ino)
             return real_fsync(fd)
 
         def traced_replace(src, dst):
@@ -135,4 +136,11 @@ class TestDurabilitySteps:
         monkeypatch.setattr(checkpoint_module.os, "replace",
                             traced_replace)
         engine.save_checkpoint()
-        assert calls == ["fsync", "replace", "fsync"]
+        # The temp file's inode is the sidecar's once replaced.
+        files = {
+            checkpoint_module.segment_path(sidecar).stat().st_ino:
+                "segment fsync",
+            sidecar.stat().st_ino: "temp fsync",
+            sidecar.parent.stat().st_ino: "directory fsync"}
+        assert [files.get(call, call) for call in calls] == [
+            "segment fsync", "temp fsync", "replace", "directory fsync"]

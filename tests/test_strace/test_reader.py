@@ -3,8 +3,9 @@
 import pytest
 
 from repro._util.errors import TraceParseError
-from repro.strace.naming import TraceFileName
-from repro.strace.reader import read_trace_dir, read_trace_file
+from repro.strace.naming import TraceFileName, parse_trace_filename
+from repro.strace.reader import (discover_trace_files, read_trace_dir,
+                                 read_trace_file)
 
 
 class TestReadFile:
@@ -82,3 +83,29 @@ class TestReadDir:
             "1  00:00:00.000001 close(3</x>) = 0 <0.000001>\n")
         cases = read_trace_dir(tmp_path)
         assert len(cases) == 1
+
+
+class TestDiscoverFlat:
+    LINE = "1  00:00:00.000001 close(3</x>) = 0 <0.000001>\n"
+
+    @staticmethod
+    def _pathlib_rule(directory):
+        """The flat scan as ``pathlib`` spells it: every entry, sorted
+        as paths, kept when its suffix is ``.st`` and it is a file."""
+        return [(path, parse_trace_filename(path.name))
+                for path in sorted(directory.iterdir())
+                if path.suffix == ".st" and path.is_file()]
+
+    def test_matches_the_pathlib_rule(self, tmp_path):
+        for name in ("b_h_2.st", "a_h_1.st", ".x_h_9.st", "notes.txt",
+                     "a_h_1.st.bak", "st", ".st"):
+            (tmp_path / name).write_text(self.LINE)
+        (tmp_path / "d_h_4.st").mkdir()
+        (tmp_path / "c_h_3.st").symlink_to(tmp_path / "a_h_1.st")
+        (tmp_path / "e_h_5.st").symlink_to(tmp_path / "gone")
+        found = discover_trace_files(tmp_path)
+        assert found == self._pathlib_rule(tmp_path)
+        # The hidden ".st" has no suffix; the directory and the
+        # dangling link are not files.
+        assert [path.name for path, _ in found] == [
+            ".x_h_9.st", "a_h_1.st", "b_h_2.st", "c_h_3.st"]
