@@ -1,4 +1,4 @@
-"""Ablations of the design choices called out in DESIGN.md.
+"""Ablations of the design choices behind the columnar pipeline.
 
 1. **Dictionary encoding / distinct-pair mapping fast path** — the
    columnar frame evaluates call/fp-only mappings once per distinct

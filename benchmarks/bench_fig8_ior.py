@@ -12,7 +12,7 @@ checked:
   max-concurrency hits the rank count while FPP stays well below.
 
 Absolute loads depend on the authors' GPFS testbed; orderings and
-coarse ratios are asserted (DESIGN.md §5).
+coarse ratios are asserted.
 """
 
 import pytest

@@ -8,14 +8,15 @@ configurations via graph coloring. Subpackages:
 
 - :mod:`repro.strace` — strace trace parsing (Sec. III).
 - :mod:`repro.ingest` — the scale-out ingestion engine: streaming
-  tokenization, process-pool fan-out (``workers=``), sharded DFG
-  construction over the union algebra.
+  line reading and one process-pool fan-out (``workers=``) shipping
+  columnar cases.
 - :mod:`repro.sources` — the pluggable trace-source API: one registry
   (``open_source``) behind every entry point, with batch strace
   directories, ``.elog`` stores, CSV dumps and simulated workloads as
   first-class schemes (``strace:``, ``elog:``, ``csv:``, ``sim:``).
 - :mod:`repro.elstore` — the single-file event-log container (the
-  paper's HDF5 store, reimplemented; see DESIGN.md §2).
+  paper's HDF5 store, reimplemented with the same per-case table
+  contract).
 - :mod:`repro.core` — event-log formalism, DFG synthesis, statistics,
   coloring, rendering (Sec. IV).
 - :mod:`repro.live` — incremental ingestion of *growing* trace
@@ -44,62 +45,6 @@ Quickstart::
     stats = IOStatistics(log)
     print(DFGViewer(dfg, stats).render("ascii"))
 """
-
-from repro.alerts import (
-    Alert,
-    AlertEngine,
-    NewEdgeRule,
-    StatThresholdRule,
-)
-from repro.core import (
-    DFG,
-    ActivityLog,
-    CallOnly,
-    CallPath,
-    CallPathTail,
-    CallTopDirs,
-    END_ACTIVITY,
-    Event,
-    EventFrame,
-    EventLog,
-    IOStatistics,
-    Mapping,
-    PartitionColoring,
-    PartitionEL,
-    PlainColoring,
-    RegexMapping,
-    RestrictedMapping,
-    START_ACTIVITY,
-    SiteVariables,
-    StatisticsColoring,
-    Style,
-    mapping_from_callable,
-)
-from repro.core.render import (
-    DFGViewer,
-    render_ascii,
-    render_dot,
-    render_svg,
-    render_timeline_ascii,
-    render_timeline_svg,
-)
-from repro.elstore import (
-    EventLogStore,
-    convert_source,
-    read_event_log,
-    write_event_log,
-)
-from repro.sources import (
-    CsvLogSource,
-    ElstoreSource,
-    SimulationSource,
-    StraceDirSource,
-    TraceSource,
-    UnsupportedSourceOptionWarning,
-    open_source,
-    register_source,
-    registered_schemes,
-)
 
 __version__ = "1.1.0"
 
@@ -151,3 +96,38 @@ __all__ = [
     "registered_schemes",
     "__version__",
 ]
+
+#: Where each exported name lives; :func:`__getattr__` imports the
+#: module on the name's first lookup.
+_EXPORTS = {
+    "repro.alerts": ("Alert", "AlertEngine", "NewEdgeRule",
+                     "StatThresholdRule"),
+    "repro.core": ("DFG", "ActivityLog", "CallOnly", "CallPath",
+                   "CallPathTail", "CallTopDirs", "END_ACTIVITY", "Event",
+                   "EventFrame", "EventLog", "IOStatistics", "Mapping",
+                   "PartitionColoring", "PartitionEL", "PlainColoring",
+                   "RegexMapping", "RestrictedMapping", "START_ACTIVITY",
+                   "SiteVariables", "StatisticsColoring", "Style",
+                   "mapping_from_callable"),
+    "repro.core.render": ("DFGViewer", "render_ascii", "render_dot",
+                          "render_svg", "render_timeline_ascii",
+                          "render_timeline_svg"),
+    "repro.elstore": ("EventLogStore", "convert_source", "read_event_log",
+                      "write_event_log"),
+    "repro.sources": ("CsvLogSource", "ElstoreSource", "SimulationSource",
+                      "StraceDirSource", "TraceSource",
+                      "UnsupportedSourceOptionWarning", "open_source",
+                      "register_source", "registered_schemes"),
+}
+
+
+def __getattr__(name: str):
+    # The export helper is imported on first use, so that ``import
+    # repro`` loads no other module of the package.
+    from repro._util.lazy import resolve
+
+    return resolve(__name__, _EXPORTS, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,30 +17,7 @@ across the library:
   columnar :class:`~repro.core.frame.EventFrame`.
 """
 
-from repro._util.errors import (
-    ReproError,
-    TraceParseError,
-    StoreFormatError,
-    MappingError,
-    PartitionError,
-    SimulationError,
-    RenderError,
-)
-from repro._util.sizes import format_bytes, format_rate, parse_size
-from repro._util.timefmt import (
-    parse_wallclock,
-    format_wallclock,
-    parse_duration,
-    format_duration,
-)
-from repro._util.multiset import Bag
-from repro._util.intervals import (
-    max_concurrency,
-    max_concurrency_naive,
-    total_covered,
-    merge_intervals,
-)
-from repro._util.strings import StringPool
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "ReproError",
@@ -64,3 +41,16 @@ __all__ = [
     "merge_intervals",
     "StringPool",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro._util.errors": ("ReproError", "TraceParseError", "StoreFormatError",
+                           "MappingError", "PartitionError", "SimulationError",
+                           "RenderError"),
+    "repro._util.sizes": ("format_bytes", "format_rate", "parse_size"),
+    "repro._util.timefmt": ("parse_wallclock", "format_wallclock",
+                            "parse_duration", "format_duration"),
+    "repro._util.multiset": ("Bag",),
+    "repro._util.intervals": ("max_concurrency", "max_concurrency_naive",
+                              "total_covered", "merge_intervals"),
+    "repro._util.strings": ("StringPool",),
+})

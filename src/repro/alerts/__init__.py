@@ -37,34 +37,7 @@ sidecars). Pinned by ``tests/test_alerts/test_alert_properties.py``.
 Full rule/file reference: ``docs/rules.md``.
 """
 
-from repro.alerts.model import Alert
-from repro.alerts.rules import (
-    RULE_TYPES,
-    ActivityLoadRatioRule,
-    AlertConfigError,
-    EdgeWeightRatioRule,
-    NewEdgeRule,
-    RefreshContext,
-    Rule,
-    StatThresholdRule,
-    WatermarkAgeRule,
-)
-from repro.alerts.config import (
-    RulesFileConfig,
-    build_rule,
-    load_rules_file,
-)
-from repro.alerts.queue import DeliveryQueue, QueueConfig
-from repro.alerts.sinks import (
-    AlertSink,
-    AlertSinkWarning,
-    CommandSink,
-    HttpSink,
-    JsonlSink,
-    SinkFailureThrottle,
-    StderrSink,
-)
-from repro.alerts.engine import AlertEngine, empty_alert_state
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "Alert",
@@ -92,3 +65,18 @@ __all__ = [
     "empty_alert_state",
     "load_rules_file",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.alerts.model": ("Alert",),
+    "repro.alerts.rules": ("RULE_TYPES", "ActivityLoadRatioRule",
+                           "AlertConfigError", "EdgeWeightRatioRule",
+                           "NewEdgeRule", "RefreshContext", "Rule",
+                           "StatThresholdRule", "WatermarkAgeRule"),
+    "repro.alerts.config": ("RulesFileConfig", "build_rule",
+                            "load_rules_file"),
+    "repro.alerts.queue": ("DeliveryQueue", "QueueConfig"),
+    "repro.alerts.sinks": ("AlertSink", "AlertSinkWarning", "CommandSink",
+                           "HttpSink", "JsonlSink", "SinkFailureThrottle",
+                           "StderrSink"),
+    "repro.alerts.engine": ("AlertEngine", "empty_alert_state"),
+})

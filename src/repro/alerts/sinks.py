@@ -32,8 +32,6 @@ import os
 import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 import warnings
 from pathlib import Path
 from typing import IO, Callable, Protocol, runtime_checkable
@@ -260,8 +258,13 @@ class HttpSink:
                     f"http sink {url!r}: auth_env names environment "
                     f"variable {auth_env!r}, which is unset or empty")
             self._auth = token
-        self._opener = opener if opener is not None \
-            else urllib.request.urlopen
+        if opener is None:
+            # Imported by the one sink that speaks HTTP, so a watch
+            # without it never loads urllib (or ssl behind it).
+            import urllib.request
+
+            opener = urllib.request.urlopen
+        self._opener = opener
         self._sleep = sleep
         self.throttle = SinkFailureThrottle()
         #: Lifetime retry attempts (attempts beyond each emit's first),
@@ -269,6 +272,9 @@ class HttpSink:
         self.n_retries = 0
 
     def emit(self, alert: Alert) -> None:
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps(alert.to_json(),
                              sort_keys=True).encode("utf-8")
         headers = {"Content-Type": "application/json"}

@@ -28,22 +28,7 @@ in a rules file): last run, or the per-edge union over the last K runs.
   list/show/diff/trend views.
 """
 
-from repro.catalog.analytics import (
-    diff_runs,
-    render_trend,
-    runs_table,
-    show_run,
-    trend_payload,
-)
-from repro.catalog.export import AlertExportBuffer
-from repro.catalog.record import RunRecord, run_fingerprint
-from repro.catalog.schema import (
-    CATALOG_VERSION,
-    LOADABLE_VERSIONS,
-    CatalogError,
-)
-from repro.catalog.source import CatalogSource
-from repro.catalog.store import RunCatalog, RunRow
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "CATALOG_VERSION",
@@ -61,3 +46,14 @@ __all__ = [
     "show_run",
     "trend_payload",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.catalog.analytics": ("diff_runs", "render_trend", "runs_table",
+                                "show_run", "trend_payload"),
+    "repro.catalog.export": ("AlertExportBuffer",),
+    "repro.catalog.record": ("RunRecord", "run_fingerprint"),
+    "repro.catalog.schema": ("CATALOG_VERSION", "LOADABLE_VERSIONS",
+                             "CatalogError"),
+    "repro.catalog.source": ("CatalogSource",),
+    "repro.catalog.store": ("RunCatalog", "RunRow"),
+})

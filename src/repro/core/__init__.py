@@ -23,46 +23,7 @@ This package implements Sec. IV of the paper end to end:
 - :mod:`repro.core.render` — DOT / SVG / ASCII / timeline renderers.
 """
 
-from repro.core.event import Event
-from repro.core.frame import EventFrame, FramePools
-from repro.core.eventlog import EventLog
-from repro.core.mapping import (
-    Mapping,
-    CallTopDirs,
-    CallPath,
-    CallPathTail,
-    CallOnly,
-    SiteVariables,
-    RegexMapping,
-    RestrictedMapping,
-    ComposedMapping,
-    mapping_from_callable,
-)
-from repro.core.activity import START_ACTIVITY, END_ACTIVITY, ActivityLog
-from repro.core.dfg import DFG
-from repro.core.statistics import (
-    ActivityStats,
-    IOStatistics,
-    StatsAccumulator,
-)
-from repro.core.partition import PartitionEL, partition_by_cid, partition_by_predicate
-from repro.core.coloring import (
-    Style,
-    StatisticsColoring,
-    PartitionColoring,
-    PlainColoring,
-)
-from repro.core.diff import ActivityDelta, DFGDiff, EdgeDelta
-from repro.core.incremental import IncrementalDFG
-from repro.core.analysis import (
-    bottleneck_activities,
-    dominant_path,
-    edge_probabilities,
-    entropy_of_successors,
-    find_cycles,
-    reachable_activities,
-    variant_coverage,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "Event",
@@ -105,3 +66,27 @@ __all__ = [
     "reachable_activities",
     "variant_coverage",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.event": ("Event",),
+    "repro.core.frame": ("EventFrame", "FramePools"),
+    "repro.core.eventlog": ("EventLog",),
+    "repro.core.mapping": ("Mapping", "CallTopDirs", "CallPath",
+                           "CallPathTail", "CallOnly", "SiteVariables",
+                           "RegexMapping", "RestrictedMapping",
+                           "ComposedMapping", "mapping_from_callable"),
+    "repro.core.activity": ("START_ACTIVITY", "END_ACTIVITY", "ActivityLog"),
+    "repro.core.dfg": ("DFG",),
+    "repro.core.statistics": ("ActivityStats", "IOStatistics",
+                              "StatsAccumulator"),
+    "repro.core.partition": ("PartitionEL", "partition_by_cid",
+                             "partition_by_predicate"),
+    "repro.core.coloring": ("Style", "StatisticsColoring", "PartitionColoring",
+                            "PlainColoring"),
+    "repro.core.diff": ("ActivityDelta", "DFGDiff", "EdgeDelta"),
+    "repro.core.incremental": ("IncrementalDFG",),
+    "repro.core.analysis": ("bottleneck_activities", "dominant_path",
+                            "edge_probabilities", "entropy_of_successors",
+                            "find_cycles", "reachable_activities",
+                            "variant_coverage"),
+})

@@ -11,21 +11,23 @@ direct I/O interpretations:
   may deserve partitioning).
 - :func:`find_cycles` — repeated-phase structure (segment loops in IOR
   show up as cycles through the write/read nodes).
+- :func:`reachable_activities` — everything downstream of a node.
 - :func:`edge_probabilities` — outgoing-edge transition probabilities,
   turning the DFG into a Markov-chain view.
 - :func:`bottleneck_activities` — activities ranked by share of total
   I/O time (rd_f), with cumulative share, for "where do I look first".
 
-These helpers lean on networkx where a well-known algorithm exists
-(simple cycles), and stay direct elsewhere.
+Each helper walks the DFG's own edge map, so none needs a graph
+library; :meth:`~repro.core.dfg.DFG.to_networkx` exports the graph for
+analyses beyond these.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import TYPE_CHECKING
-
-import networkx as nx
+from collections import deque
+from typing import TYPE_CHECKING, Iterator
 
 from repro.core.activity import END_ACTIVITY, START_ACTIVITY, ActivityLog
 from repro.core.dfg import DFG, Edge
@@ -100,16 +102,84 @@ def variant_coverage(log: ActivityLog | "EventLog",
 
 
 def find_cycles(dfg: DFG, *, max_cycles: int = 100) -> list[list[str]]:
-    """Simple cycles through the DFG (self-loops excluded), shortest
-    first — the repeated-phase structure of the traced program."""
-    graph = dfg.to_networkx()
-    graph.remove_edges_from([(a, a) for a in dfg.self_loops()])
-    cycles = []
-    for cycle in nx.simple_cycles(graph):
-        cycles.append(cycle)
-        if len(cycles) >= max_cycles:
+    """Simple cycles through the DFG (self-loops excluded) — the
+    repeated-phase structure of the traced program.
+
+    Each cycle starts at its least node. The cycles come shortest
+    first, ties broken by the node list; past ``max_cycles`` the result
+    is the ``max_cycles`` first cycles of that order.
+    """
+    return list(itertools.islice(_cycles_in_order(dfg), max(max_cycles, 0)))
+
+
+def _cycles_in_order(dfg: DFG) -> Iterator[list[str]]:
+    """Every simple cycle in :func:`find_cycles`' order, lazily.
+
+    The search deepens one length at a time. A cycle of a given length
+    from its least node ``s`` grows by a depth-first walk over nodes
+    greater than ``s`` in sorted order, which yields the cycles in list
+    order; a walk stops where it can no longer get back to ``s`` in the
+    nodes it has left.
+    """
+    successors = _successors(dfg)
+    predecessors: dict[str, list[str]] = {node: [] for node in successors}
+    for node, nexts in successors.items():
+        for nxt in nexts:
+            predecessors[nxt].append(node)
+    # Per start: the nodes that can return to it through nodes greater
+    # than it, with the fewest edges they need (the start itself: 0).
+    returns = {}
+    for start in sorted(successors):
+        distance = {start: 0}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for previous in predecessors[node]:
+                if previous > start and previous not in distance:
+                    distance[previous] = distance[node] + 1
+                    queue.append(previous)
+        if len(distance) > 1:
+            returns[start] = distance
+    longest = max(map(len, returns.values()), default=0)
+    for length in range(2, longest + 1):
+        for start, distance in returns.items():
+            if len(distance) >= length:
+                yield from _cycles_of_length(successors, start, distance,
+                                             length)
+
+
+def _successors(dfg: DFG) -> dict[str, list[str]]:
+    """Each node's successors in sorted order, self-loops excluded."""
+    successors: dict[str, list[str]] = {node: [] for node in dfg.nodes()}
+    for a1, a2 in sorted(dfg.edges()):
+        if a1 != a2:
+            successors[a1].append(a2)
+    return successors
+
+
+def _cycles_of_length(successors: dict[str, list[str]], start: str,
+                      distance: dict[str, int], length: int,
+                      ) -> Iterator[list[str]]:
+    """The cycles of ``length`` nodes from ``start`` through nodes of
+    ``distance`` (see :func:`find_cycles`), in list order."""
+    path, on_path = [start], {start}
+    walks = [iter(successors[start])]
+    while walks:
+        room = length - len(path)  # nodes still to add, the next included
+        for nxt in walks[-1]:
+            if (nxt in on_path or nxt not in distance
+                    or distance[nxt] > room):
+                continue
+            if room == 1:  # distance 1: ``nxt`` closes the cycle
+                yield path + [nxt]
+                continue
+            path.append(nxt)
+            on_path.add(nxt)
+            walks.append(iter(successors[nxt]))
             break
-    return sorted(cycles, key=lambda c: (len(c), c))
+        else:
+            walks.pop()
+            on_path.discard(path.pop())
 
 
 def bottleneck_activities(
@@ -134,11 +204,19 @@ def bottleneck_activities(
 
 def reachable_activities(dfg: DFG, origin: str) -> set[str]:
     """All activities reachable from ``origin`` by directly-follows
-    edges (useful for slicing the graph under a suspect node)."""
-    graph = dfg.to_networkx()
-    if origin not in graph:
+    edges (useful for slicing the graph under a suspect node).
+    ``origin`` itself is not among them, even on a cycle through it."""
+    successors = _successors(dfg)
+    if origin not in successors:
         return set()
-    return set(nx.descendants(graph, origin))
+    seen = {origin}
+    queue = deque([origin])
+    while queue:
+        for nxt in successors[queue.popleft()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen - {origin}
 
 
 def entropy_of_successors(dfg: DFG, activity: str) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Mapping as TMapping
 
-import networkx as nx
 import numpy as np
 
 from repro._util.errors import ReproError
@@ -37,6 +36,8 @@ from repro.core.activity import (
 from repro.core.frame import MISSING
 
 if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
+
     from repro.core.eventlog import EventLog
     from repro.core.frame import EventFrame
 
@@ -297,7 +298,10 @@ class DFG:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export as a networkx DiGraph (edge attr ``count``, node attr
-        ``frequency``) for downstream graph analytics."""
+        ``frequency``) for downstream graph analytics — the package's
+        one use of networkx, imported on call."""
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node, freq in self._node_freq.items():
             graph.add_node(node, frequency=freq)

@@ -7,30 +7,7 @@ fully self-contained. :class:`DFGViewer` is the paper's Fig. 6 facade
 over all three.
 """
 
-from repro.core.render.ascii import render_ascii
-from repro.core.render.dot import render_dot
-from repro.core.render.labels import activity_label_lines, node_label_lines
-from repro.core.render.layout import Layout, NodeBox, layout_dfg
-from repro.core.palette import (
-    BLUES,
-    GREENS,
-    GREEN_EDGE,
-    GREEN_FILL,
-    RED_EDGE,
-    RED_FILL,
-    pick_font_color,
-    shade,
-)
-from repro.core.render.profile import (
-    render_profile_ascii,
-    render_profile_svg,
-)
-from repro.core.render.svg import render_svg
-from repro.core.render.timeline import (
-    render_timeline_ascii,
-    render_timeline_svg,
-)
-from repro.core.render.viewer import DFGViewer
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "render_ascii",
@@ -55,3 +32,18 @@ __all__ = [
     "shade",
     "DFGViewer",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.render.ascii": ("render_ascii",),
+    "repro.core.render.dot": ("render_dot",),
+    "repro.core.render.labels": ("activity_label_lines", "node_label_lines"),
+    "repro.core.render.layout": ("Layout", "NodeBox", "layout_dfg"),
+    "repro.core.palette": ("BLUES", "GREENS", "GREEN_EDGE", "GREEN_FILL",
+                           "RED_EDGE", "RED_FILL", "pick_font_color", "shade"),
+    "repro.core.render.profile": ("render_profile_ascii",
+                                  "render_profile_svg"),
+    "repro.core.render.svg": ("render_svg",),
+    "repro.core.render.timeline": ("render_timeline_ascii",
+                                   "render_timeline_svg"),
+    "repro.core.render.viewer": ("DFGViewer",),
+})

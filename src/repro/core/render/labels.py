@@ -51,8 +51,8 @@ def node_label_lines(
     """Full label for one node: activity lines + Load/DR stat lines.
 
     ``show_ranks`` adds the ``Ranks: N`` annotation seen in Fig. 3c
-    (distinct rids behind the activity; see DESIGN.md §6 on the
-    ambiguity of that figure element).
+    (distinct rids behind the activity; the paper does not define
+    that figure element).
     """
     lines = activity_label_lines(activity, separator)
     if stats is None or activity in SENTINELS:

@@ -15,7 +15,7 @@ For every activity ``a ∈ A_f`` occurring in an event-log ``C``:
   simultaneously in-flight events of the activity, via the sweep-line
   of :func:`repro._util.intervals.max_concurrency`;
 - plus **ranks** (distinct rids — the unexplained ``Ranks:`` annotation
-  of Fig. 3c, see DESIGN.md §6), **cases**, and the raw counts.
+  of Fig. 3c), **cases**, and the raw counts.
 
 The node labels in the paper's figures combine these as
 ``Load: rd (bytes)`` and ``DR: mc × rate`` (Eq. 10/17); the renderers

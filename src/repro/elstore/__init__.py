@@ -13,21 +13,9 @@ single-file columnar container with the same contract:
 - string columns dictionary-encoded against file-global pools;
 - chunked column storage with per-chunk CRC32 integrity checks;
 - O(1) open + per-case lazy reads via a JSON table of contents.
-
-See DESIGN.md §2 for the substitution rationale.
 """
 
-from repro.elstore.schema import (
-    CASE_COLUMNS,
-    FORMAT_VERSION,
-    MAGIC,
-    CaseMeta,
-    ChunkRef,
-    ColumnMeta,
-)
-from repro.elstore.writer import EventLogWriter, write_event_log
-from repro.elstore.reader import EventLogStore, read_event_log
-from repro.elstore.convert import convert_source
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "CASE_COLUMNS",
@@ -42,3 +30,11 @@ __all__ = [
     "read_event_log",
     "convert_source",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.elstore.schema": ("CASE_COLUMNS", "FORMAT_VERSION", "MAGIC",
+                             "CaseMeta", "ChunkRef", "ColumnMeta"),
+    "repro.elstore.writer": ("EventLogWriter", "write_event_log"),
+    "repro.elstore.reader": ("EventLogStore", "read_event_log"),
+    "repro.elstore.convert": ("convert_source",),
+})

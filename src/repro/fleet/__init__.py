@@ -26,12 +26,7 @@ multi-job CLI lives in ``fleet.toml`` (:mod:`repro.fleet.config`, see
 ``docs/fleet.md``).
 """
 
-from repro.fleet.config import (FleetConfigError, load_fleet_config,
-                                parse_fleet_data)
-from repro.fleet.job import JobSpec, PollOutcome, WatchJob
-from repro.fleet.scheduler import FleetScheduler, run_fleet
-from repro.fleet.telemetry import FleetTelemetry
-from repro.fleet.view import FleetView
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "FleetConfigError",
@@ -45,3 +40,12 @@ __all__ = [
     "parse_fleet_data",
     "run_fleet",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.fleet.config": ("FleetConfigError", "load_fleet_config",
+                           "parse_fleet_data"),
+    "repro.fleet.job": ("JobSpec", "PollOutcome", "WatchJob"),
+    "repro.fleet.scheduler": ("FleetScheduler", "run_fleet"),
+    "repro.fleet.telemetry": ("FleetTelemetry",),
+    "repro.fleet.view": ("FleetView",),
+})

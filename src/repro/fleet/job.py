@@ -34,12 +34,11 @@ from typing import TYPE_CHECKING
 
 from repro._util.errors import ReproError
 from repro.core.mapping import CallOnly, CallPath, CallTopDirs, SiteVariables
-from repro.live.engine import (ENGINE_MINIMUMS, LiveIngest, PollResult,
-                               check_engine_options)
-from repro.live.watch import WatchView
+from repro.live.options import ENGINE_MINIMUMS, check_engine_options
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alerts import Alert
+    from repro.live.engine import LiveIngest, PollResult
     from repro.telemetry.spans import PollSpan
 
 #: Source schemes a fleet job can follow live. Only strace directories
@@ -279,6 +278,8 @@ class JobSpec:
             from repro.telemetry import Telemetry
 
             telemetry = Telemetry()
+        from repro.live.engine import LiveIngest
+
         return LiveIngest(
             directory,
             mapping=mapping_from_name(self.mapping, self.levels),
@@ -324,10 +325,10 @@ class WatchJob:
 
     def __init__(self, engine: LiveIngest, *,
                  name: str | None = None,
-                 interval: float = 2.0,
-                 polls: int | None = None,
-                 show_dfg: bool = True,
-                 top: int = 5,
+                 interval: float = JobSpec.interval,
+                 polls: int | None = JobSpec.polls,
+                 show_dfg: bool = JobSpec.show_dfg,
+                 top: int = JobSpec.top,
                  metrics_log: str | os.PathLike[str] | None = None,
                  spec: JobSpec | None = None) -> None:
         if spec is not None:
@@ -344,13 +345,13 @@ class WatchJob:
                 "does this for --metrics-port/--metrics-log)")
         self.engine = engine
         self.spec = spec
-        self.name = name if name is not None else "watch"
+        self.name = name if name is not None else JobSpec.name
         self.interval = interval
         self.polls = polls
         self.show_dfg = show_dfg
         self.top = top
         self.metrics_log = metrics_log
-        self.view = WatchView(engine, show_dfg=show_dfg, top=top)
+        self.view = self._new_view()
         #: pending → running → done; failed/stopped via the scheduler.
         self.state = "pending"
         self.completed = 0
@@ -361,6 +362,11 @@ class WatchJob:
         self._emit_packed = False
         self._cataloged = False
         self._started = time.monotonic()
+
+    def _new_view(self):
+        from repro.live.watch import WatchView
+
+        return WatchView(self.engine, show_dfg=self.show_dfg, top=self.top)
 
     @classmethod
     def from_spec(cls, spec: JobSpec) -> "WatchJob":
@@ -425,8 +431,7 @@ class WatchJob:
                 f"only spec-built jobs can be rebuilt after a failure")
         self.engine.close()
         self.engine = self.spec.build_engine()
-        self.view = WatchView(self.engine, show_dfg=self.show_dfg,
-                              top=self.top)
+        self.view = self._new_view()
         self._emit_packed = False
         self._cataloged = False
 

@@ -27,18 +27,7 @@ Every strace consumer routes through :func:`iter_case_columns`:
 reader.
 """
 
-from repro.ingest.streaming import TokenStream, TraceLines
-from repro.ingest.parallel import (
-    MAX_AUTO_WORKERS,
-    CaseColumns,
-    available_cpus,
-    case_to_columns,
-    frame_from_case_columns,
-    iter_case_columns,
-    resolve_workers,
-    rows_to_columns,
-)
-from repro.ingest.summary import cases_summary, trace_dir_summary
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "TokenStream",
@@ -54,3 +43,12 @@ __all__ = [
     "cases_summary",
     "trace_dir_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.ingest.streaming": ("TokenStream", "TraceLines"),
+    "repro.ingest.parallel": ("MAX_AUTO_WORKERS", "CaseColumns",
+                              "available_cpus", "case_to_columns",
+                              "frame_from_case_columns", "iter_case_columns",
+                              "resolve_workers", "rows_to_columns"),
+    "repro.ingest.summary": ("cases_summary", "trace_dir_summary"),
+})

@@ -40,8 +40,6 @@ import itertools
 import os
 import warnings
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -337,7 +335,12 @@ def _pooled_chunks(found: "list[tuple[Path, TraceFileName]]",
                    strict: bool, workers: int,
                    ) -> "Iterator[list[CaseColumns]]":
     """Each chunk's cases from a process pool, in order; stops early,
-    without raising, when the pool cannot be created or breaks."""
+    without raising, when the pool cannot be created or breaks. The
+    pool machinery is imported here, so a process that never starts a
+    pool (``workers=1``, an ``.elog`` read) does not load it."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     size = max(1, min(MAX_CHUNK_FILES, len(found) // (workers * 4)))
     chunks = (found[i:i + size] for i in range(0, len(found), size))
     window = CHUNKS_PER_WORKER * workers

@@ -37,6 +37,8 @@ Layering (bottom → top):
   ASCII summary with change highlighting, an alert pane, and a
   sealing-starvation note in the status line. The loop driving it is
   a one-job :class:`~repro.fleet.scheduler.FleetScheduler`.
+- :mod:`repro.live.options` — the engine's option rules, which a watch
+  job's validation checks without loading the engine.
 
 Sitting on top (separate packages, wired in by the watch job):
 :mod:`repro.alerts` turns refresh deltas into *pages* — declarative
@@ -48,14 +50,7 @@ counters also persist in the sidecar, and a ``/healthz`` verdict
 (``watch --metrics-port``).
 """
 
-from repro.live.tail import FileTail
-from repro.live.engine import LiveIngest, PollResult
-from repro.live.checkpoint import (
-    CHECKPOINT_VERSION,
-    load_checkpoint,
-    save_checkpoint,
-)
-from repro.live.watch import WatchView
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "FileTail",
@@ -66,3 +61,11 @@ __all__ = [
     "save_checkpoint",
     "WatchView",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.live.tail": ("FileTail",),
+    "repro.live.engine": ("LiveIngest", "PollResult"),
+    "repro.live.checkpoint": ("CHECKPOINT_VERSION", "load_checkpoint",
+                              "save_checkpoint"),
+    "repro.live.watch": ("WatchView",),
+})

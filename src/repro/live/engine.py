@@ -55,6 +55,7 @@ from repro.core.incremental import IncrementalDFG
 from repro.core.mapping import CallTopDirs, Mapping, mapping_from_callable
 from repro.core.statistics import (MIN_WINDOW, IOStatistics,
                                    StatsAccumulator)
+from repro.live.options import check_engine_options
 from repro.live.tail import FileTail
 from repro.strace.naming import TraceFileName
 from repro.telemetry.spans import NULL_TELEMETRY
@@ -63,37 +64,6 @@ from repro.strace.reader import TraceCase, discover_trace_files
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alerts import AlertEngine
-
-#: The least value of each numeric engine option.
-ENGINE_MINIMUMS = {"window": MIN_WINDOW, "memory_budget": 1,
-                   "compact_emit": 1}
-
-
-def check_engine_options(*, window: int | None = None,
-                         memory_budget: int | None = None,
-                         compact_emit: int | None = None,
-                         emit=None, checkpoint=None) -> None:
-    """Reject engine options :class:`LiveIngest` cannot honour — run
-    by the engine before it touches anything, and by
-    :meth:`repro.fleet.job.JobSpec.validate` for every watch job."""
-    for key, value in (("window", window),
-                       ("memory_budget", memory_budget),
-                       ("compact_emit", compact_emit)):
-        if value is not None and value < ENGINE_MINIMUMS[key]:
-            raise ReproError(
-                f"key {key!r} must be an integer >= "
-                f"{ENGINE_MINIMUMS[key]} (got {value!r})")
-    if window is not None and memory_budget is not None:
-        raise ReproError(
-            "window and memory_budget are mutually exclusive — the "
-            "budget derives the window, pick one")
-    if compact_emit is not None and not emit:
-        raise ReproError("compact_emit but no emit (there is no "
-                         "journal to compact)")
-    if compact_emit is not None and not checkpoint:
-        raise ReproError(
-            "compact_emit but no checkpoint (compaction only packs "
-            "journal bytes a durable sidecar already accounts for)")
 
 
 @dataclass(slots=True)

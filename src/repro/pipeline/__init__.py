@@ -8,19 +8,7 @@
   comparison reports for terminals and CI logs.
 """
 
-from repro.pipeline.session import InspectionSession
-from repro.pipeline.query import Query
-from repro.pipeline.report import (
-    activity_report,
-    comparison_report,
-    variants_report,
-)
-from repro.pipeline.html import render_html_report, save_html_report
-from repro.pipeline.counters import (
-    CaseCounters,
-    case_counters,
-    counters_report,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "CaseCounters",
@@ -34,3 +22,13 @@ __all__ = [
     "render_html_report",
     "save_html_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.pipeline.session": ("InspectionSession",),
+    "repro.pipeline.query": ("Query",),
+    "repro.pipeline.report": ("activity_report", "comparison_report",
+                              "variants_report"),
+    "repro.pipeline.html": ("render_html_report", "save_html_report"),
+    "repro.pipeline.counters": ("CaseCounters", "case_counters",
+                                "counters_report"),
+})

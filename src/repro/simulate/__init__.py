@@ -27,16 +27,12 @@ Components:
   ``ls -l`` (Fig. 1-5) and IOR with ``-t -b -s -w -r -C -e -F -a``
   (Fig. 7-9).
 
-The fidelity target is *shape*, not absolute timing — see DESIGN.md §2
-and §5.
+The fidelity target is *shape*, not absolute timing: the Fig. 8/9
+benchmarks assert orderings and coarse ratios, never the testbed's
+absolute loads.
 """
 
-from repro.simulate.kernel import Simulator, SimEvent, Process
-from repro.simulate.resources import Resource, Barrier
-from repro.simulate.fdtable import FdTable
-from repro.simulate.recording import SyscallRecord, ProcessRecorder
-from repro.simulate.filesystem import FSConfig, ParallelFS
-from repro.simulate.strace_writer import write_strace_text, write_trace_files
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "Simulator",
@@ -52,3 +48,12 @@ __all__ = [
     "write_strace_text",
     "write_trace_files",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulate.kernel": ("Simulator", "SimEvent", "Process"),
+    "repro.simulate.resources": ("Resource", "Barrier"),
+    "repro.simulate.fdtable": ("FdTable",),
+    "repro.simulate.recording": ("SyscallRecord", "ProcessRecorder"),
+    "repro.simulate.filesystem": ("FSConfig", "ParallelFS"),
+    "repro.simulate.strace_writer": ("write_strace_text", "write_trace_files"),
+})

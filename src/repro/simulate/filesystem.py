@@ -1,7 +1,7 @@
 """A GPFS-like parallel-filesystem model.
 
 This is the substitute for the paper's JUWELS → JUST (GPFS) storage
-stack (DESIGN.md §2). It models exactly the mechanisms behind the
+stack. It models exactly the mechanisms behind the
 paper's findings, no more:
 
 **Metadata server** (:attr:`ParallelFS.mds`) — a FIFO server pool.
@@ -202,7 +202,7 @@ class ParallelFS:
 
         ``conflict_scale`` lets API layers modulate the boundary-
         conflict probability (the POSIX lseek+write split holds tokens
-        across two syscalls; see DESIGN.md).
+        across two syscalls).
         """
         cfg = self.config
         state = self._state(path)

@@ -11,17 +11,7 @@
   :class:`~repro.simulate.filesystem.ParallelFS` model.
 """
 
-from repro.simulate.workloads.ls import (
-    LsConfig,
-    simulate_ls,
-    generate_fig1_traces,
-)
-from repro.simulate.workloads.ior import (
-    IORConfig,
-    IORResult,
-    simulate_ior,
-    JUWELS_SITE_VARIABLES,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "LsConfig",
@@ -31,16 +21,17 @@ __all__ = [
     "IORResult",
     "simulate_ior",
     "JUWELS_SITE_VARIABLES",
-]
-
-from repro.simulate.workloads.checkpoint import (
-    CheckpointConfig,
-    CheckpointResult,
-    simulate_checkpoint,
-)
-
-__all__ += [
     "CheckpointConfig",
     "CheckpointResult",
     "simulate_checkpoint",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.simulate.workloads.ls": ("LsConfig", "simulate_ls",
+                                    "generate_fig1_traces"),
+    "repro.simulate.workloads.ior": ("IORConfig", "IORResult", "simulate_ior",
+                                     "JUWELS_SITE_VARIABLES"),
+    "repro.simulate.workloads.checkpoint": ("CheckpointConfig",
+                                            "CheckpointResult",
+                                            "simulate_checkpoint"),
+})

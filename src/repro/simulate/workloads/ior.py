@@ -313,8 +313,8 @@ def _rank_process(
     if cfg.do_read:
         source = cfg.read_source_rank(rank)
         # FPP + -C: reads must not be served by the local page cache
-        # (see DESIGN.md — the paper's Fig. 8b shows a single openat
-        # per rank, so no cross-file reopen is modelled).
+        # (the paper's Fig. 8b shows a single openat per rank, so no
+        # cross-file reopen is modelled).
         bypass = cfg.reorder_tasks and cfg.file_per_process
         for segment in range(cfg.segments):
             for transfer in range(cfg.transfers_per_block):

@@ -25,7 +25,8 @@ This module makes ``from repro.st_inspector import *`` provide every
 name that listing uses, with matching call signatures, so the paper's
 code runs against this reproduction as printed — the only difference
 being the storage backend: ``EventLogH5`` opens our ``.elog`` columnar
-container instead of HDF5 (h5py is unavailable; see DESIGN.md §2).
+container instead of HDF5 (h5py is unavailable; see
+:mod:`repro.elstore`).
 The alias accepts either a store path or a directory of raw ``.st``
 trace files, covering both halves of the paper's pipeline.
 

@@ -31,26 +31,7 @@ Layering (bottom → top):
   process pool (``workers=``, via :mod:`repro.ingest.parallel`).
 """
 
-from repro.strace.syscalls import (
-    SyscallSpec,
-    SyscallFamily,
-    SYSCALL_CATALOG,
-    DEFAULT_IO_CALLS,
-    is_transfer_call,
-    transfer_direction,
-    spec_for,
-)
-from repro.strace.tokenizer import RecordKind, Token, tokenize_line
-from repro.strace.parser import ParsedRecord, parse_line, parse_body
-from repro.strace.resume import IncrementalMerger, merge_unfinished, MergeStats
-from repro.strace.naming import TraceFileName, parse_trace_filename, format_trace_filename
-from repro.strace.reader import (
-    TraceCase,
-    discover_trace_files,
-    read_trace_file,
-    read_trace_records,
-    read_trace_dir,
-)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "SyscallSpec",
@@ -78,3 +59,19 @@ __all__ = [
     "read_trace_records",
     "read_trace_dir",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.strace.syscalls": ("SyscallSpec", "SyscallFamily",
+                              "SYSCALL_CATALOG", "DEFAULT_IO_CALLS",
+                              "is_transfer_call", "transfer_direction",
+                              "spec_for"),
+    "repro.strace.tokenizer": ("RecordKind", "Token", "tokenize_line"),
+    "repro.strace.parser": ("ParsedRecord", "parse_line", "parse_body"),
+    "repro.strace.resume": ("IncrementalMerger", "merge_unfinished",
+                            "MergeStats"),
+    "repro.strace.naming": ("TraceFileName", "parse_trace_filename",
+                            "format_trace_filename"),
+    "repro.strace.reader": ("TraceCase", "discover_trace_files",
+                            "read_trace_file", "read_trace_records",
+                            "read_trace_dir"),
+})

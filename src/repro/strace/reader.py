@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.errors import TraceParseError
+from repro.ingest.streaming import TraceLines
 from repro.strace.naming import TRACE_SUFFIX, TraceFileName, parse_trace_filename
 from repro.strace.parser import ParsedRecord
 from repro.strace.resume import IncrementalMerger, MergeStats
@@ -76,10 +77,6 @@ def read_trace_records(
     of :mod:`repro.ingest.parallel` consume. ``strict`` is as for
     :func:`read_trace_file`.
     """
-    # Imported here, not at module top: repro.ingest.streaming pulls in
-    # the tokenizer, whose package __init__ imports this module.
-    from repro.ingest.streaming import TraceLines
-
     lines = TraceLines(path, strict=strict)
     merger = IncrementalMerger(path=str(lines.path), strict=strict,
                                rows=rows)

@@ -23,14 +23,7 @@ changes no DFG, no statistic, no alert — only what is *known* about
 producing them.
 """
 
-from repro.telemetry.exposition import (MetricsServer, append_snapshot,
-                                        render_prometheus)
-from repro.telemetry.health import (THRESHOLDS, health_from_snapshot,
-                                    render_health)
-from repro.telemetry.metrics import (DURATION_BUCKETS, METRICS, PREFIX,
-                                     MetricsRegistry, rss_bytes)
-from repro.telemetry.spans import (NULL_TELEMETRY, NullTelemetry,
-                                   PollSpan, Telemetry)
+from repro._util.lazy import lazy_exports
 
 __all__ = [
     "DURATION_BUCKETS",
@@ -49,3 +42,14 @@ __all__ = [
     "render_prometheus",
     "rss_bytes",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.telemetry.exposition": ("MetricsServer", "append_snapshot",
+                                   "render_prometheus"),
+    "repro.telemetry.health": ("THRESHOLDS", "health_from_snapshot",
+                               "render_health"),
+    "repro.telemetry.metrics": ("DURATION_BUCKETS", "METRICS", "PREFIX",
+                                "MetricsRegistry", "rss_bytes"),
+    "repro.telemetry.spans": ("NULL_TELEMETRY", "NullTelemetry", "PollSpan",
+                              "Telemetry"),
+})

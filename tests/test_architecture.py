@@ -1,6 +1,6 @@
 """Architecture guardrails: one road each for sources, strace fan-out,
-batch statistics, sidecars and the watch loop, and one definition of
-a watch job.
+batch statistics, sidecars and the watch loop, one definition of a
+watch job, and what each command loads.
 
 Every input goes through ``from_source``/``open_source``, every strace
 consumer fans out through ``iter_case_columns`` on the one process
@@ -8,13 +8,19 @@ pool, a checkpoint sidecar loads at exactly one version, and
 ``FleetScheduler.run`` is the only watch loop — ``st-inspector watch``
 is its one-job case. These tests keep the removed parallel roads from
 growing back, pin the exit-path duties the one loop now owns alone,
-and keep every call perfbench's traced run wraps resolvable.
+and keep every call perfbench's traced run wraps resolvable. The
+module-set tests run each command in a fresh interpreter, because this
+process has long since imported everything.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +109,42 @@ class TestOneDefinitionOfAWatchJob:
                                        "top")}
         assert defaults == dict.fromkeys(
             ("interval", "mapping", "levels", "top"), argparse.SUPPRESS)
+
+    def test_watch_job_restates_no_default(self):
+        """``WatchJob``'s constructor, for engines built without a spec,
+        takes each default it shares with ``JobSpec`` from the spec (a
+        ``name`` of None falls back to ``JobSpec.name``)."""
+        import inspect
+        from dataclasses import fields
+
+        from repro.fleet import JobSpec
+
+        spec_defaults = {item.name: item.default for item in fields(JobSpec)}
+        shared = {name: parameter.default for name, parameter
+                  in inspect.signature(WatchJob.__init__).parameters.items()
+                  if name in spec_defaults and name != "name"}
+        assert shared == {name: spec_defaults[name] for name in shared}
+        tree = ast.parse((SRC / "repro/fleet/job.py")
+                         .read_text(encoding="utf-8"))
+        init = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef)
+                    and node.name == "WatchJob").body
+        init = next(node for node in init
+                    if isinstance(node, ast.FunctionDef)
+                    and node.name == "__init__")
+        restated = [node.value for node in ast.walk(init)
+                    if isinstance(node, ast.Constant)
+                    and node.value is not None
+                    and node.value in (spec_defaults["name"],
+                                       spec_defaults["interval"],
+                                       spec_defaults["top"])]
+        assert restated == []
+        literal_defaults = [
+            arg.arg for arg, default in zip(init.args.kwonlyargs,
+                                            init.args.kw_defaults)
+            if isinstance(default, ast.Constant)
+            and default.value is not None]
+        assert literal_defaults == []
 
     def test_mapping_names_are_spelled_once(self):
         from repro.fleet.job import MAPPING_NAMES
@@ -213,3 +255,144 @@ class TestTheOneWatchLoop:
         assert EventLog.from_source(f"elog:{elog}").n_events == \
             engine.total_events > 0
         assert engine.emit_journal._handle is None
+
+
+# -- what each command loads -------------------------------------------------
+
+#: Loaded by no batch command, nor by building the CLI parser: networkx
+#: (``DFG.to_networkx`` alone imports it), the standard-library parts
+#: behind the alert sinks, the metrics server, the catalog and the
+#: rules and fleet files, and every live-only, alert, catalog,
+#: simulator and telemetry module. Each entry covers its submodules.
+BATCH_NEVER_LOADS = (
+    "networkx", "urllib.request", "http.server", "sqlite3", "tomllib",
+    "repro.alerts", "repro.catalog", "repro.simulate", "repro.telemetry",
+    *(f"repro.live.{name}"
+      for name in ("engine", "tail", "watch", "checkpoint", "emit")),
+    *(f"repro.fleet.{name}"
+      for name in ("scheduler", "config", "view", "telemetry")),
+    "repro.pipeline.html")
+
+
+def _fresh(code: str, cwd: Path) -> dict:
+    """Run ``code`` in a new interpreter; it prints one JSON object as
+    its last line, which is returned."""
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _cli_loads(argv: list[str], cwd: Path) -> list[str]:
+    """``sys.modules`` after ``st-inspector ARGV`` exits 0."""
+    result = _fresh(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))",
+        cwd)
+    assert result["code"] == 0
+    return result["modules"]
+
+
+def _among(modules: list[str], prefixes) -> list[str]:
+    return [module for module in modules
+            if any(module == prefix or module.startswith(prefix + ".")
+                   for prefix in prefixes)]
+
+
+@pytest.fixture(scope="module")
+def fig1_elog(fig1_dir, tmp_path_factory) -> Path:
+    from repro.elstore.convert import convert_source
+
+    return convert_source(fig1_dir,
+                          tmp_path_factory.mktemp("elog") / "fig1.elog")
+
+
+class TestWhatEachCommandLoads:
+    """Every entry point imports only what it runs (the module sets of
+    ``docs/architecture.md``)."""
+
+    def test_import_repro_loads_nothing_else(self, tmp_path):
+        modules = _fresh("import json, sys\nimport repro\n"
+                         "print(json.dumps(sorted(sys.modules)))",
+                         tmp_path)
+        assert _among(modules, ("repro",)) == ["repro"]
+        assert _among(modules, ("numpy",)) == []
+
+    @pytest.mark.parametrize("command", [
+        ["report"], ["compare", "--green", "a"],
+        ["diff", "--green", "a", "--json"]], ids=lambda c: c[0])
+    def test_batch_commands(self, command, fig1_dir, tmp_path):
+        argv = [command[0], str(fig1_dir), *command[1:]]
+        assert _among(_cli_loads(argv, tmp_path), BATCH_NEVER_LOADS) == []
+
+    @pytest.mark.parametrize("source", ["elog", "workers=1"])
+    def test_no_pool_loads_no_pool_machinery(self, source, fig1_dir,
+                                             fig1_elog, tmp_path):
+        """A report that starts no process pool (read from a store, or
+        parsed in process) loads none of its machinery."""
+        argv = (["report", f"elog:{fig1_elog}"] if source == "elog"
+                else ["report", str(fig1_dir), "--workers", "1"])
+        modules = _cli_loads(argv, tmp_path)
+        assert _among(modules, BATCH_NEVER_LOADS) == []
+        assert _among(modules, ("concurrent.futures.process",)) == []
+
+    def test_watch_without_exposition(self, fig1_dir, tmp_path):
+        rules = tmp_path / "rules.toml"
+        rules.write_text('[[rule]]\nname = "edges"\ntype = "new_edge"\n',
+                         encoding="utf-8")
+        modules = _cli_loads(
+            ["watch", str(fig1_dir), "--once", "--rules", str(rules),
+             "--alert-log", str(tmp_path / "alerts.jsonl")], tmp_path)
+        assert (tmp_path / "alerts.jsonl").stat().st_size > 0
+        assert _among(modules, ("networkx", "urllib.request",
+                                "http.server")) == []
+
+
+#: Packages whose ``__init__`` imports its modules eagerly:
+#: ``repro.sources``, because importing it registers the schemes.
+EAGER_PACKAGES = ("repro.sources",)
+
+PACKAGES = sorted(
+    ".".join(path.parent.relative_to(SRC).parts)
+    for path in SRC.rglob("__init__.py"))
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_package_exports(package, tmp_path):
+    """Each ``__all__`` name resolves, ``dir()`` lists it, a star import
+    binds exactly ``__all__`` and an unknown name is an AttributeError;
+    importing a lazy package loads none of the modules it exports
+    from (only its parents and the export helper)."""
+    result = _fresh(
+        "import importlib, json, sys\n"
+        "before = set(sys.modules)\n"
+        f"package = importlib.import_module({package!r})\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "names = list(getattr(package, '__all__', []))\n"
+        "star = {}\n"
+        f"exec('from {package} import *', star)\n"
+        "star.pop('__builtins__')\n"
+        "try:\n"
+        "    getattr(package, 'no_such_export')\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError:\n"
+        "    unknown = 'AttributeError'\n"
+        "print(json.dumps({\n"
+        "    'loaded': loaded, 'names': names,\n"
+        "    'unresolved': [n for n in names if not hasattr(package, n)],\n"
+        "    'undirred': [n for n in names if n not in dir(package)],\n"
+        "    'star': sorted(star), 'unknown': unknown}))",
+        tmp_path)
+    assert result["names"]
+    assert result["unresolved"] == []
+    assert result["undirred"] == []
+    assert result["star"] == sorted(result["names"])
+    assert result["unknown"] == "AttributeError"
+    if package not in EAGER_PACKAGES:
+        parts = package.split(".")
+        allowed = {".".join(parts[:i]) for i in range(1, len(parts) + 1)}
+        allowed |= {"repro._util", "repro._util.lazy"}
+        assert set(_among(result["loaded"], ("repro",))) - allowed == set()

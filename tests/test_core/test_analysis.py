@@ -1,6 +1,13 @@
 """Graph analytics over DFGs."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.activity import (
     END_ACTIVITY,
@@ -101,6 +108,14 @@ class TestVariantCoverage:
         assert variant_coverage(ActivityLog([])) == []
 
 
+def _nine_node_dfg() -> DFG:
+    """6 random traces of 40 steps over 9 activities: 31 two-cycles
+    among tens of thousands of cycles, far past the default cap."""
+    rng = random.Random(5)
+    return DFG(wrap(*(tuple(rng.choice("abcdefghi") for _ in range(40))
+                      for _ in range(6))))
+
+
 class TestCycles:
     def test_acyclic_chain(self):
         assert find_cycles(DFG(wrap(("a", "b", "c")))) == []
@@ -117,6 +132,80 @@ class TestCycles:
         dfg = DFG(wrap(("w", "r", "w", "r")))
         cycles = find_cycles(dfg)
         assert any(sorted(c) == ["r", "w"] for c in cycles)
+
+    def test_each_cycle_starts_at_its_least_node(self):
+        assert find_cycles(DFG(wrap(tuple("abcacba")))) == [
+            ["a", "b"], ["a", "c"], ["b", "c"],
+            ["a", "b", "c"], ["a", "c", "b"]]
+
+    def test_cap_keeps_the_shortest(self):
+        cycles = find_cycles(_nine_node_dfg())
+        assert len(cycles) == 100
+        assert [len(c) for c in cycles[:31]] == [2] * 31
+        assert all(len(c) == 3 for c in cycles[31:])
+        assert cycles == sorted(cycles, key=lambda c: (len(c), c))
+
+    @pytest.mark.parametrize("max_cycles", [0, 1, 7])
+    def test_cap_is_a_prefix(self, max_cycles):
+        dfg = _nine_node_dfg()
+        assert find_cycles(dfg, max_cycles=max_cycles) == \
+            find_cycles(dfg)[:max_cycles]
+
+    def test_independent_of_the_hash_seed(self):
+        """Set and dict order must not reach the result: two hash seeds
+        print the same cycles."""
+        script = (
+            "from tests.test_core.test_analysis import (DFG,\n"
+            "    _nine_node_dfg, find_cycles, wrap)\n"
+            "print(find_cycles(DFG(wrap(tuple('abcacba')))))\n"
+            "print(find_cycles(_nine_node_dfg()))\n")
+        repo = Path(__file__).resolve().parents[2]
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script], check=True, cwd=repo,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                         (str(repo / "src"), str(repo))),
+                     "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "4")}
+        assert len(outputs) == 1
+
+
+def _canonical(cycle: list[str]) -> list[str]:
+    least = cycle.index(min(cycle))
+    return cycle[least:] + cycle[:least]
+
+
+small_traces = st.lists(
+    st.lists(st.sampled_from("abcde"), max_size=10).map(tuple),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_traces, st.integers(min_value=0, max_value=30))
+def test_cycles_match_networkx(traces, max_cycles):
+    """Under the cap the cycles are networkx's simple cycles; over it,
+    their shortest prefix in (length, node list) order."""
+    nx = pytest.importorskip("networkx")
+    dfg = DFG(wrap(*traces))
+    graph = dfg.to_networkx()
+    graph.remove_edges_from([(a, a) for a in dfg.self_loops()])
+    expected = sorted((_canonical(c) for c in nx.simple_cycles(graph)),
+                      key=lambda c: (len(c), c))
+    assert find_cycles(dfg, max_cycles=max_cycles) == \
+        expected[:max_cycles]
+    assert find_cycles(dfg, max_cycles=len(expected) + 1) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_traces)
+def test_reachable_matches_networkx(traces):
+    nx = pytest.importorskip("networkx")
+    dfg = DFG(wrap(*traces))
+    graph = dfg.to_networkx()
+    for node in dfg.nodes() | {"ghost"}:
+        expected = nx.descendants(graph, node) if node in graph else set()
+        assert reachable_activities(dfg, node) == expected
 
 
 class TestBottlenecks:
@@ -147,6 +236,10 @@ class TestReachabilityEntropy:
 
     def test_reachable_from_unknown(self, ls_log):
         assert reachable_activities(DFG(ls_log), "ghost") == set()
+
+    def test_origin_excluded_on_a_cycle_through_it(self):
+        dfg = DFG(wrap(("a", "b", "a")))
+        assert reachable_activities(dfg, "a") == {"b", END_ACTIVITY}
 
     def test_entropy_deterministic_node_zero(self):
         dfg = DFG(wrap(("a", "b")))

@@ -1,6 +1,5 @@
 """DFG construction and algebra (Sec. IV-A), incl. hypothesis laws."""
 
-import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +172,7 @@ class TestAlgebra:
 
 class TestExport:
     def test_networkx_roundtrip(self, ca_dfg):
+        nx = pytest.importorskip("networkx")
         graph = ca_dfg.to_networkx()
         assert isinstance(graph, nx.DiGraph)
         assert graph.number_of_nodes() == ca_dfg.n_nodes
@@ -181,6 +181,7 @@ class TestExport:
         assert graph.nodes["read:/usr/lib"]["frequency"] == 9
 
     def test_networkx_path_reachability(self, ca_dfg):
+        nx = pytest.importorskip("networkx")
         graph = ca_dfg.to_networkx()
         assert nx.has_path(graph, START_ACTIVITY, END_ACTIVITY)
 

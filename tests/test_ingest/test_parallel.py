@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import json
+import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
+from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
@@ -263,7 +269,8 @@ class TestDispatcher:
                            (3, [3] * 13 + [1])):
             monkeypatch.setattr(parallel, "MAX_CHUNK_FILES", cap)
             pool = _FakePool()
-            monkeypatch.setattr(parallel, "ProcessPoolExecutor", pool)
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                                pool)
             cases_identical(_columns(forty_files, 2), expected)
             assert [len(chunk) for chunk in pool.chunks] == sizes
             assert pool.most_pending == CHUNKS_PER_WORKER * 2
@@ -277,7 +284,7 @@ class TestDispatcher:
             raise OSError("no semaphores here")
 
         monkeypatch.setattr(
-            parallel, "ProcessPoolExecutor",
+            concurrent.futures, "ProcessPoolExecutor",
             refuse if stage == "create" else _FakePool(fail_start=True))
         with pytest.warns(UserWarning) as caught:
             pooled = _columns(forty_files, 2)
@@ -289,7 +296,7 @@ class TestDispatcher:
     def test_broken_pool_parses_the_rest_in_process(
             self, forty_files, monkeypatch, cases_identical, break_at):
         """The first chunk, or a later one: every case arrives once."""
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             _FakePool(break_at=break_at))
         with pytest.warns(UserWarning) as caught:
             pooled = _columns(forty_files, 2)
@@ -303,7 +310,40 @@ class TestDispatcher:
         def forbidden(max_workers, mp_context=None):
             raise AssertionError("workers=1 must stay in process")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", forbidden)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            forbidden)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert len(_columns(forty_files, 1)) == 40
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="forked pool workers are Linux-only")
+def test_pool_workers_import_nothing(forty_files, tmp_path):
+    """A pool is created per ``event_log()``, so a module a worker
+    imports lazily is imported again on every call: everything the
+    parse needs must already be loaded when the parent forks. The
+    probe records what one fresh process's workers import inside
+    ``_parse_chunk``."""
+    probe = tmp_path / "imports.jsonl"
+    script = (
+        "import json, sys\n"
+        "from repro.ingest import parallel\n"
+        "parse = parallel._parse_chunk\n"
+        "def probe(chunk, strict):\n"
+        "    before = set(sys.modules)\n"
+        "    cases = parse(chunk, strict)\n"
+        f"    with open({str(probe)!r}, 'a') as out:\n"
+        "        print(json.dumps(sorted(set(sys.modules) - before)),\n"
+        "              file=out)\n"
+        "    return cases\n"
+        "parallel._parse_chunk = probe\n"
+        "from repro.sources import StraceDirSource\n"
+        f"StraceDirSource({str(forty_files)!r}, workers=2).event_log()\n")
+    src = Path(parallel.__file__).resolve().parents[2]
+    subprocess.run([sys.executable, "-c", script], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+    imported = [json.loads(line) for line in
+                probe.read_text(encoding="utf-8").splitlines()]
+    assert len(imported) == 8  # one line per chunk
+    assert imported == [[]] * 8

@@ -16,7 +16,7 @@ def test_paper_fig6_listing_runs_verbatim(store_path):
     """Every step of the paper's Fig. 6, with the printed names.
 
     The only permitted deviation is the storage backend behind
-    ``EventLogH5`` (our .elog container instead of HDF5 — DESIGN.md §2).
+    ``EventLogH5`` (our .elog container instead of HDF5).
     """
     from repro.st_inspector import (
         DFG,
