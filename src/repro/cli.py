@@ -52,15 +52,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro._util.errors import ReproError
-from repro.core.coloring import PartitionColoring, StatisticsColoring
-from repro.core.dfg import DFG
-from repro.core.eventlog import EventLog
-from repro.core.partition import PartitionEL
-from repro.core.render.viewer import DFGViewer
-from repro.core.statistics import IOStatistics
-from repro.pipeline.report import activity_report, comparison_report
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.eventlog import EventLog
+
+# The batch core (and NumPy beneath it) is imported by the handlers
+# that run it, so `--help` and `health` never load it.
 
 
 #: Help text for every subcommand's ``source`` positional.
@@ -306,6 +306,11 @@ def cmd_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_synthesize(args: argparse.Namespace) -> int:
+    from repro.core.coloring import StatisticsColoring
+    from repro.core.dfg import DFG
+    from repro.core.render.viewer import DFGViewer
+    from repro.core.statistics import IOStatistics
+
     log = _prepared_log(args)
     dfg = DFG(log)
     stats = IOStatistics(log)
@@ -321,6 +326,9 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from repro.core.statistics import IOStatistics
+    from repro.pipeline.report import activity_report
+
     _check_catalog_args(args)
     log = _prepared_log(args)
     stats = IOStatistics(log)
@@ -335,6 +343,13 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.core.coloring import PartitionColoring
+    from repro.core.dfg import DFG
+    from repro.core.partition import PartitionEL
+    from repro.core.render.viewer import DFGViewer
+    from repro.core.statistics import IOStatistics
+    from repro.pipeline.report import comparison_report
+
     log = _prepared_log(args)
     green = [c.strip() for c in args.green.split(",") if c.strip()]
     green_log, red_log = PartitionEL(log, green)
@@ -361,6 +376,7 @@ def cmd_variants(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     from repro.core.diff import DFGDiff
+    from repro.core.partition import PartitionEL
 
     log = _prepared_log(args)
     green = [c.strip() for c in args.green.split(",") if c.strip()]
@@ -376,13 +392,15 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_html_report(args: argparse.Namespace) -> int:
+    from repro.core.coloring import PartitionColoring, StatisticsColoring
+    from repro.core.dfg import DFG
+    from repro.core.partition import PartitionEL
+    from repro.core.statistics import IOStatistics
     from repro.pipeline.html import save_html_report
 
     log = _prepared_log(args)
     styler = None
     if args.green:
-        from repro.core.coloring import PartitionColoring
-
         green = [c.strip() for c in args.green.split(",") if c.strip()]
         green_log, red_log = PartitionEL(log, green)
         styler = PartitionColoring(DFG(green_log), DFG(red_log),
@@ -403,6 +421,7 @@ def cmd_timeline(args: argparse.Namespace) -> int:
         render_timeline_ascii,
         render_timeline_svg,
     )
+    from repro.core.statistics import IOStatistics
 
     log = _prepared_log(args)
     stats = IOStatistics(log)
@@ -424,6 +443,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         render_profile_ascii,
         render_profile_svg,
     )
+    from repro.core.statistics import IOStatistics
 
     log = _prepared_log(args)
     stats = IOStatistics(log)

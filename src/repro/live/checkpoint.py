@@ -102,7 +102,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the state layout changes; :func:`restore_engine` loads
 #: only this version and rejects every other one.
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
 
 #: A segment block header: the activity's name index, the case's name
 #: index, and the number of ``start, end`` int64 pairs that follow.
@@ -298,15 +298,13 @@ class IntervalSegment:
 
 
 def _record_to_state(record: tuple) -> dict:
-    """A record or row as JSON data, keyed by :class:`ParsedRecord`
-    field name."""
+    """A record or row of a merge buffer as JSON data, keyed by
+    :class:`ParsedRecord` field name."""
     return dict(zip(ParsedRecord._fields, record))
 
 
 def _record_from_state(state: dict) -> ParsedRecord:
-    """Inverse of :func:`_record_to_state`. Reads only the record's
-    fields, so records saved with the ``args``/``retval``/``requested``
-    keys the parser no longer produces still load."""
+    """Inverse of :func:`_record_to_state`."""
     return ParsedRecord._make(state[field] for field in ParsedRecord._fields)
 
 
@@ -438,9 +436,9 @@ def restore_engine(engine: "LiveIngest", state: dict,
     version = state.get("version")
     if version != CHECKPOINT_VERSION:
         raise ReproError(
-            f"unsupported checkpoint version {version!r} (this build "
-            f"reads and writes only {CHECKPOINT_VERSION}) — delete the "
-            f"sidecar and re-watch the directory to rebuild it")
+            f"unsupported checkpoint version {version!r} in {path} (this "
+            f"build reads and writes only {CHECKPOINT_VERSION}) — delete "
+            f"the sidecar and re-watch the directory to rebuild it")
     current_cids = sorted(engine.cids) if engine.cids is not None else None
     for attribute, current in (("mapping", engine.mapping.name),
                                ("recursive", engine.recursive),

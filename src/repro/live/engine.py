@@ -5,14 +5,17 @@
 
 1. re-scans the trace directory (optionally recursively) for new
    ``<cid>_<host>_<rid>.st`` files, enforcing the same naming and
-   duplicate-case rules as batch discovery;
+   duplicate-case rules as batch discovery (a listing equal to the
+   previous poll's reuses that poll's discovery);
 2. lets every file's :class:`~repro.live.tail.FileTail` consume its
    newly appended bytes, which yields the records *sealed* by this
    poll — records whose final position in the case can no longer
    change (see :class:`~repro.strace.resume.IncrementalMerger`);
-3. maps the sealed records to activities and folds them per case into
-   an :class:`~repro.core.incremental.IncrementalDFG` — the union
-   algebra of Sec. IV-A applied as a running fold.
+3. absorbs every file's sealed records as one batch: one block of the
+   ``--emit`` journal, then one pass that maps them to activities and
+   folds them per case into an
+   :class:`~repro.core.incremental.IncrementalDFG` — the union algebra
+   of Sec. IV-A applied as a running fold.
 
 The standing invariants (pinned by ``tests/test_live``):
 
@@ -60,7 +63,8 @@ from repro.live.tail import FileTail
 from repro.strace.naming import TraceFileName
 from repro.telemetry.spans import NULL_TELEMETRY
 from repro.strace.parser import ParsedRecord
-from repro.strace.reader import TraceCase, discover_trace_files
+from repro.strace.reader import (TraceCase, discover_trace_files,
+                                 list_trace_files)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alerts import AlertEngine
@@ -243,6 +247,9 @@ class LiveIngest:
         self.restored = False
         self._tails: dict[Path, FileTail] = {}
         self._case_paths: dict[str, Path] = {}
+        # The last scan's listing and discovery (see scan()).
+        self._listing: list[str] | None = None
+        self._found: list[tuple[Path, TraceFileName]] = []
         self._records: dict[str, list[ParsedRecord]] = {}
         # Per-(call, fp) activity memo for call/fp-only mappings — the
         # live analogue of the batch broadcast in eventlog._apply_mapping.
@@ -301,39 +308,32 @@ class LiveIngest:
         detection extends across polls via the followed-case map. A
         followed file vanishing from the scan is an error — its
         records cannot be un-folded.
+
+        While the listing (:func:`~repro.strace.reader.list_trace_files`)
+        equals the previous scan's, the previous discovery is returned
+        as is: the same files pass the same rules. A new, vanished or
+        renamed file changes the listing and takes the full discovery.
         """
+        listing = list_trace_files(self.directory, recursive=self.recursive)
+        if listing == self._listing:
+            return self._found
         found = discover_trace_files(
             self.directory, cids=self.cids, recursive=self.recursive,
-            allow_empty=True, known_cases=self._case_paths)
+            allow_empty=True, known_cases=self._case_paths,
+            listing=listing)
         missing = set(self._tails) - {path for path, _ in found}
         if missing:
             raise TraceParseError(
                 f"tracked trace file(s) disappeared: "
                 f"{sorted(str(p) for p in missing)[:3]}")
+        self._listing, self._found = listing, found
         return found
 
     # -- polling -----------------------------------------------------------
 
     def poll(self) -> PollResult:
         """One incremental pass: discover, tail, map, fold."""
-        telemetry = self.telemetry
-        self.n_polls += 1
-        result = PollResult(n_poll=self.n_polls)
-        with telemetry.phase("scan"):
-            found = self.scan()
-        for path, name in found:
-            tail = self._tail_for(path, name, result)
-            before = tail.offset
-            sealed = tail.poll()
-            result.n_bytes += tail.offset - before
-            if sealed:
-                self._absorb(name, sealed)
-                result.sealed[name.case_id] = len(sealed)
-        self._adapt_window()
-        self._fill_result(result)
-        if telemetry.enabled:
-            self._count_poll(result)
-        return result
+        return self._pass(final=False)
 
     def finalize(self) -> PollResult:
         """Treat the directory as finished: one last poll (files and
@@ -342,25 +342,42 @@ class LiveIngest:
         semantics), and fold the remaining buffered records. After
         this, snapshots equal batch ingestion of the final directory.
         """
+        return self._pass(final=True)
+
+    def _pass(self, *, final: bool) -> PollResult:
+        """Tail every file, then absorb what they sealed as one batch.
+
+        The rows sealed before an error — a later file's located parse
+        error — are absorbed all the same: their tails have moved past
+        them, so the graph, the statistics and the journal must hold
+        them, exactly as if the poll had stopped there.
+        """
         telemetry = self.telemetry
         self.n_polls += 1
         result = PollResult(n_poll=self.n_polls)
         with telemetry.phase("scan"):
             found = self.scan()
-        for path, name in found:
-            tail = self._tail_for(path, name, result)
-            if tail.finished:  # repeated finalize is a no-op per file
-                continue
-            before = tail.offset
-            sealed = tail.poll() + tail.finish()
-            result.n_bytes += tail.offset - before
-            if sealed:
-                self._absorb(name, sealed)
-                result.sealed[name.case_id] = len(sealed)
+        batch: list[tuple[TraceFileName, list[ParsedRecord]]] = []
+        try:
+            for path, name in found:
+                tail = self._tail_for(path, name, result)
+                if final and tail.finished:
+                    continue  # repeated finalize is a no-op per file
+                before = tail.offset
+                sealed = tail.poll() + tail.finish() if final \
+                    else tail.poll()
+                result.n_bytes += tail.offset - before
+                if sealed:
+                    batch.append((name, sealed))
+                    result.sealed[name.case_id] = len(sealed)
+        finally:
+            if batch:
+                self._absorb(batch)
         self._adapt_window()
         self._fill_result(result)
         if telemetry.enabled:
-            telemetry.count("finalizes_total")
+            if final:
+                telemetry.count("finalizes_total")
             self._count_poll(result)
         return result
 
@@ -421,27 +438,32 @@ class LiveIngest:
             telemetry.count("bytes_tailed_total", result.n_bytes)
         telemetry.gauge_set("files_tracked", result.n_files)
 
-    def _absorb(self, name: TraceFileName, sealed: list[ParsedRecord],
+    def _absorb(self, batch: list[tuple[TraceFileName, list[ParsedRecord]]],
                 ) -> None:
+        """Keep, journal (one block) and fold one poll's sealed rows;
+        ``batch`` is (name, sealed rows) per case, in path order."""
         telemetry = self.telemetry
-        case_id = name.case_id
         if self.keep_records:
-            self._records.setdefault(case_id, []).extend(sealed)
+            for name, sealed in batch:
+                self._records.setdefault(name.case_id, []).extend(sealed)
         if self.emit_journal is not None:
             with telemetry.phase("emit"):
-                self.emit_journal.append(name, sealed)
-        self.total_events += len(sealed)
-        rid = name.rid
+                self.emit_journal.append(batch)
         feed = self.stats.feed_event
-        activities: list[str] = []
         with telemetry.phase("fold"):
-            for record, activity in self._map_records(name, sealed):
-                if activity is None:
-                    continue
-                activities.append(activity)
-                feed(activity, case_id, rid=rid, start_us=record.start_us,
-                     dur_us=record.dur_us, size=record.size)
-            self.incremental.extend_case(case_id, activities)
+            for name, sealed in batch:
+                case_id = name.case_id
+                rid = name.rid
+                self.total_events += len(sealed)
+                activities: list[str] = []
+                for record, activity in self._map_records(name, sealed):
+                    if activity is None:
+                        continue
+                    activities.append(activity)
+                    feed(activity, case_id, rid=rid,
+                         start_us=record.start_us, dur_us=record.dur_us,
+                         size=record.size)
+                self.incremental.extend_case(case_id, activities)
 
     def _map_records(self, name: TraceFileName,
                      records: list[ParsedRecord],

@@ -130,6 +130,37 @@ def read_trace_file(
                      source=file_path)
 
 
+def list_trace_files(directory: str | os.PathLike[str], *,
+                     recursive: bool = False) -> list[str]:
+    """The ``*.st`` files under a directory, as paths relative to it in
+    POSIX form, in discovery order (sorted by path).
+
+    A cheap listing: no name is parsed and no rule checked — that is
+    :func:`discover_trace_files`, which takes a listing. The live
+    follower compares consecutive listings to skip discovery while the
+    directory holds the same files.
+
+    Raises
+    ------
+    TraceParseError
+        If the directory does not exist.
+    """
+    dir_path = Path(directory)
+    if not dir_path.is_dir():
+        raise TraceParseError(f"not a directory: {dir_path}")
+    if recursive:
+        return [path.relative_to(dir_path).as_posix()
+                for path in sorted(dir_path.rglob(f"*{TRACE_SUFFIX}"))
+                if path.suffix == TRACE_SUFFIX and path.is_file()]
+    # Path.suffix's rule without a Path per entry: a name that is
+    # only the suffix (".st") is a hidden file with no suffix.
+    with os.scandir(dir_path) as listing:
+        return sorted(entry.name for entry in listing
+                      if entry.name.endswith(TRACE_SUFFIX)
+                      and len(entry.name) > len(TRACE_SUFFIX)
+                      and entry.is_file())
+
+
 def discover_trace_files(
     directory: str | os.PathLike[str],
     *,
@@ -137,6 +168,7 @@ def discover_trace_files(
     recursive: bool = False,
     allow_empty: bool = False,
     known_cases: dict[str, Path] | None = None,
+    listing: list[str] | None = None,
 ) -> list[tuple[Path, TraceFileName]]:
     """Find every ``*.st`` file in a directory, deterministically.
 
@@ -149,12 +181,13 @@ def discover_trace_files(
     subdirectories is an error rather than a silent event merge.
 
     The live follower (:meth:`repro.live.engine.LiveIngest.scan`)
-    shares this grammar via two knobs batch callers never set:
+    shares this grammar via three knobs batch callers never set:
     ``allow_empty`` makes a directory with no matching files a normal
-    result (a watcher may start before traces appear), and
-    ``known_cases`` (case id → path) extends duplicate detection
-    across polls — a newly discovered file colliding with a case
-    already followed from a *different* path is an error.
+    result (a watcher may start before traces appear), ``known_cases``
+    (case id → path) extends duplicate detection across polls — a
+    newly discovered file colliding with a case already followed from
+    a *different* path is an error — and ``listing`` hands over the
+    :func:`list_trace_files` result it already took.
 
     Raises
     ------
@@ -164,25 +197,12 @@ def discover_trace_files(
         case.
     """
     dir_path = Path(directory)
-    if not dir_path.is_dir():
-        raise TraceParseError(f"not a directory: {dir_path}")
-    if recursive:
-        matches = sorted(dir_path.rglob(f"*{TRACE_SUFFIX}"))
-        entries = [path for path in matches
-                   if path.suffix == TRACE_SUFFIX and path.is_file()]
-    else:
-        # Path.suffix's rule without a Path per entry: a name that is
-        # only the suffix (".st") is a hidden file with no suffix.
-        with os.scandir(dir_path) as listing:
-            names = sorted(
-                entry.name for entry in listing
-                if entry.name.endswith(TRACE_SUFFIX)
-                and len(entry.name) > len(TRACE_SUFFIX)
-                and entry.is_file())
-        entries = [dir_path / name for name in names]
+    if listing is None:
+        listing = list_trace_files(dir_path, recursive=recursive)
     found: list[tuple[Path, TraceFileName]] = []
     seen: dict[str, Path] = {}
-    for entry in entries:
+    for relpath in listing:
+        entry = dir_path / relpath
         name = parse_trace_filename(entry.name)
         if cids is not None and name.cid not in cids:
             continue

@@ -296,6 +296,21 @@ def _cli_loads(argv: list[str], cwd: Path) -> list[str]:
     return result["modules"]
 
 
+def _cli_run(argv: list[str], cwd: Path) -> tuple[int, list[str]]:
+    """(exit code, ``sys.modules``) after ``st-inspector ARGV``, an
+    argparse exit included."""
+    result = _fresh(
+        "import json, sys\n"
+        "from repro.cli import main\n"
+        "try:\n"
+        f"    code = main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))",
+        cwd)
+    return result["code"], result["modules"]
+
+
 def _among(modules: list[str], prefixes) -> list[str]:
     return [module for module in modules
             if any(module == prefix or module.startswith(prefix + ".")
@@ -338,6 +353,30 @@ class TestWhatEachCommandLoads:
         modules = _cli_loads(argv, tmp_path)
         assert _among(modules, BATCH_NEVER_LOADS) == []
         assert _among(modules, ("concurrent.futures.process",)) == []
+
+    def test_help_loads_no_numpy(self, tmp_path):
+        code, modules = _cli_run(["--help"], tmp_path)
+        assert code == 0
+        assert _among(modules, ("numpy", "repro.core.statistics")) == []
+
+    def test_health_loads_no_numpy(self, fig1_dir, tmp_path):
+        """``health`` reads a sidecar's telemetry snapshot; it needs
+        argparse, json and ``repro.telemetry``, not the batch core."""
+        checkpoint = tmp_path / "watch.ckpt.json"
+        _cli_loads(["watch", str(fig1_dir), "--once", "--no-dfg",
+                    "--checkpoint", str(checkpoint), "--metrics-log",
+                    str(tmp_path / "metrics.jsonl")], tmp_path)
+        code, modules = _cli_run(["health", str(checkpoint)], tmp_path)
+        assert code in (0, 1)  # a verdict, not a usage error
+        assert _among(modules, ("numpy",)) == []
+
+    def test_engine_minimum_window_is_the_statistics_one(self):
+        """``live/options.py`` writes the window floor out so that the
+        parser loads no NumPy; it must stay the accumulator's."""
+        from repro.core.statistics import MIN_WINDOW
+        from repro.live.options import ENGINE_MINIMUMS
+
+        assert ENGINE_MINIMUMS["window"] == MIN_WINDOW
 
     def test_watch_without_exposition(self, fig1_dir, tmp_path):
         rules = tmp_path / "rules.toml"

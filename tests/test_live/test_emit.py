@@ -195,6 +195,31 @@ class TestFailureModes:
         with pytest.raises(ReproError, match="delete both"):
             LiveIngest(trace_dir, emit=elog, checkpoint=sidecar)
 
+    def test_cli_damaged_journal_is_exit_2(self, tmp_path, ls_file_bytes,
+                                           capsys):
+        """One byte flipped inside the checkpointed prefix fails its
+        block's CRC: the resuming watch exits 2 naming the journal,
+        before it polls."""
+        from repro.cli import main
+
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        _write_all(trace_dir, ls_file_bytes)
+        elog = tmp_path / "run.elog"
+        sidecar = tmp_path / "ckpt.json"
+        argv = ["watch", str(trace_dir), "--once", "--no-dfg",
+                "--emit", str(elog), "--checkpoint", str(sidecar)]
+        assert main(argv) == 0
+        journal = elog.with_name(elog.name + ".journal")
+        data = bytearray(journal.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        journal.write_bytes(data)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"corrupt emit journal {journal}: " in err
+        assert "Traceback" not in err
+
     def test_fresh_watch_truncates_a_leftover_journal(self, tmp_path,
                                                       ls_file_bytes):
         """No checkpoint → a new watch owns the journal; stale lines

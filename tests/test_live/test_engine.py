@@ -150,7 +150,104 @@ class TestPolling:
         assert engine.snapshot_dfg() == batch_dfg(tmp_path, CallOnly())
 
 
+class TestPollBatch:
+    """A poll tails every file, then absorbs what they sealed as one
+    batch: one journal block, one fold."""
+
+    GOOD = (b"100  10:00:00.000000 close(3</a/b>) = 0 <0.000001>\n"
+            b"200  10:00:00.000002 write(4</c/d>, ..., 5) = 5 "
+            b"<0.000010>\n")
+
+    def test_rows_sealed_before_a_parse_error_are_absorbed(self, tmp_path):
+        """The third of four files holds an unparseable line: the poll
+        raises its located error, and the graph, the statistics and the
+        journal already hold every row files 1-2 sealed — their tails
+        have moved past them, so dropping them would lose them."""
+        from repro.core.statistics import IOStatistics
+        from repro.elstore.convert import convert_source
+        from repro.pipeline.serialize import stats_payload
+
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        for rid in (1, 2, 4):
+            (traces / f"a_h_{rid}.st").write_bytes(self.GOOD)
+        (traces / "a_h_3.st").write_bytes(self.GOOD[:50]
+                                          + b"not a trace line\n")
+        elog = tmp_path / "run.elog"
+        engine = LiveIngest(traces, keep_records=False, emit=elog)
+        with pytest.raises(TraceParseError, match="a_h_3.st"):
+            engine.poll()
+        # What was sealed: files 1-2 whole; file 3 followed, nothing
+        # sealed; file 4 never reached.
+        sealed = tmp_path / "sealed"
+        sealed.mkdir()
+        for rid in (1, 2):
+            (sealed / f"a_h_{rid}.st").write_bytes(self.GOOD)
+        (sealed / "a_h_3.st").write_bytes(b"")
+        log = EventLog.from_source(sealed, workers=1).with_mapping(MAPPING)
+        assert engine.total_events == 4
+        assert engine.snapshot_dfg() == DFG(log)
+        assert stats_payload(engine.statistics()) \
+            == stats_payload(IOStatistics(log))
+        engine.pack_emit()
+        batch = convert_source(sealed, tmp_path / "batch.elog", workers=1)
+        assert elog.read_bytes() == batch.read_bytes()
+
+    def test_one_emit_and_one_fold_phase_per_poll(self, tmp_path,
+                                                  ls_file_bytes):
+        from repro.telemetry import Telemetry
+
+        for filename, content in ls_file_bytes.items():
+            (tmp_path / filename).write_bytes(content)
+        telemetry = Telemetry()
+        engine = LiveIngest(tmp_path, keep_records=False,
+                            emit=tmp_path / "run.elog",
+                            telemetry=telemetry)
+        engine.poll()
+        registry = telemetry.registry
+        assert len(ls_file_bytes) > 1
+        for phase in ("emit", "fold"):
+            assert registry.histogram("phase_seconds",
+                                      phase=phase).count == 1
+
+
 class TestDiscoveryRules:
+    def test_unchanged_listing_skips_discovery(self, tmp_path,
+                                               ls_file_bytes, monkeypatch):
+        """While the directory lists the same files, a scan reuses the
+        previous discovery; a new file takes the full one again."""
+        from repro.live import engine as engine_module
+
+        items = sorted(ls_file_bytes.items())
+        for filename, content in items[:-1]:
+            (tmp_path / filename).write_bytes(content)
+        engine = LiveIngest(tmp_path)
+        engine.poll()
+        calls = []
+        real = engine_module.discover_trace_files
+        monkeypatch.setattr(engine_module, "discover_trace_files",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        engine.poll()
+        assert calls == []
+        filename, content = items[-1]
+        (tmp_path / filename).write_bytes(content)
+        assert engine.poll().new_files
+        assert calls == [1]
+        engine.finalize()
+        assert engine.snapshot_dfg() == batch_dfg(tmp_path)
+
+    def test_renamed_file_takes_full_discovery(self, tmp_path,
+                                               ls_file_bytes):
+        """A rename keeps the file count but changes the listing: the
+        followed path is gone, which is an error, as it always was."""
+        name, content = next(iter(ls_file_bytes.items()))
+        (tmp_path / name).write_bytes(content)
+        engine = LiveIngest(tmp_path)
+        engine.poll()
+        (tmp_path / name).rename(tmp_path / f"z{name}")
+        with pytest.raises(TraceParseError, match="disappeared"):
+            engine.poll()
+
     def test_recursive_per_host_layout(self, tmp_path, ls_file_bytes,
                                        logs_identical):
         nested = tmp_path / "host1"

@@ -186,60 +186,60 @@ class TestGuards:
             LiveIngest(tmp_path / "traces", checkpoint=sidecar)
 
 
-class TestRecordFormat:
-    """Sidecars and emit journals written while records still carried
-    ``args``/``retval``/``requested`` keep restoring: loaders read only
-    the seven record fields."""
+class TestOldFormatsRefused:
+    """A sidecar or emit journal of an older layout is never read: each
+    is refused with the delete-and-re-watch message naming the file,
+    and no engine is built from it."""
 
     HEAD = (b"100  10:00:00.000000 close(3</a>) = 0 <0.000001>\n"
             b"100  10:00:00.000001 read(3</a>, <unfinished ...>\n"
             b"200  10:00:00.000002 write(4</b>, ..., 5) = 5 <0.000010>\n")
-    TAIL = (b"100  10:00:00.000900 <... read resumed> ..., 20) = 20 "
-            b"<0.000899>\n"
-            b"200  10:00:00.001000 close(4</b>) = 0 <0.000001>\n")
-    OLD_KEYS = {"args": ["4</b>", "...", "5"], "retval": 5,
-                "requested": 5}
 
-    def test_old_record_keys_restore_byte_identically(self, tmp_path):
-        from repro.elstore.convert import convert_source
-
+    def _watched(self, tmp_path) -> tuple[Path, Path, Path]:
         trace_dir = tmp_path / "traces"
         trace_dir.mkdir()
+        (trace_dir / "mix_host1_1.st").write_bytes(self.HEAD)
         sidecar = tmp_path / "watch.ckpt.json"
         elog = tmp_path / "run.elog"
-        journal = elog.with_name(elog.name + ".journal")
-        trace = trace_dir / "mix_host1_1.st"
-        trace.write_bytes(self.HEAD)
-
         engine = LiveIngest(trace_dir, keep_records=False, emit=elog,
                             checkpoint=sidecar)
         engine.poll()  # close sealed + journaled; write held back
         engine.save_checkpoint()
-        del engine
+        engine.close()
+        return trace_dir, sidecar, elog
 
-        lines = []
-        for line in journal.read_text().splitlines():
-            entry = json.loads(line)
-            entry["records"] = [{**record, **self.OLD_KEYS}
-                                for record in entry["records"]]
-            lines.append(json.dumps(entry, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-        journal.write_text("".join(lines))
+    def test_v8_sidecar_is_refused(self, tmp_path):
+        trace_dir, sidecar, elog = self._watched(tmp_path)
         state = json.loads(sidecar.read_text())
-        (tail_state,) = state["files"]
-        assert tail_state["buffer"], "the write must be held back"
-        for entry in tail_state["buffer"]:
-            entry[1].update(self.OLD_KEYS)
-        state["emit_offset"] = journal.stat().st_size
+        assert state["version"] == CHECKPOINT_VERSION == 9
+        state["version"] = 8
         sidecar.write_text(json.dumps(state))
+        with pytest.raises(ReproError, match="delete the sidecar") \
+                as caught:
+            LiveIngest(trace_dir, keep_records=False, emit=elog,
+                       checkpoint=sidecar)
+        assert f"version 8 in {sidecar}" in str(caught.value)
 
-        revived = LiveIngest(trace_dir, keep_records=False, emit=elog,
-                             checkpoint=sidecar)
-        grow(trace_dir, trace.name, self.TAIL)
-        revived.poll()
-        revived.finalize()
-        revived.pack_emit()
-        batch = tmp_path / "batch.elog"
-        convert_source(trace_dir, batch, workers=1)
-        assert elog.read_bytes() == batch.read_bytes()
-        assert revived.snapshot_dfg() == batch_dfg(trace_dir)
+    def test_json_lines_journal_is_refused(self, tmp_path):
+        """The journal of an older build — one sort-keyed JSON line per
+        case per poll — behind a current sidecar."""
+        trace_dir, sidecar, elog = self._watched(tmp_path)
+        journal = elog.with_name(elog.name + ".journal")
+        line = json.dumps(
+            {"cid": "mix", "host": "host1", "rid": 1,
+             "records": [{"call": "close", "dur_us": 1, "errno": None,
+                          "fp": "/a", "pid": 100, "size": None,
+                          "start_us": 36000000000}]},
+            sort_keys=True, separators=(",", ":")) + "\n"
+        journal.write_text(line)
+        state = json.loads(sidecar.read_text())
+        state["emit_offset"] = len(line)
+        sidecar.write_text(json.dumps(state))
+        with pytest.raises(ReproError, match="re-watch") as caught:
+            LiveIngest(trace_dir, keep_records=False, emit=elog,
+                       checkpoint=sidecar)
+        message = str(caught.value)
+        assert f"corrupt emit journal {journal}" in message
+        assert "format-3 header" in message
+        assert "delete both" in message
+
