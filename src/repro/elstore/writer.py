@@ -58,6 +58,8 @@ class EventLogWriter:
         self._handle = open(self.path, "wb")
         self._handle.write(struct.pack(
             HEADER_FMT, MAGIC, FORMAT_VERSION, 0, 0, 0))
+        #: Where the next chunk lands: column data is only appended.
+        self._position = HEADER_SIZE
         self._cases: list[CaseMeta] = []
         self._case_ids: set[str] = set()
         # File-global string pools, built as cases stream in.
@@ -69,31 +71,21 @@ class EventLogWriter:
     # -- pool helpers -----------------------------------------------------
 
     def _intern(self, pool: str, value: str) -> int:
+        return self._intern_all(pool, (value,))[0]
+
+    def _intern_all(self, pool: str, values: list[str]) -> list[int]:
+        """The global codes of ``values``, interning unseen ones in
+        order."""
         index = self._pool_index[pool]
-        code = index.get(value)
-        if code is None:
-            code = len(self._pools[pool])
-            index[value] = code
-            self._pools[pool].append(value)
-        return code
-
-    # -- chunk writing -----------------------------------------------------
-
-    def _write_column(self, values: np.ndarray, dtype: str,
-                      name: str) -> ColumnMeta:
-        array = np.ascontiguousarray(values.astype(dtype))
-        column = ColumnMeta(name=name, dtype=dtype)
-        for chunk_start in range(0, len(array) or 1, self.chunk_values):
-            chunk = array[chunk_start: chunk_start + self.chunk_values]
-            raw = chunk.tobytes()
-            offset = self._handle.tell()
-            self._handle.write(raw)
-            column.chunks.append(ChunkRef(
-                offset=offset, nbytes=len(raw),
-                crc32=zlib.crc32(raw)))
-            if len(array) == 0:
-                break
-        return column
+        strings = self._pools[pool]
+        codes = []
+        for value in values:
+            code = index.get(value)
+            if code is None:
+                code = index[value] = len(strings)
+                strings.append(value)
+            codes.append(code)
+        return codes
 
     # -- public API ----------------------------------------------------------
 
@@ -114,6 +106,7 @@ class EventLogWriter:
         the ``call``/``fp`` columns hold codes into ``call_strings`` /
         ``path_strings`` (local to this call) which are re-encoded
         against the file-global pools. ``fp`` code -1 means "no path".
+        The case's chunks go to the file in one write.
         """
         if self._closed:
             raise StoreFormatError("writer is closed")
@@ -127,25 +120,14 @@ class EventLogWriter:
             raise StoreFormatError(f"ragged case columns: {lengths}")
         n_events = lengths.pop() if lengths else 0
 
-        # Re-encode local string codes into file-global pools.
-        call_map = np.array(
-            [self._intern("calls", s) for s in call_strings] or [0],
-            dtype=np.int32)
-        path_map = np.array(
-            [self._intern("paths", s) for s in path_strings] or [0],
-            dtype=np.int32)
-        call_codes = columns["call"].astype(np.int64)
-        fp_codes = columns["fp"].astype(np.int64)
-        if len(call_codes) and call_codes.max(initial=-1) >= len(call_strings):
-            raise StoreFormatError("call code out of range of call_strings")
-        if len(fp_codes) and fp_codes.max(initial=-1) >= len(path_strings):
-            raise StoreFormatError("fp code out of range of path_strings")
-        global_calls = np.where(
-            call_codes >= 0, call_map[np.clip(call_codes, 0, None)],
-            -1).astype(np.int32)
-        global_fps = np.where(
-            fp_codes >= 0, path_map[np.clip(fp_codes, 0, None)],
-            -1).astype(np.int32)
+        # Both pools take their strings before either range check.
+        call_lookup = self._intern_all("calls", call_strings)
+        path_lookup = self._intern_all("paths", path_strings)
+        encoded = dict(columns)
+        encoded["call"] = _recode(columns["call"], call_lookup,
+                                  "call code out of range of call_strings")
+        encoded["fp"] = _recode(columns["fp"], path_lookup,
+                                "fp code out of range of path_strings")
 
         case = CaseMeta(
             case_id=case_id, cid=cid, host=host, rid=rid,
@@ -153,12 +135,24 @@ class EventLogWriter:
         self._intern("cases", case_id)
         self._intern("cids", cid)
         self._intern("hosts", host)
-        encoded = dict(columns)
-        encoded["call"] = global_calls
-        encoded["fp"] = global_fps
+        # Lay every chunk down from the running position, then write
+        # the case in one call; the position moves once it is written.
+        data = []
+        position = self._position
         for name, dtype in CASE_COLUMNS.items():
-            case.columns[name] = self._write_column(
-                encoded[name], dtype, name)
+            array = np.ascontiguousarray(encoded[name], dtype=dtype)
+            raw = memoryview(array).cast("B")
+            column = case.columns[name] = ColumnMeta(name=name, dtype=dtype)
+            step = self.chunk_values * array.itemsize
+            for start in range(0, len(raw) or 1, step):
+                chunk = raw[start:start + step]
+                column.chunks.append(ChunkRef(
+                    offset=position, nbytes=len(chunk),
+                    crc32=zlib.crc32(chunk)))
+                position += len(chunk)
+            data.append(raw)
+        self._handle.write(b"".join(data))
+        self._position = position
         self._cases.append(case)
         self._case_ids.add(case_id)
 
@@ -206,6 +200,20 @@ class EventLogWriter:
             self._handle.close()
             self._closed = True
             self.path.unlink(missing_ok=True)
+
+
+def _recode(codes: np.ndarray, lookup: list[int],
+            out_of_range: str) -> np.ndarray:
+    """Local string codes as int32 global codes, by one table lookup:
+    code ``i`` becomes ``lookup[i]`` and every negative code -1 ("no
+    string"). Raises :class:`StoreFormatError` (``out_of_range``) for
+    a code past the end of ``lookup``."""
+    # Cast as ``astype`` would, floor at -1, shift onto the table.
+    shifted = np.maximum(codes, -1, dtype=np.int64, casting="unsafe")
+    shifted += 1
+    if len(shifted) and shifted.max() > len(lookup):
+        raise StoreFormatError(out_of_range)
+    return np.array([-1] + lookup, dtype=np.int32)[shifted]
 
 
 def write_event_log(event_log: "EventLog",

@@ -21,19 +21,25 @@ These seven fields, in this order, are a *row*: the unit the merger
 (:mod:`repro.strace.resume`) seals and the column builders consume.
 :class:`ParsedRecord` is the same tuple with field names.
 
-There are two ways to a row, and they agree by construction (pinned by
-a differential hypothesis property):
+There are two roads to a row, and they agree by construction (pinned
+by differential hypothesis properties):
 
-- the **fast path** (:func:`match_line`, :func:`match_body`): one
-  compiled, anchored regex per line recognises the shape
-  ``strace -f -tt -T -y`` emits for I/O calls — arguments without
-  struct/array literals, an optional leading ``fd</path>``, quoted
-  strings with escapes — and yields the fields directly. It returns
-  ``None`` (declines) for anything it does not fully understand;
+- the **fast road**: :data:`LINE_RE`, one compiled, anchored regex,
+  recognises the three line shapes ``strace -f -tt -T -y`` prints for
+  I/O calls — a complete call, an unfinished head
+  (``name(... <unfinished ...>``) and a resumed tail
+  (``<... name resumed> ...) = ret <dur>``) — behind one shared
+  pid/stamp header. Arguments may hold no struct/array literal; an
+  optional leading ``fd</path>`` and quoted strings with escapes are
+  fine. :meth:`~repro.strace.resume.IncrementalMerger.feed_lines`
+  builds rows straight from its groups, with :data:`FP_MODES` and
+  :data:`SIZE_CALLS` saying where each call's ``fp`` and ``size``
+  come from;
 - the **general scan** (:func:`scan_body`): a quote- and bracket-aware
   character scan (:func:`split_args`) that handles every body strace
   can print, and the one source of the argument-list and
-  return-clause errors.
+  return-clause errors. Every line the fast road does not take goes
+  through :func:`~repro.strace.tokenizer.tokenize_line` and this scan.
 
 The regexes are compiled when this module is imported, so a parent
 process compiles them once before it forks its ingest workers.
@@ -62,7 +68,7 @@ _CALL_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\(")
 #: The ``= RET ... <dur>`` tail: value (numeric / ``?`` / hex), the
 #: ``-y`` annotation on a returned fd, ``ENOENT (No such ...)``, a flag
 #: description such as ``(Timeout)``, and the ``-T`` duration. One
-#: source for the general scan's :data:`_RET_RE` and the fast regexes.
+#: source for the general scan's :data:`_RET_RE` and :data:`LINE_RE`.
 _RETURN_PATTERN = (
     r"=\s+(-?\d+|\?|0x[0-9a-fA-F]+)"
     r"(?:<([^>]*)>)?"
@@ -71,44 +77,53 @@ _RETURN_PATTERN = (
     r"\s*(?:<(\d+)\.(\d{6})>)?\s*$")
 _RET_RE = re.compile("^" + _RETURN_PATTERN)
 
-#: A complete call whose argument list the general scan would split
-#: trivially: no bracket outside quoted strings except an optional
-#: leading ``fd<path>`` argument (captured), then the first ``)``
-#: outside strings closes the list. Strings are C strings with
-#: backslash escapes, scanned exactly as :func:`split_args` scans them.
-#: The unrolled ``[^"]*(?:"..."[^"]*)*`` form keeps a declined line
-#: linear in its length.
+#: Argument text the general scan would split trivially: no bracket
+#: outside quoted strings, up to (not including) the first ``)``
+#: outside strings. Strings are C strings with backslash escapes,
+#: scanned exactly as :func:`split_args` scans them. The unrolled
+#: ``[^"]*(?:"..."[^"]*)*`` form keeps a declined line linear in its
+#: length.
 _PLAIN = r'[^"()\[\]{}<>]'
 _STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
-_CALL_PATTERN = (
-    r"([a-zA-Z_][a-zA-Z0-9_]*)\("
-    r"(?:\d+<(" + _PLAIN + r"*)>(?=[,)]))?"
-    r"(" + _PLAIN + r"*(?:" + _STRING + _PLAIN + r"*)*)\)\s*")
+_ARGS = r"(" + _PLAIN + r"*(?:" + _STRING + _PLAIN + r"*)*)"
+_NAME = r"([a-zA-Z_][a-zA-Z0-9_]*)"
 
-#: Fast path for whole lines: header + call + return, one match.
-_LINE_RE = re.compile(
-    PID_PATTERN + STAMP_PATTERN + r"\s+" + _CALL_PATTERN + _RETURN_PATTERN,
+#: The one fast pattern. After the shared header comes a call opening
+#: — ``name(`` with an optional leading ``fd<path>`` argument (a
+#: complete call or an unfinished head), or ``<... name resumed>`` (a
+#: resumed tail) — then the plain arguments, then either the return
+#: clause or ``<unfinished ...>`` ending the line. Groups: pid,
+#: ``HH:MM:SS``, epoch seconds, fraction; call, fd path, resumed call,
+#: arguments; the return clause's value, returned path, errno and
+#: duration seconds and micros (all ``None`` for a head). A head's body
+#: starts at the call group, a tail's resumed text at the arguments.
+LINE_RE = re.compile(
+    PID_PATTERN + STAMP_PATTERN + r"\s+"
+    r"(?:" + _NAME + r"\((?:\d+<(" + _PLAIN + r"*)>(?=[,)]))?"
+    r"|<\.\.\.\s+" + _NAME + r"\s+resumed>)"
+    + _ARGS + r"(?:\)\s*" + _RETURN_PATTERN + r"|<unfinished \.\.\.>\Z)",
     re.DOTALL)
-#: Fast path for bodies (the spliced halves of a resumed call).
-_BODY_RE = re.compile(_CALL_PATTERN + _RETURN_PATTERN, re.DOTALL)
 #: The first argument of a bracket-free argument list that starts with
 #: a quote, when that argument is one string (possibly abbreviated
 #: ``"..."...``): the path of a failed ``openat`` without ``-y``.
 _FIRST_QUOTED_RE = re.compile(
     r'(?:[^",]*,)*?\s*(' + _STRING + r')(?:\.\.\.)?\s*(?:,|$)', re.DOTALL)
 
-_UNFINISHED_SUFFIX = "<unfinished ...>"
+UNFINISHED_SUFFIX = "<unfinished ...>"
 
-# How the fast path finds ``fp`` per call: from the leading fd
-# annotation, from the returned fd, or not at all. Calls whose path is
-# a quoted argument at some index are left to the general scan.
-_FP_FD, _FP_RET, _FP_NONE = 0, 1, 2
-_FP_MODES: dict[str, int | None] = {
-    name: {PathSource.FD_ARG: _FP_FD if spec.path_arg_index == 0 else None,
-           PathSource.RET_FD: _FP_RET,
-           PathSource.NONE: _FP_NONE}.get(spec.path_source)
+#: How the fast road finds ``fp`` per call: from the leading fd
+#: annotation, from the returned fd (else the first quoted argument),
+#: or not at all. Calls whose path is an argument at some other index
+#: (``FP_SCAN``) are left to the general scan; calls the catalog does
+#: not know read the leading fd annotation.
+FP_FD, FP_RET, FP_NONE, FP_SCAN = 0, 1, 2, 3
+FP_MODES: dict[str, int] = {
+    name: {PathSource.FD_ARG: FP_FD if spec.path_arg_index == 0 else FP_SCAN,
+           PathSource.RET_FD: FP_RET,
+           PathSource.NONE: FP_NONE}.get(spec.path_source, FP_SCAN)
     for name, spec in SYSCALL_CATALOG.items()}
-_SIZE_CALLS = frozenset(
+#: Calls whose non-negative return value is the transfer size.
+SIZE_CALLS = frozenset(
     name for name, spec in SYSCALL_CATALOG.items() if spec.returns_size)
 
 
@@ -247,7 +262,7 @@ def _extract_fp(call: str, args: list[str],
 def _size(call: str, val: str, errno: str | None) -> int | None:
     """The transfer size: the return value of a successful read/write
     variant (``?`` and negative returns carry none)."""
-    if errno is not None or call not in _SIZE_CALLS or val == "?":
+    if errno is not None or call not in SIZE_CALLS or val == "?":
         return None
     retval = int(val, 16) if val.startswith("0x") else int(val)
     return retval if retval >= 0 else None
@@ -259,71 +274,14 @@ def _duration(seconds: str | None, micros: str | None) -> int | None:
     return None if seconds is None else int(seconds + micros)
 
 
-def _fast_row(pid: int, start_us: int, call: str, fd_path: str | None,
-              args: str, val: str, ret_path: str | None,
-              errno: str | None, dur_s: str | None,
-              dur_frac: str | None) -> tuple | None:
-    """The row of a fast match, or None when ``fp`` needs the general
-    scan (a quoted path at some argument index, or a path argument of
-    ``openat`` that is not one plain string)."""
-    mode = _FP_MODES.get(call, _FP_FD)
-    if mode == _FP_FD:
-        fp = fd_path
-    elif mode == _FP_RET:
-        if ret_path:
-            fp = ret_path
-        else:
-            quoted = _FIRST_QUOTED_RE.match(args)
-            if quoted is None:
-                return None
-            fp = _strip_quotes(quoted.group(1))
-    elif mode == _FP_NONE:
-        fp = None
-    else:
-        return None
-    return (pid, start_us, call, fp, _size(call, val, errno),
-            _duration(dur_s, dur_frac), errno)
-
-
-def match_line(line: str, default_pid: int = 0) -> tuple | None:
-    """The fast path for one whole line: its row, or ``None``.
-
-    ``None`` means *declined*, not *invalid*: the caller falls back to
-    :func:`~repro.strace.tokenizer.tokenize_line` and the general scan,
-    which either parse the line the same way or raise the located
-    error. A line is taken only if tokenizing would classify it as a
-    complete syscall, so unfinished/resumed/signal/exit lines, and
-    stamps out of range, are declined too.
-    """
-    if "\n" in line:  # the tokenizer's header never spans a newline
-        line = line.rstrip("\n")
-        if "\n" in line:
-            return None
-    m = _LINE_RE.match(line)
-    if m is None:
-        return None
-    (pid, hours, minutes, seconds, epoch, fraction, call, fd_path, args,
-     val, ret_path, errno, dur_s, dur_frac) = m.groups()
-    if hours is not None:
-        hours, minutes, seconds = int(hours), int(minutes), int(seconds)
-        if hours > 23 or minutes > 59 or seconds > 60:
-            return None
-        start_us = ((hours * 60 + minutes) * 60 + seconds) * 1_000_000 \
-            + int(fraction)
-    else:
-        start_us = int(epoch + fraction)
-    if dur_s is None and line.endswith(_UNFINISHED_SUFFIX):
-        return None  # ``= 3<unfinished ...>``: the tokenizer's UNFINISHED
-    return _fast_row(default_pid if pid is None else int(pid), start_us,
-                     call, fd_path, args, val, ret_path, errno, dur_s,
-                     dur_frac)
-
-
-def match_body(pid: int, start_us: int, body: str) -> tuple | None:
-    """The fast path for a syscall body (``name(args) = ret <dur>``):
-    its row, or ``None`` to decline (see :func:`match_line`)."""
-    m = _BODY_RE.match(body)
-    return None if m is None else _fast_row(pid, start_us, *m.groups())
+def first_quoted_path(args: str) -> str | None:
+    """The fast road's ``fp`` of an ``FP_RET`` call whose return value
+    carries no path: the unquoted first quoted argument of ``args``
+    (the :data:`LINE_RE` arguments group), or ``None`` when that
+    argument is not one plain string — the line then needs the general
+    scan."""
+    quoted = _FIRST_QUOTED_RE.match(args)
+    return None if quoted is None else _strip_quotes(quoted.group(1))
 
 
 def scan_body(pid: int, start_us: int, body: str, *,
@@ -355,36 +313,24 @@ def scan_body(pid: int, start_us: int, body: str, *,
             _size(call, val, errno), _duration(dur_s, dur_frac), errno)
 
 
-def parse_row(pid: int, start_us: int, body: str, *,
-              path: str | None = None,
-              lineno: int | None = None) -> tuple:
-    """A complete syscall body's row: fast path, else general scan."""
-    row = match_body(pid, start_us, body)
-    if row is None:
-        row = scan_body(pid, start_us, body, path=path, lineno=lineno)
-    return row
-
-
 def parse_body(pid: int, start_us: int, body: str, *,
                path: str | None = None,
                lineno: int | None = None) -> ParsedRecord:
     """Parse a complete syscall body (``name(args) = ret <dur>``)."""
     return ParsedRecord._make(
-        parse_row(pid, start_us, body, path=path, lineno=lineno))
+        scan_body(pid, start_us, body, path=path, lineno=lineno))
 
 
 def parse_line(line: str, *, path: str | None = None,
                lineno: int | None = None) -> ParsedRecord | None:
     """Parse one line; returns ``None`` for non-syscall records.
 
-    Convenience for tests and one-off use. Production reading goes
-    through :class:`~repro.strace.resume.IncrementalMerger`, which
-    takes the same two paths per line and also merges
-    unfinished/resumed pairs across lines.
+    Convenience for tests and one-off use: the tokenizer and the
+    general scan. Production reading goes through
+    :class:`~repro.strace.resume.IncrementalMerger`, which takes the
+    fast road where it can and also merges unfinished/resumed pairs
+    across lines.
     """
-    row = match_line(line)
-    if row is not None:
-        return ParsedRecord._make(row)
     token = tokenize_line(line, path=path, lineno=lineno)
     if token.kind is not RecordKind.SYSCALL:
         return None

@@ -20,6 +20,18 @@ Interrupted calls — those whose return clause carries ``ERESTARTSYS`` —
 are dropped, again per Sec. III ("we ignore these calls"). Signal
 delivery (``--- SIGx ---``) and exit (``+++ exited +++``) records are
 skipped here; the reader records their counts for diagnostics.
+
+Each line is matched once, against :data:`~repro.strace.parser.LINE_RE`:
+a complete call becomes its row, an unfinished head fills its pid's
+slot, and a resumed tail splices with that head — all from the match
+groups, with no per-line helper call. A head keeps its argument text,
+so the splice reads ``fp`` from it and the rest from the tail, which is
+the row the general scan gives for the joined body. ``HH:MM:SS`` is
+converted once per run of lines sharing it. Every other line —
+signals, exits, struct/array arguments, paths at another argument
+index, out-of-range stamps, a complete call returning
+``3<unfinished ...>``, text holding a newline — is tokenized and
+handled by the general road, which raises every located error.
 """
 
 from __future__ import annotations
@@ -28,7 +40,18 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro._util.errors import TraceParseError
-from repro.strace.parser import ParsedRecord, match_line, parse_row
+from repro.strace.parser import (
+    FP_FD,
+    FP_MODES,
+    FP_NONE,
+    FP_RET,
+    LINE_RE,
+    SIZE_CALLS,
+    UNFINISHED_SUFFIX,
+    ParsedRecord,
+    first_quoted_path,
+    scan_body,
+)
 from repro.strace.tokenizer import (
     RecordKind,
     Token,
@@ -69,12 +92,12 @@ class IncrementalMerger:
     whole file, the live follower (:mod:`repro.live`) a few lines at a
     time, so the merge state — the per-pid in-flight slot — survives
     between feeds. :meth:`feed_lines` is also where each line is
-    parsed: a complete I/O call takes the fast path
-    (:func:`~repro.strace.parser.match_line`) straight to its row;
-    every other line is tokenized and handled here, its syscall bodies
-    (including spliced resumed pairs) parsed by
-    :func:`~repro.strace.parser.parse_row`. Errors name the path and
-    the line.
+    parsed: a complete I/O call, an unfinished head and a resumed tail
+    take the fast road (one :data:`~repro.strace.parser.LINE_RE`
+    match each, see the module docstring); every other line is
+    tokenized and handled here, its syscall bodies (including spliced
+    resumed pairs) parsed by :func:`~repro.strace.parser.scan_body`.
+    Errors name the path and the line.
 
     The merger also solves an ordering problem batch merging hides: a
     merged record sits at its *unfinished* (start) position, which
@@ -107,8 +130,11 @@ class IncrementalMerger:
         self.strict = strict
         self.default_pid = default_pid
         self.stats = MergeStats()
-        # pid -> (token, call name) for the in-flight unfinished record.
-        self._pending: dict[int, tuple[Token, str]] = {}
+        # pid -> (start_us, call, body, fd path, arguments) of the
+        # in-flight unfinished record. The last two are the LINE_RE
+        # groups of a head the fast road took; a head the general road
+        # took has None arguments, and its tail splices by scan.
+        self._pending: dict[int, tuple] = {}
         # Completed but unsealed rows: (start_us, completion seq, row).
         # The seq is the completion index, so sealing in (start, seq)
         # order reproduces a one-feed stable sort exactly.
@@ -145,13 +171,14 @@ class IncrementalMerger:
         """
         if not self._pending or not self._buffer:
             return 0
-        horizon = min(token.start_us
-                      for token, _ in self._pending.values())
+        horizon = min(entry[0] for entry in self._pending.values())
         return max(start for start, _, _ in self._buffer) - horizon
 
     def pending_tokens(self) -> list[Token]:
         """The unfinished halves currently in flight (for checkpoints)."""
-        return [token for token, _ in self._pending.values()]
+        return [Token(pid=pid, start_us=entry[0],
+                      kind=RecordKind.UNFINISHED, body=entry[2])
+                for pid, entry in self._pending.items()]
 
     def buffered_records(self) -> list[tuple[int, tuple]]:
         """``(completion_seq, row)`` of unsealed records (for
@@ -164,8 +191,10 @@ class IncrementalMerger:
                 buffered: Iterable[tuple[int, tuple]],
                 next_seq: int, stats: MergeStats) -> None:
         """Reload carry-over state saved by a live checkpoint."""
-        self._pending = {token.pid: (token, unfinished_call_name(token.body))
-                         for token in pending}
+        self._pending = {
+            token.pid: (token.start_us, unfinished_call_name(token.body),
+                        token.body, None, None)
+            for token in pending}
         self._buffer = [(row[1], seq, row) for seq, row in buffered]
         self._seq = next_seq
         self.stats = stats
@@ -189,14 +218,92 @@ class IncrementalMerger:
         structures immediately.
         """
         default_pid = self.default_pid
+        pending = self._pending
+        append = self._buffer.append
+        match = LINE_RE.match
+        fp_modes = FP_MODES
+        clock = clock_us = None  # the last HH:MM:SS and its µs
         for lineno, text in lines:
-            row = match_line(text, default_pid)
-            if row is None:
-                self._consume(tokenize_line(
-                    text, path=self.path, lineno=lineno,
-                    default_pid=default_pid), lineno)
+            m = match(text)
+            if m is None or "\n" in text:
+                self._feed_general(text, lineno)
+                continue
+            (pid, hms, epoch, fraction, call, fd_path, resumed, args,
+             val, ret_path, errno, dur_s, dur_frac) = m.groups()
+            if hms is None:
+                start_us = int(epoch + fraction)
             else:
-                self._complete(row)
+                if hms != clock:
+                    hours, minutes, seconds = \
+                        int(hms[:2]), int(hms[3:5]), int(hms[6:])
+                    if hours > 23 or minutes > 59 or seconds > 60:
+                        # The tokenizer raises the located range error.
+                        self._feed_general(text, lineno)
+                        continue
+                    clock = hms
+                    clock_us = ((hours * 60 + minutes) * 60
+                                + seconds) * 1_000_000
+                start_us = clock_us + int(fraction)
+            pid = default_pid if pid is None else int(pid)
+            if val is None:  # the line ends ``<unfinished ...>``
+                if call is None:  # ... after a resumed tail's opening
+                    self._feed_general(text, lineno)
+                    continue
+                if pid in pending:
+                    raise TraceParseError(
+                        f"pid {pid} has two in-flight unfinished calls",
+                        path=self.path, lineno=lineno)
+                pending[pid] = (start_us, call, text[m.start(5):],
+                                fd_path, args)
+                continue
+            if call is None:  # a resumed tail: splice with its head
+                entry = pending.pop(pid, None)
+                if entry is None or entry[1] != resumed \
+                        or entry[4] is None:
+                    self._splice(pid, entry, resumed, text[m.start(8):],
+                                 lineno)
+                    continue
+                start_us, call, _, fd_path, head_args = entry
+            elif dur_s is None and text.endswith(UNFINISHED_SUFFIX):
+                self._feed_general(text, lineno)  # ``= 3<unfinished ...>``
+                continue
+            mode = fp_modes.get(call, FP_FD)
+            if mode == FP_FD:
+                fp = fd_path
+            elif mode == FP_NONE:
+                fp = None
+            elif mode == FP_RET and ret_path:
+                fp = ret_path
+            else:
+                fp = None
+                if mode == FP_RET:  # no returned path: the first string
+                    if resumed is not None:  # of the joined arguments
+                        # (the spaces the general join strips at the
+                        # seam cannot move the first quoted argument)
+                        args = head_args + args
+                    fp = first_quoted_path(args)
+                if fp is None:  # the path needs the general scan
+                    if resumed is None:
+                        self._feed_general(text, lineno)
+                    else:
+                        self._splice(pid, entry, resumed,
+                                     text[m.start(8):], lineno)
+                    continue
+            if errno is not None and errno in RESTART_ERRNOS:
+                self.stats.dropped_restarts += 1
+                continue
+            size = None
+            if errno is None and val != "?" and call in SIZE_CALLS:
+                size = int(val, 16) if val[:2] == "0x" else int(val)
+                if size < 0:
+                    size = None
+            seq = self._seq
+            self._seq = seq + 1
+            append((start_us, seq, (
+                pid, start_us, call, fp, size,
+                None if dur_s is None else int(dur_s + dur_frac), errno)))
+            if resumed is not None:
+                self.stats.merged_pairs += 1
         return self._drain()
 
     def feed(self, tokens: Iterable[Token]) -> list:
@@ -212,11 +319,17 @@ class IncrementalMerger:
         self._pending.clear()
         return self._drain()
 
+    def _feed_general(self, text: str, lineno: int) -> None:
+        """The general road for one line the fast road declined."""
+        self._consume(tokenize_line(
+            text, path=self.path, lineno=lineno,
+            default_pid=self.default_pid), lineno)
+
     def _consume(self, token: Token, lineno: int | None) -> None:
         stats = self.stats
         kind = token.kind
         if kind is RecordKind.SYSCALL:
-            self._complete(parse_row(token.pid, token.start_us, token.body,
+            self._complete(scan_body(token.pid, token.start_us, token.body,
                                      path=self.path, lineno=lineno))
             return
         if kind is RecordKind.SIGNAL:
@@ -235,28 +348,46 @@ class IncrementalMerger:
                     f"pid {token.pid} has two in-flight unfinished calls",
                     path=self.path, lineno=lineno)
             self._pending[token.pid] = (
-                token, unfinished_call_name(token.body))
+                token.start_us,
+                unfinished_call_name(token.body, path=self.path,
+                                     lineno=lineno),
+                token.body, None, None)
             return
-        # RESUMED: the merged record parses where the call completes.
         entry = self._pending.pop(token.pid, None)
-        call = resumed_call_name(token.body)
+        body = token.body
+        call = resumed_call_name(body, path=self.path, lineno=lineno)
+        self._splice(token.pid, entry, call,
+                     body[body.index("resumed>") + len("resumed>"):],
+                     lineno)
+
+    def _splice(self, pid: int, entry: tuple | None, call: str,
+                resumed_text: str, lineno: int | None) -> None:
+        """The general road's resumed tail: ``entry`` is the pid's
+        popped in-flight head (``None`` if there was none), ``call``
+        the tail's name and ``resumed_text`` what follows its
+        ``resumed>``. The halves are joined back into one body —
+        ``read(3</x>, <unfinished ...>`` + `` ..., 405) = 404
+        <0.000223>`` → ``read(3</x>, ..., 405) = 404 <0.000223>`` —
+        and the merged record parses where the call completes."""
         if entry is None:
             if self.strict:
                 raise TraceParseError(
-                    f"resumed {call!r} for pid {token.pid} without a "
+                    f"resumed {call!r} for pid {pid} without a "
                     f"matching unfinished record",
                     path=self.path, lineno=lineno)
-            stats.orphan_resumed += 1
+            self.stats.orphan_resumed += 1
             return
-        head_token, head_call = entry
+        start_us, head_call, body = entry[:3]
         if head_call != call:
             raise TraceParseError(
-                f"pid {token.pid}: unfinished {head_call!r} resumed as "
+                f"pid {pid}: unfinished {head_call!r} resumed as "
                 f"{call!r}", path=self.path, lineno=lineno)
-        body = _join_bodies(head_token.body, token.body, call)
-        if self._complete(parse_row(head_token.pid, head_token.start_us,
-                                    body, path=self.path, lineno=lineno)):
-            stats.merged_pairs += 1
+        head = body[:-len(UNFINISHED_SUFFIX)]
+        if head.endswith(" "):
+            resumed_text = resumed_text.lstrip(" ")
+        if self._complete(scan_body(pid, start_us, head + resumed_text,
+                                    path=self.path, lineno=lineno)):
+            self.stats.merged_pairs += 1
 
     def _complete(self, row: tuple) -> bool:
         """Buffer a completed row; False (and counted) when it is an
@@ -272,8 +403,7 @@ class IncrementalMerger:
         if not self._buffer:
             return []
         if self._pending:
-            horizon = min(token.start_us
-                          for token, _ in self._pending.values())
+            horizon = min(entry[0] for entry in self._pending.values())
             sealed = [entry for entry in self._buffer
                       if entry[0] <= horizon]
             if not sealed:
@@ -325,16 +455,3 @@ def merge_unfinished(
     records = merger.feed(tokens)
     records += merger.finish()
     return records, merger.stats
-
-
-def _join_bodies(unfinished_body: str, resumed_body: str, call: str) -> str:
-    """Splice the two halves back into one parseable syscall body.
-
-    ``read(3</x>, <unfinished ...>`` + ``<... read resumed> ..., 405) =
-    404 <0.000223>`` → ``read(3</x>,  ..., 405) = 404 <0.000223>``.
-    """
-    head = unfinished_body[: -len("<unfinished ...>")]
-    marker = "resumed>"
-    idx = resumed_body.index(marker)
-    tail = resumed_body[idx + len(marker):]
-    return head + tail.lstrip(" ") if head.endswith(" ") else head + tail

@@ -21,10 +21,11 @@ The tokenizer only splits and classifies; field-level parsing happens
 in :mod:`repro.strace.parser`. Keeping the stages separate lets the
 unfinished/resumed merger (:mod:`repro.strace.resume`) operate on
 classified-but-unparsed bodies, mirroring how the paper describes the
-merge as a pre-processing step on records (Sec. III). A complete I/O
-call line that the parser's fast path takes never reaches the
-tokenizer; the header pattern pieces defined here are shared with that
-path, so both read a header the same way.
+merge as a pre-processing step on records (Sec. III). A line the
+parser's fast road takes — a complete I/O call, an unfinished head or
+a resumed tail — never reaches the tokenizer; the header pattern
+pieces defined here are shared with that road, so both read a header
+the same way.
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ class Token:
 #: process omits it).
 PID_PATTERN = r"(?:(\d+)\s+)?"
 #: ``-tt`` wall clock (HH:MM:SS.ffffff) or ``-ttt`` epoch seconds
-#: (1700000000.123456), with the hour/minute/second/epoch/fraction
+#: (1700000000.123456), with the ``HH:MM:SS``, epoch and fraction
 #: fields as groups. Shared with the fast line pattern of
 #: :mod:`repro.strace.parser`, so both read a header the same way.
-STAMP_PATTERN = r"(?:(\d{2}):(\d{2}):(\d{2})|(\d{9,12}))\.(\d{6})"
+STAMP_PATTERN = r"(?:(\d{2}:\d{2}:\d{2})|(\d{9,12}))\.(\d{6})"
 _HEADER_RE = re.compile(
     "^" + PID_PATTERN + "(?P<ts>" + STAMP_PATTERN + r")\s+(?P<body>.*)$")
 _RESUMED_RE = re.compile(r"^<\.\.\.\s+(\S+)\s+resumed>")
@@ -146,7 +147,8 @@ def tokenize_line(
     return Token(pid=pid, start_us=start_us, kind=kind, body=body)
 
 
-def resumed_call_name(body: str) -> str:
+def resumed_call_name(body: str, *, path: str | None = None,
+                      lineno: int | None = None) -> str:
     """Extract the syscall name from a RESUMED body.
 
     >>> resumed_call_name("<... read resumed> ..., 405) = 404 <0.000223>")
@@ -154,17 +156,24 @@ def resumed_call_name(body: str) -> str:
     """
     match = _RESUMED_RE.match(body)
     if match is None:
-        raise TraceParseError(f"not a resumed record: {body[:80]!r}")
+        raise TraceParseError(f"not a resumed record: {body[:80]!r}",
+                              path=path, lineno=lineno)
     return match.group(1)
 
 
-def unfinished_call_name(body: str) -> str:
+def unfinished_call_name(body: str, *, path: str | None = None,
+                         lineno: int | None = None) -> str:
     """Extract the syscall name from an UNFINISHED body.
+
+    The tokenizer classifies a body as UNFINISHED by its suffix alone,
+    so a body that does not start with a syscall name raises here,
+    naming ``path`` and ``lineno``.
 
     >>> unfinished_call_name("read(3</x>, <unfinished ...>")
     'read'
     """
     match = _SYSCALL_START_RE.match(body)
     if match is None:
-        raise TraceParseError(f"not an unfinished record: {body[:80]!r}")
+        raise TraceParseError(f"not an unfinished record: {body[:80]!r}",
+                              path=path, lineno=lineno)
     return match.group(0)[:-1]  # drop the '('

@@ -3,15 +3,19 @@
 import json
 import struct
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import StoreFormatError
 from repro.cli import main
 from repro.core.eventlog import EventLog
 from repro.elstore.convert import convert_source
 from repro.elstore.reader import EventLogStore, read_event_log
-from repro.elstore.schema import HEADER_FMT, HEADER_SIZE
+from repro.elstore.schema import (
+    CASE_COLUMNS, HEADER_FMT, HEADER_SIZE, CaseMeta, ChunkRef, ColumnMeta)
 from repro.elstore.writer import EventLogWriter, write_event_log
 from repro.sources import ElstoreSource
 from repro.strace.naming import TraceFileName
@@ -108,6 +112,126 @@ class TestWriterReader:
                      _record(2, fp="/shared/path")])
         store = EventLogStore(path)
         assert store.pools["paths"] == ["/shared/path"]
+
+
+class _PerColumnWriter(EventLogWriter):
+    """The writer laying a case down column by column — per chunk a
+    ``tell``, a ``write`` and a CRC of its own bytes — kept as the byte
+    reference for the one-write :meth:`EventLogWriter.add_case_arrays`."""
+
+    def add_case_arrays(self, *, case_id, cid, host, rid, columns,
+                        call_strings, path_strings):
+        if case_id in self._case_ids:
+            raise StoreFormatError(f"duplicate case {case_id!r}")
+        missing = set(CASE_COLUMNS) - set(columns)
+        if missing:
+            raise StoreFormatError(f"missing columns: {sorted(missing)}")
+        lengths = {len(v) for v in columns.values()}
+        if len(lengths) > 1:
+            raise StoreFormatError(f"ragged case columns: {lengths}")
+        n_events = lengths.pop() if lengths else 0
+        call_map = np.array(
+            [self._intern("calls", s) for s in call_strings] or [0],
+            dtype=np.int32)
+        path_map = np.array(
+            [self._intern("paths", s) for s in path_strings] or [0],
+            dtype=np.int32)
+        call_codes = columns["call"].astype(np.int64)
+        fp_codes = columns["fp"].astype(np.int64)
+        if len(call_codes) and \
+                call_codes.max(initial=-1) >= len(call_strings):
+            raise StoreFormatError("call code out of range of call_strings")
+        if len(fp_codes) and fp_codes.max(initial=-1) >= len(path_strings):
+            raise StoreFormatError("fp code out of range of path_strings")
+        encoded = dict(columns)
+        encoded["call"] = np.where(
+            call_codes >= 0, call_map[np.clip(call_codes, 0, None)],
+            -1).astype(np.int32)
+        encoded["fp"] = np.where(
+            fp_codes >= 0, path_map[np.clip(fp_codes, 0, None)],
+            -1).astype(np.int32)
+        case = CaseMeta(case_id=case_id, cid=cid, host=host, rid=rid,
+                        n_events=n_events)
+        self._intern("cases", case_id)
+        self._intern("cids", cid)
+        self._intern("hosts", host)
+        for name, dtype in CASE_COLUMNS.items():
+            array = np.ascontiguousarray(encoded[name].astype(dtype))
+            column = case.columns[name] = ColumnMeta(name=name, dtype=dtype)
+            for start in range(0, len(array) or 1, self.chunk_values):
+                raw = array[start:start + self.chunk_values].tobytes()
+                offset = self._handle.tell()
+                self._handle.write(raw)
+                column.chunks.append(ChunkRef(
+                    offset=offset, nbytes=len(raw), crc32=zlib.crc32(raw)))
+                if len(array) == 0:
+                    break
+        self._cases.append(case)
+        self._case_ids.add(case_id)
+
+
+@st.composite
+def _raw_cases(draw):
+    """``add_case_arrays`` arguments: empty cases, code dtypes int32
+    and int64, negative codes below -1, unused and shared strings."""
+    cases = []
+    for index in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 9))
+        calls = draw(st.lists(st.sampled_from(["read", "write", "close"]),
+                              unique=True, max_size=3))
+        paths = draw(st.lists(st.sampled_from(["/a", "/b", "/c", "/d"]),
+                              unique=True, max_size=3))
+        code_dtype = draw(st.sampled_from([np.int32, np.int64]))
+
+        def codes(strings):
+            return np.array(draw(st.lists(
+                st.integers(-3, len(strings) - 1),
+                min_size=n, max_size=n)), dtype=code_dtype)
+
+        def values():
+            return np.array(draw(st.lists(
+                st.integers(-1, 1 << 40), min_size=n, max_size=n)),
+                dtype=np.int64)
+
+        cases.append(dict(
+            case_id=f"a{index}", cid="a", host=f"h{index % 2}", rid=index,
+            columns={"pid": values(), "call": codes(calls),
+                     "start": values(), "dur": values(), "fp": codes(paths),
+                     "size": values()},
+            call_strings=calls, path_strings=paths))
+    return cases
+
+
+class TestCaseBytes:
+    @given(_raw_cases(), st.sampled_from([1, 2, 3, 65536]))
+    @settings(max_examples=100, deadline=None)
+    def test_one_write_per_case_writes_the_per_column_bytes(
+            self, tmp_path_factory, cases, chunk_values):
+        """The file is byte-identical to the per-column writer's, for
+        every chunk size and every code the writer accepts."""
+        directory = tmp_path_factory.mktemp("bytes")
+        written = []
+        for cls in (EventLogWriter, _PerColumnWriter):
+            path = directory / f"{cls.__name__}.elog"
+            with cls(path, chunk_values=chunk_values) as writer:
+                for case in cases:
+                    writer.add_case_arrays(**case)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("column,message", [
+        ("call", "call code out of range of call_strings"),
+        ("fp", "fp code out of range of path_strings")])
+    def test_out_of_range_codes_rejected(self, tmp_path, column, message):
+        columns = {name: np.zeros(2, dtype=np.int64)
+                   for name in CASE_COLUMNS}
+        columns[column] = np.array([0, 1])
+        with EventLogWriter(tmp_path / "log.elog") as writer:
+            with pytest.raises(StoreFormatError, match=message):
+                writer.add_case_arrays(
+                    case_id="a1", cid="a", host="h", rid=1,
+                    columns=columns, call_strings=["read"],
+                    path_strings=["/x"])
 
 
 class TestEventLogIntegration:

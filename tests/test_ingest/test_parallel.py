@@ -12,7 +12,9 @@ from concurrent.futures import Future
 from pathlib import Path
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import ReproError, TraceParseError
 from repro.core.dfg import DFG
@@ -174,6 +176,136 @@ class TestColumnarWireFormat:
         recorded = EventLog(EventFrame.from_cases(
             read_trace_dir(workload_dirs["ior"])))
         logs_identical(columnar, recorded)
+
+
+def _reference_frame(column_cases, pools=None):
+    """The frame assembly as one loop over the cases, each re-encoding
+    its own columns: the reference any rewrite of
+    :func:`frame_from_case_columns` (``EventFrame.from_cases``
+    delegates to it, so comparing the two proves nothing) must
+    reproduce exactly."""
+    from repro.core.frame import (
+        COLUMN_ORDER, MISSING, EventFrame, FramePools)
+
+    pools = pools or FramePools()
+    if not column_cases:
+        return EventFrame.empty(pools)
+    parts = {name: [] for name in COLUMN_ORDER}
+    for case in column_cases:
+        n = len(case)
+        case_code = pools.cases.intern(case.name.case_id)
+        cid_code = pools.cids.intern(case.name.cid)
+        host_code = pools.hosts.intern(case.name.host)
+        call_table = np.fromiter(
+            (pools.calls.intern(s) for s in case.calls),
+            dtype=np.int32, count=len(case.calls))
+        path_table = np.fromiter(
+            (pools.paths.intern(s) for s in case.paths),
+            dtype=np.int32, count=len(case.paths))
+        parts["case"].append(np.full(n, case_code, dtype=np.int32))
+        parts["cid"].append(np.full(n, cid_code, dtype=np.int32))
+        parts["host"].append(np.full(n, host_code, dtype=np.int32))
+        parts["rid"].append(np.full(n, case.name.rid, dtype=np.int64))
+        parts["pid"].append(case.pid)
+        parts["call"].append(
+            call_table[case.call].astype(np.int32, copy=False))
+        parts["start"].append(case.start)
+        parts["dur"].append(case.dur)
+        if len(path_table):
+            fp_codes = np.where(
+                case.fp >= 0, path_table[np.clip(case.fp, 0, None)],
+                np.int32(MISSING)).astype(np.int32, copy=False)
+        else:
+            fp_codes = np.full(n, MISSING, dtype=np.int32)
+        parts["fp"].append(fp_codes)
+        parts["size"].append(case.size)
+        parts["activity"].append(np.full(n, MISSING, dtype=np.int32))
+    return EventFrame(pools, {name: np.concatenate(arrays)
+                              for name, arrays in parts.items()})
+
+
+_SHARED = {"calls": ["read", "write", "openat", "close", "lseek"],
+           "paths": ["/p/a", "/p/b", "/usr/lib/x", "/etc/y", "/tmp/z"]}
+
+
+@st.composite
+def column_case_lists(draw):
+    """Random cases: empty ones, ones with no paths, MISSING fp codes,
+    string lists drawn from one shared vocabulary or private to each
+    case."""
+    from repro.ingest.parallel import CaseColumns
+    from repro.strace.naming import TraceFileName
+    from repro.strace.resume import MergeStats
+
+    shared = draw(st.booleans())
+    cases = []
+    for index in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(0, 6))
+
+        def strings(kind, minimum):
+            vocabulary = _SHARED[kind] if shared else [
+                f"{kind}-{index}-{k}" for k in range(5)]
+            return draw(st.lists(st.sampled_from(vocabulary), unique=True,
+                                 min_size=minimum, max_size=4))
+
+        calls = strings("calls", 1 if n else 0)
+        paths = strings("paths", 0)
+
+        def column(low, high, dtype):
+            return np.array(draw(st.lists(st.integers(low, high),
+                                          min_size=n, max_size=n)),
+                            dtype=dtype)
+
+        cases.append(CaseColumns(
+            name=TraceFileName(cid=draw(st.sampled_from(["a", "b"])),
+                               host=draw(st.sampled_from(["h1", "h2"])),
+                               rid=draw(st.integers(0, 3))),
+            pid=column(1, 99, np.int64),
+            start=column(0, 10**12, np.int64),
+            dur=column(-1, 10**6, np.int64),
+            size=column(-1, 1 << 20, np.int64),
+            call=column(0, len(calls) - 1, np.int32) if calls
+            else np.zeros(0, dtype=np.int32),
+            fp=column(-1, len(paths) - 1, np.int32),
+            calls=calls, paths=paths, merge_stats=MergeStats()))
+    return cases
+
+
+def _prefilled_pools():
+    from repro.core.frame import FramePools
+
+    pools = FramePools()
+    for value in ("write", "close"):
+        pools.calls.intern(value)
+    for value in ("/tmp/z", "/elsewhere"):
+        pools.paths.intern(value)
+    pools.cids.intern("b")
+    pools.hosts.intern("h2")
+    return pools
+
+
+class TestFrameAssembly:
+    @given(column_case_lists(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_frame_from_case_columns_matches_the_loop(self, cases,
+                                                      prefilled):
+        """Every column, dtype included, and every pool's order equal
+        the per-case loop's."""
+        from repro.core.frame import COLUMN_ORDER
+        from repro.ingest.parallel import frame_from_case_columns
+
+        expected = _reference_frame(
+            cases, _prefilled_pools() if prefilled else None)
+        frame = frame_from_case_columns(
+            cases, _prefilled_pools() if prefilled else None)
+        for name in COLUMN_ORDER:
+            assert frame.column(name).dtype == expected.column(name).dtype
+            assert np.array_equal(frame.column(name),
+                                  expected.column(name)), name
+        for pool in ("cases", "cids", "hosts", "calls", "paths",
+                     "activities"):
+            assert list(getattr(frame.pools, pool)) == \
+                list(getattr(expected.pools, pool)), pool
 
 
 # -- the one dispatcher: chunks, window, fallback ----------------------------

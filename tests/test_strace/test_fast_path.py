@@ -1,20 +1,26 @@
-"""The fast line parse against the general scan (differential).
+"""The fast road of the line parse against the general road
+(differential).
 
-Every line goes through :func:`repro.strace.parser.match_line` first;
-the tokenizer plus :func:`repro.strace.parser.scan_body` are the
-general path. The fast path may decline any line, but a line it takes
-must give exactly the general scan's row, and a line the general path
-rejects must be declined — so errors fire on the same lines. Lines are
-drawn from the simulator's strace writer and then mutated
-adversarially: quoted arguments holding ``,)]}>``, escapes and the
-``"..."...`` abbreviation, ``fd<path>`` at a non-zero index,
-struct/array arguments, hex and ``?`` returns, ``ERESTART*``,
-``(Timeout)``-style flag descriptions, pid-less and ``-ttt`` headers,
+:meth:`~repro.strace.resume.IncrementalMerger.feed_lines` matches each
+line once against :data:`repro.strace.parser.LINE_RE` and builds rows,
+fills a pid's slot or splices a resumed pair straight from the groups;
+every line it declines is tokenized
+(:func:`~repro.strace.tokenizer.tokenize_line`) and handled by the
+general road, whose bodies go through
+:func:`repro.strace.parser.scan_body`. The fast road may decline any
+line, but what it takes must give exactly the general road's rows,
+merge statistics and located errors. Lines are drawn from the
+simulator's strace writer and then mutated adversarially: quoted
+arguments holding ``,)]}>``, escapes and the ``"..."...``
+abbreviation, ``fd<path>`` at a non-zero index, struct/array
+arguments, hex and ``?`` returns, ``ERESTART*``, ``(Timeout)``-style
+flag descriptions, pid-less and ``-ttt`` headers, out-of-range hours
 and stray characters anywhere.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from unittest import mock
 
@@ -25,8 +31,8 @@ from hypothesis import given, settings, strategies as st
 from repro._util.errors import TraceParseError
 from repro.simulate.recording import SyscallRecord
 from repro.simulate.strace_writer import format_record, format_record_split
-from repro.strace import parser
-from repro.strace.parser import match_body, match_line, scan_body
+from repro.strace import resume
+from repro.strace.parser import scan_body
 from repro.strace.resume import IncrementalMerger
 from repro.strace.tokenizer import RecordKind, tokenize_line
 
@@ -93,7 +99,7 @@ CALLS = ["read", "write", "pread64", "pwrite64", "readv", "openat",
 
 
 @st.composite
-def writer_lines(draw):
+def writer_lines(draw, pids=st.integers(1, 99999)):
     """A complete line or an unfinished/resumed pair, as the
     simulator's strace writer renders it."""
     call = draw(st.sampled_from(
@@ -101,7 +107,7 @@ def writer_lines(draw):
          "lseek", "close", "fsync"]))
     path = draw(paths)
     record = SyscallRecord(
-        pid=draw(st.integers(1, 99999)), call=call,
+        pid=draw(pids), call=call,
         start_us=draw(st.integers(0, 86_000_000_000)),
         dur_us=draw(st.integers(1, 10**6)), path=path,
         fd=draw(st.integers(3, 99)), size=draw(st.integers(0, 1 << 20)),
@@ -115,6 +121,23 @@ def writer_lines(draw):
 
 _WRITER_LINE_RE = re.compile(
     r"^(\d+)  (\S+) (\w+)\((.*)\) = (.*?)( <\d+\.\d{6}>)?$")
+_WRITER_HEADER_RE = re.compile(r"^(\d+)  (\S+) (.*)$")
+
+
+@st.composite
+def headers(draw, pid, stamp):
+    """The writer's ``pid  HH:MM:SS.ffffff `` header, or a pid-less,
+    ``-ttt`` or out-of-range-hour variant of it."""
+    choice = draw(st.integers(0, 3))
+    if choice == 1:
+        return f"{stamp} "                                  # pid-less
+    if choice == 2:
+        return f"{pid} {draw(st.integers(10**9, 10**12 - 1))}" \
+               f".{draw(st.integers(0, 999_999)):06d} "     # -ttt
+    if choice == 3:
+        return f"{pid}  {draw(st.sampled_from(['23', '24', '99']))}" \
+               f"{stamp[2:]} "                              # hour range
+    return f"{pid}  {stamp} "
 
 
 @st.composite
@@ -123,16 +146,7 @@ def mutated(draw, line):
     m = _WRITER_LINE_RE.match(line)
     if m is not None:
         pid, stamp, call, args, ret, dur = m.groups()
-        header = f"{pid}  {stamp} "
-        choice = draw(st.integers(0, 3))
-        if choice == 1:
-            header = f"{stamp} "                            # pid-less
-        elif choice == 2:
-            header = f"{pid} {draw(st.integers(10**9, 10**12 - 1))}" \
-                     f".{draw(st.integers(0, 999_999)):06d} "  # -ttt
-        elif choice == 3:
-            header = f"{pid}  {draw(st.sampled_from(['23', '24', '99']))}" \
-                     f"{stamp[2:]} "                       # hour range
+        header = draw(headers(pid, stamp))
         if draw(st.booleans()):
             args = ", ".join(draw(st.lists(arguments(), max_size=4)))
         if draw(st.booleans()):
@@ -141,13 +155,16 @@ def mutated(draw, line):
         if draw(st.booleans()):
             tail = draw(returns())
         line = f"{header}{call}({args}) {tail}"
+    elif (m := _WRITER_HEADER_RE.match(line)) is not None:  # split half
+        pid, stamp, body = m.groups()
+        line = draw(headers(pid, stamp)) + body
     for _ in range(draw(st.integers(0, 2))):                # stray chars
         pos = draw(st.integers(0, len(line)))
         if draw(st.booleans()) and pos < len(line):
             line = line[:pos] + line[pos + 1:]
         else:
             line = line[:pos] + draw(st.sampled_from(
-                list('()[]{}<>,"\\ =?x0') + ["<unfinished ...>"])) \
+                list('()[]{}<>,"\\ =?x0\n') + ["<unfinished ...>"])) \
                 + line[pos:]
     return line
 
@@ -172,11 +189,57 @@ lines = st.one_of(
 )
 
 
-# -- the general path as reference ----------------------------------------
+#: The merge's own shapes, on a pid the writer lines below share: a
+#: complete call returning ``3<unfinished ...>``, a resumed tail with
+#: no head, two heads in flight, a head resumed as another call, and a
+#: tail interrupted with ``ERESTART*``.
+def _merge_shapes(pid: int, stamp: str) -> list[list[str]]:
+    head = f"{pid}  {stamp} read(3</x>, <unfinished ...>"
+    return [
+        [f'{pid}  {stamp} openat(AT_FDCWD, "/x", O_RDONLY) = '
+         f"3<unfinished ...>"],
+        [f'{pid}  {stamp} <... read resumed> "ab", 2) = 2 <0.000001>'],
+        [head, head],
+        [head, f'{pid}  {stamp} <... write resumed> "ab", 2) = 2 '
+               f"<0.000001>"],
+        [head, f"{pid}  {stamp} <... read resumed> ..., 2) = ? "
+               f"ERESTARTSYS (To be restarted if SA_RESTART is set) "
+               f"<0.000004>"],
+    ]
+
+
+_PIDS = st.sampled_from([7, 8, 9, 10, 11, 12])
+
+
+@st.composite
+def trace_files(draw):
+    """A whole file: writer lines and merge shapes on six pids, a sixth
+    of the lines mutated, a pair's tail placed up to two
+    entries after its head, so pairs of one pid and of several
+    interleave."""
+    placed: list[tuple[float, str]] = []
+    for position in range(draw(st.integers(1, 10))):
+        if draw(st.integers(0, 5)):
+            chunk = draw(writer_lines(pids=_PIDS))
+        else:
+            chunk = draw(st.sampled_from(_merge_shapes(
+                draw(_PIDS), draw(st.sampled_from(
+                    ["10:00:00.000001", "10:00:00.000002"])))))
+        for offset, line in enumerate(chunk):
+            delay = draw(st.integers(0, 2)) + 0.5 if offset else 0
+            if not draw(st.integers(0, 5)):
+                line = draw(mutated(line))
+            placed.append((position + delay, line))
+    placed.sort(key=lambda item: item[0])
+    return [line for _, line in placed]
+
+
+# -- the general road as reference ----------------------------------------
 
 def general_row(line: str):
-    """The general path: tokenize, then scan a syscall body. Returns the
-    row, None for other record kinds, or the raised error."""
+    """The general road for one line: tokenize, then scan a syscall
+    body. Returns the row, None for other record kinds, or the raised
+    error."""
     try:
         token = tokenize_line(line)
         if token.kind is not RecordKind.SYSCALL:
@@ -186,62 +249,149 @@ def general_row(line: str):
         return exc
 
 
-# -- properties -----------------------------------------------------------
-
-@given(lines)
-@settings(max_examples=300, deadline=None)
-def test_fast_line_agrees_with_general_scan(line):
-    fast = match_line(line)
-    if fast is not None:
-        assert general_row(line) == fast
+def _numbered(texts: list[str]):
+    return [(n, text) for n, text in enumerate(texts, start=1)
+            if text.strip()]
 
 
-@given(lines)
-@settings(max_examples=200, deadline=None)
-def test_fast_body_agrees_with_general_scan(line):
-    body = line.split(" ", 3)[-1].lstrip()
-    fast = match_body(9, 42, body)
-    if fast is None:
-        return
-    assert scan_body(9, 42, body) == fast
-
-
-def _merge(texts: list[str]):
-    """Rows + stats, or the (lineno, message) of the error raised."""
-    merger = IncrementalMerger(path="t.st", rows=True)
+def _merge(texts: list[str], strict: bool):
+    """``feed_lines``: rows + stats, or the (lineno, message) of the
+    error raised."""
+    merger = IncrementalMerger(path="t.st", rows=True, strict=strict)
     try:
-        rows = merger.feed_lines(
-            (n, text) for n, text in enumerate(texts, start=1)
-            if text.strip())
+        rows = merger.feed_lines(_numbered(texts))
         rows += merger.finish()
     except TraceParseError as exc:
         return exc.lineno, str(exc)
     return rows, merger.stats
 
 
-@given(st.lists(writer_lines().flatmap(
-    lambda pair: st.tuples(*(mutated(line) for line in pair))),
-    min_size=1, max_size=6).map(
-        lambda pairs: [line for pair in pairs for line in pair]))
-@settings(max_examples=150, deadline=None)
-def test_merge_with_and_without_fast_path(texts):
-    """Whole files: the same rows and merge statistics, or the same
-    located error, whether or not the fast path takes any line."""
-    fast = _merge(texts)
-    with mock.patch("repro.strace.resume.match_line",
-                    lambda line, default_pid=0: None), \
-            mock.patch.object(parser, "match_body",
-                              lambda pid, start_us, body: None):
-        general = _merge(texts)
-    assert fast == general
+def _reference_merge(texts: list[str], strict: bool):
+    """The same from the general road alone: every line tokenized and
+    fed through the merger's token handling."""
+    merger = IncrementalMerger(path="t.st", rows=True, strict=strict)
+    try:
+        for lineno, text in _numbered(texts):
+            merger._consume(tokenize_line(text, path="t.st", lineno=lineno),
+                            lineno)
+        rows = merger._drain()
+        rows += merger.finish()
+    except TraceParseError as exc:
+        return exc.lineno, str(exc)
+    return rows, merger.stats
 
 
-# -- the fast path is the common path --------------------------------------
+class _Declined(Exception):
+    """Raised by the tokenizer stand-in: the fast road handed a line to
+    the general road."""
+
+
+def fast_rows(texts: list[str], **options):
+    """The rows the fast road alone gives ``texts``, interrupted calls
+    kept, or None as soon as it hands a line to the tokenizer."""
+    merger = IncrementalMerger(rows=True, **options)
+    with mock.patch.object(resume, "tokenize_line", side_effect=_Declined), \
+            mock.patch.object(resume, "RESTART_ERRNOS", frozenset()):
+        try:
+            return merger.feed_lines(_numbered(texts)) + merger.finish()
+        except _Declined:
+            return None
+
+
+# -- properties -----------------------------------------------------------
+
+@given(lines)
+@settings(max_examples=300, deadline=None)
+def test_fast_line_agrees_with_general_scan(line):
+    rows = fast_rows([line], strict=False)
+    if rows:
+        assert rows == [general_row(line)]
+
+
+@given(lines, st.data())
+@settings(max_examples=200, deadline=None)
+def test_fast_body_agrees_with_general_scan(line, data):
+    """A body split into an unfinished head and a resumed tail: a pair
+    the fast road splices gives the general scan's row of the joined
+    body."""
+    body = line.split(" ", 3)[-1].lstrip()
+    opening = re.match(r"([a-zA-Z_][a-zA-Z0-9_]*)\(", body)
+    if opening is None:
+        return
+    cut = data.draw(st.sampled_from(
+        [opening.end()] + [m.end() for m in re.finditer(", ", body)
+                           if m.start() >= opening.end()]))
+    head, rest = body[:cut], body[cut:]
+    texts = [f"9  10:00:00.000042 {head}<unfinished ...>",
+             f"9  10:00:00.000050 <... {opening.group(1)} resumed> {rest}"]
+    rows = fast_rows(texts)
+    if rows is None:
+        return
+    resumed_text = " " + rest
+    joined = head + (resumed_text.lstrip(" ") if head.endswith(" ")
+                     else resumed_text)
+    assert rows == [scan_body(9, 36_000_000_042, joined)]
+
+
+@given(trace_files(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_merge_with_and_without_fast_path(texts, strict):
+    """Whole files: ``feed_lines`` gives the same rows and merge
+    statistics, or the same located error, as a reference that
+    tokenizes every line and feeds it through the merger's token
+    handling."""
+    assert _merge(texts, strict) == _reference_merge(texts, strict)
+
+
+def test_split_pair_across_a_poll_and_a_restore(tmp_path):
+    """A poll boundary and a checkpoint restore between a head and its
+    tail: the sidecar holds the head exactly as the general road's
+    token, and the restored watcher seals the batch rows."""
+    from repro.live.engine import LiveIngest
+    from repro.strace.reader import read_trace_file
+
+    texts = ["7  10:00:00.000001 read(3</x>, <unfinished ...>",
+             "8  10:00:00.000002 close(4</y>) = 0 <0.000001>",
+             '7  10:00:00.000009 <... read resumed> "ab", 2) = 2 '
+             "<0.000008>",
+             "8  10:00:00.000010 close(5</z>) = 0 <0.000001>"]
+    trace_dir = tmp_path / "traces"
+    trace_dir.mkdir()
+    path = trace_dir / "a_host1_1.st"
+    sidecar = tmp_path / "watch.ckpt.json"
+    path.write_text("\n".join(texts[:2]) + "\n")
+    engine = LiveIngest(trace_dir, checkpoint=sidecar)
+    engine.poll()
+    engine.save_checkpoint()
+    del engine
+    (state,) = json.loads(sidecar.read_text())["files"]
+    reference = IncrementalMerger()
+    reference.feed(tokenize_line(text) for text in texts[:2])
+    assert state["pending"] == [
+        {"pid": token.pid, "start_us": token.start_us, "body": token.body}
+        for token in reference.pending_tokens()]
+    assert state["pending"] == [{"pid": 7, "start_us": 36_000_000_001,
+                                 "body": "read(3</x>, <unfinished ...>"}]
+
+    with path.open("a") as handle:
+        handle.write("\n".join(texts[2:]) + "\n")
+    revived = LiveIngest(trace_dir, checkpoint=sidecar)
+    revived.poll()
+    revived.finalize()
+    (case,) = revived.cases()
+    batch = read_trace_file(path)
+    assert case.records == batch.records
+    assert case.merge_stats == batch.merge_stats
+    assert batch.merge_stats.merged_pairs == 1
+
+
+# -- the fast road is the common road --------------------------------------
 
 def test_writer_lines_take_the_fast_path():
-    """Every complete line the simulator writes for the paper's call
-    sets is taken by the fast path (a regression to the general scan
-    would keep results but lose the speed)."""
+    """Every line the simulator writes for the paper's call sets — a
+    complete call and both halves of a split one — is taken by the
+    fast road (a regression to the general road would keep results but
+    lose the speed)."""
     rng = np.random.default_rng(0)
     for call in ["read", "write", "pread64", "pwrite64", "openat",
                  "open", "lseek", "close", "fsync"]:
@@ -252,8 +402,9 @@ def test_writer_lines_take_the_fast_path():
                 path="/p/scratch/fpp/test.00000003", fd=3, size=1 << 20,
                 requested=1 << 20, ret_fd=ret_fd, args_hint="4096")
             line = format_record(record)
-            assert match_line(line) is not None, line
-            assert match_line(line) == general_row(line)
+            assert fast_rows([line]) == [general_row(line)], line
+            split = list(format_record_split(record))
+            assert fast_rows(split) == [general_row(line)], split
 
 
 @pytest.mark.parametrize("line", [
@@ -271,10 +422,8 @@ def test_writer_lines_take_the_fast_path():
 ])
 def test_adversarial_shapes_agree(line):
     """One fixed line per mutation kind of the module docstring, each
-    taken by the fast path."""
-    fast = match_line(line)
-    assert fast is not None
-    assert fast == general_row(line)
+    taken by the fast road."""
+    assert fast_rows([line]) == [general_row(line)]
 
 
 @pytest.mark.parametrize("line", [
@@ -284,10 +433,12 @@ def test_adversarial_shapes_agree(line):
     '1 10:00:00.000001 stat("/etc/hosts", 0x1) = 0 <0.000001>',
     '1 10:00:00.000001 read(3</x>) = 3<unfinished ...>',
     '1 25:00:00.000001 read(3</x>, ..., 5) = 5 <0.000001>',
+    '1 10:00:00.000001 read(3</x>, "a\nb", 5) = 5 <0.000001>',
 ])
 def test_general_scan_shapes_are_declined(line):
     """Structs, arrays, an ``fd<path>`` at a non-zero index, a quoted
     path the catalog puts at an argument index, a return that reads as
-    ``<unfinished ...>`` and out-of-range stamps go to the general
-    path."""
-    assert match_line(line) is None
+    ``<unfinished ...>``, out-of-range stamps and text holding a
+    newline (which the tokenizer's header rejects) go to the general
+    road."""
+    assert fast_rows([line]) is None

@@ -33,6 +33,9 @@ REPROS = {
         "1  10:00:00.000001 read(3</x>, <unfinished ...>\n"
         "1  10:00:00.000002 read(3</x>, <unfinished ...>\n",
         "two in-flight"),
+    "unfinished head without a syscall name": (
+        GOOD + "1  10:00:00.000002 ??? <unfinished ...>\n",
+        "not an unfinished record"),
     "bad return clause of a merged pair": (
         "1  10:00:00.000001 read(3</x>, <unfinished ...>\n"
         "1  10:00:00.000900 <... read resumed> ..., 5) = 5 xx\n",
