@@ -1,8 +1,12 @@
 """Reading ``.elog`` event-log containers.
 
-:class:`EventLogStore` is the lazy handle — open is O(header + TOC),
-and checks that every chunk reference lies inside the file;
-individual cases (groups) are read on demand with per-chunk CRC
+:class:`EventLogStore` is the lazy handle — open is O(header + TOC).
+The TOC is decoded in one pass into flat tables: per case its id, cid,
+host, rid and event count, and per column of :data:`CASE_COLUMNS` the
+cases' dtypes and one int64 ``(offset, nbytes, crc32)`` array of chunk
+references. Open checks them with one vectorized expression per
+column, including that every chunk reference lies inside the file.
+Individual cases (groups) are read on demand with per-chunk CRC
 verification, mirroring how the paper's implementation retrieves
 per-case tables from its HDF5 file. :func:`read_event_log` materializes
 the whole container into an in-memory
@@ -16,11 +20,14 @@ import json
 import os
 import struct
 import zlib
+from itertools import chain
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro._util.errors import StoreFormatError
+from repro._util.strings import StringPool
 from repro.core.eventlog import EventLog
 from repro.core.frame import MISSING, EventFrame, FramePools
 from repro.elstore.schema import (
@@ -34,6 +41,21 @@ from repro.elstore.schema import (
     ColumnMeta,
     POOL_NAMES,
 )
+
+#: Code columns: the pool each one indexes and its lowest code (an fp
+#: of -1 is MISSING, no path).
+_CODE_POOLS = {"call": ("calls", 0), "fp": ("paths", MISSING)}
+
+
+class _Column(NamedTuple):
+    """One column of every case, in stored case order."""
+
+    #: Each case's declared dtype string.
+    dtypes: list[str]
+    #: Every case's chunk references, one ``(offset, nbytes, crc32)``
+    #: int64 row each; case ``i`` owns rows ``starts[i]:starts[i + 1]``.
+    refs: np.ndarray
+    starts: np.ndarray
 
 
 class EventLogStore:
@@ -50,7 +72,7 @@ class EventLogStore:
             header = handle.read(HEADER_SIZE)
             if len(header) < HEADER_SIZE:
                 raise StoreFormatError(f"{self.path}: truncated header")
-            magic, version, _reserved, toc_offset, toc_len = (
+            magic, version, reserved, toc_offset, toc_len = (
                 struct.unpack(HEADER_FMT, header))
             if magic != MAGIC:
                 raise StoreFormatError(
@@ -59,57 +81,113 @@ class EventLogStore:
                 raise StoreFormatError(
                     f"{self.path}: unsupported version {version} "
                     f"(expected {FORMAT_VERSION})")
+            if reserved != 0:
+                raise StoreFormatError(
+                    f"{self.path}: reserved header field is {reserved}, "
+                    f"not 0")
             if toc_offset == 0:
                 raise StoreFormatError(
                     f"{self.path}: missing TOC (writer not closed?)")
+            # Bounded before the read: a damaged length must not size
+            # an allocation, nor a damaged offset a seek.
+            size = os.fstat(handle.fileno()).st_size
+            if toc_offset + toc_len > size:
+                raise StoreFormatError(f"{self.path}: truncated TOC")
             handle.seek(toc_offset)
             raw = handle.read(toc_len)
-            if len(raw) < toc_len:
-                raise StoreFormatError(f"{self.path}: truncated TOC")
-            size = os.fstat(handle.fileno()).st_size
         try:
             toc = json.loads(raw.decode("utf-8"))
             self.pools: dict[str, list[str]] = {
                 name: list(toc["pools"].get(name, []))
                 for name in POOL_NAMES}
-            self._cases: dict[str, CaseMeta] = {}
-            for case_json in toc["cases"]:
-                case = CaseMeta.from_json(case_json)
-                self._cases[case.case_id] = case
+            entries = toc["cases"]
+            self._ids: list[str] = [entry["case_id"] for entry in entries]
+            self._cids: list[str] = [entry["cid"] for entry in entries]
+            self._hosts: list[str] = [entry["host"] for entry in entries]
+            self._rids = np.array(
+                [entry["rid"] for entry in entries],
+                dtype=np.int64).reshape(len(entries))
+            self._n_events = np.array(
+                [entry["n_events"] for entry in entries],
+                dtype=np.int64).reshape(len(entries))
+            case_columns = [entry["columns"] for entry in entries]
+            for case_id, columns in zip(self._ids, case_columns):
+                if not columns.keys() >= CASE_COLUMNS.keys():
+                    raise StoreFormatError(
+                        f"{self.path}: corrupt TOC: case {case_id!r} "
+                        f"lacks columns "
+                        f"{sorted(CASE_COLUMNS.keys() - columns.keys())}")
+            self._columns = {name: self._decode_column(
+                name, [columns[name] for columns in case_columns], size)
+                for name in CASE_COLUMNS}
+            self._check_distinct()
+            self._index = {case_id: position
+                           for position, case_id in enumerate(self._ids)}
         except KeyError as exc:
             raise StoreFormatError(
                 f"{self.path}: corrupt TOC: missing key {exc}") from exc
-        except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        except (TypeError, ValueError, AttributeError, IndexError,
+                OverflowError) as exc:
             raise StoreFormatError(
                 f"{self.path}: corrupt TOC: {exc}") from exc
-        for case in self._cases.values():
-            missing = set(CASE_COLUMNS) - set(case.columns)
-            if missing:
+
+    def _decode_column(self, name: str, entries: list[dict],
+                       size: int) -> _Column:
+        """The flat table of column ``name`` from the cases' TOC
+        entries, once its dtypes are integer types and its chunks lie
+        inside the ``size``-byte file."""
+        dtypes = [entry["dtype"] for entry in entries]
+        chunks = [entry["chunks"] for entry in entries]
+        starts = np.zeros(len(chunks) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, chunks), dtype=np.int64,
+                              count=len(chunks)), out=starts[1:])
+        refs = np.array(list(chain.from_iterable(chunks)),
+                        dtype=np.int64).reshape(int(starts[-1]), 3)
+        distinct = set(dtypes)
+        for declared in distinct:
+            try:
+                kind = np.dtype(declared).kind
+            except (TypeError, ValueError, SyntaxError) as exc:
                 raise StoreFormatError(
-                    f"{self.path}: corrupt TOC: case {case.case_id!r} "
-                    f"lacks columns {sorted(missing)}")
-            for column in case.columns.values():
-                try:
-                    np.dtype(column.dtype)
-                except TypeError as exc:
-                    raise StoreFormatError(
-                        f"{self.path}: corrupt TOC: column "
-                        f"{column.name!r}: {exc}") from exc
-                for chunk in column.chunks:
-                    if not (0 <= chunk.offset
-                            and 0 <= chunk.nbytes <= size - chunk.offset):
-                        raise StoreFormatError(
-                            f"{self.path}: chunk of column "
-                            f"{column.name!r} in case {case.case_id!r} "
-                            f"at offset {chunk.offset} ({chunk.nbytes} "
-                            f"bytes) lies outside the file ({size} "
-                            f"bytes)")
+                    f"{self.path}: corrupt TOC: column {name!r}: "
+                    f"{exc}") from exc
+            if kind not in "iu":
+                raise StoreFormatError(
+                    f"{self.path}: corrupt TOC: column {name!r}: "
+                    f"{declared!r} is not an integer dtype")
+        offsets, nbytes = refs[:, 0], refs[:, 1]
+        outside = (offsets < 0) | (nbytes < 0) | (nbytes > size - offsets)
+        if outside.any():
+            row = int(outside.argmax())
+            case = int(np.searchsorted(starts, row, side="right")) - 1
+            raise StoreFormatError(
+                f"{self.path}: chunk of column {name!r} in case "
+                f"{self._ids[case]!r} at offset {offsets[row]} "
+                f"({nbytes[row]} bytes) lies outside the file ({size} "
+                f"bytes)")
+        return _Column(dtypes, refs, starts)
+
+    def _check_distinct(self) -> None:
+        """Each case is named once and each pool lists distinct
+        strings: a repeat would shadow a case, or shift every later
+        code of its pool."""
+        repeat = _first_repeat(self._ids)
+        if repeat is not None:
+            raise StoreFormatError(
+                f"{self.path}: corrupt TOC: case {repeat!r} appears more "
+                f"than once")
+        for name, strings in self.pools.items():
+            repeat = _first_repeat(strings)
+            if repeat is not None:
+                raise StoreFormatError(
+                    f"{self.path}: corrupt TOC: pool {name!r} repeats "
+                    f"{repeat!r}")
 
     # -- metadata ----------------------------------------------------------
 
     def case_ids(self) -> list[str]:
         """Sorted case identifiers present in the container."""
-        return sorted(self._cases)
+        return sorted(self._ids)
 
     def stored_case_ids(self) -> list[str]:
         """Case identifiers in on-file (append) order.
@@ -118,55 +196,74 @@ class EventLogStore:
         e.g. an ``elog`` → ``elog`` repack — must iterate this order,
         not the sorted one, to keep bytes identical.
         """
-        return list(self._cases)
+        return list(self._ids)
 
-    def case_meta(self, case_id: str) -> CaseMeta:
-        """Metadata of one case (cid/host/rid/n_events/columns)."""
+    def _position(self, case_id: str) -> int:
         try:
-            return self._cases[case_id]
+            return self._index[case_id]
         except KeyError:
             raise StoreFormatError(
                 f"{self.path}: no case {case_id!r}") from None
 
+    def case_meta(self, case_id: str) -> CaseMeta:
+        """Metadata of one case (cid/host/rid/n_events/columns), built
+        from the flat tables on each call."""
+        i = self._position(case_id)
+        columns = {}
+        for name, column in self._columns.items():
+            rows = column.refs[column.starts[i]:column.starts[i + 1]]
+            columns[name] = ColumnMeta(
+                name=name, dtype=column.dtypes[i],
+                chunks=[ChunkRef(*row) for row in rows.tolist()])
+        return CaseMeta(
+            case_id=case_id, cid=self._cids[i], host=self._hosts[i],
+            rid=int(self._rids[i]), n_events=int(self._n_events[i]),
+            columns=columns)
+
     @property
     def n_cases(self) -> int:
-        return len(self._cases)
+        return len(self._ids)
 
     @property
     def n_events(self) -> int:
-        return sum(c.n_events for c in self._cases.values())
+        return int(self._n_events.sum())
 
     # -- data ------------------------------------------------------------------
 
-    def _checked(self, column: ColumnMeta, chunk: ChunkRef,
-                 raw: bytes | memoryview) -> bytes | memoryview:
-        """A chunk's bytes, once their length and CRC match its TOC
-        reference."""
-        if len(raw) != chunk.nbytes:
+    def _chunk_checked(self, name: str, offset: int, nbytes: int,
+                       crc32: int, raw: bytes | memoryview) -> None:
+        """Raise unless a chunk's bytes match its TOC length and CRC."""
+        if len(raw) != nbytes:
             raise StoreFormatError(
-                f"{self.path}: truncated chunk in column {column.name!r}")
-        if zlib.crc32(raw) != chunk.crc32:
+                f"{self.path}: truncated chunk in column {name!r}")
+        if zlib.crc32(raw) != crc32:
             raise StoreFormatError(
-                f"{self.path}: CRC mismatch in column {column.name!r} "
-                f"at offset {chunk.offset}")
-        return raw
+                f"{self.path}: CRC mismatch in column {name!r} at offset "
+                f"{offset}")
 
-    def _count_checked(self, case: CaseMeta, name: str, nbytes: int,
-                       itemsize: int) -> None:
-        if nbytes != case.n_events * itemsize:
+    def _count_checked(self, name: str, case_id: str, nbytes: int,
+                       itemsize: int, n_events: int) -> None:
+        if nbytes != n_events * itemsize:
             n_values = (nbytes // itemsize if nbytes % itemsize == 0
                         else nbytes / itemsize)
             raise StoreFormatError(
-                f"{self.path}: column {name!r} of case {case.case_id!r} "
-                f"has {n_values} values, expected {case.n_events}")
+                f"{self.path}: column {name!r} of case {case_id!r} has "
+                f"{n_values} values, expected {n_events}")
 
-    def _read_column(self, handle, column: ColumnMeta) -> np.ndarray:
-        pieces: list[bytes] = []
-        for chunk in column.chunks:
-            handle.seek(chunk.offset)
-            pieces.append(self._checked(column, chunk,
-                                        handle.read(chunk.nbytes)))
-        return np.frombuffer(b"".join(pieces), dtype=column.dtype).copy()
+    def _codes_checked(self, name: str, values: np.ndarray,
+                       case_at: Callable[[int], str]) -> None:
+        """One min/max: every call or fp code lies in its pool.
+        ``case_at(i)`` names the case holding value ``i``."""
+        if name not in _CODE_POOLS or not len(values):
+            return
+        pool, low = _CODE_POOLS[name]
+        high = len(self.pools[pool])
+        if values.min() < low or values.max() >= high:
+            at = int(np.flatnonzero((values < low) | (values >= high))[0])
+            raise StoreFormatError(
+                f"{self.path}: column {name!r} of case {case_at(at)!r} "
+                f"holds code {values[at]}, outside [{low}, {high}) of "
+                f"pool {pool!r}")
 
     def read_case(self, case_id: str,
                   columns: list[str] | None = None,
@@ -177,20 +274,33 @@ class EventLogStore:
         reading only ``start``/``dur`` for a timeline touches a third
         of the bytes of a full-row read.
         """
-        case = self.case_meta(case_id)
+        i = self._position(case_id)
         if columns is None:
-            wanted = case.columns
+            columns = list(CASE_COLUMNS)
         else:
-            unknown = set(columns) - set(case.columns)
+            unknown = set(columns) - set(CASE_COLUMNS)
             if unknown:
                 raise StoreFormatError(
                     f"{self.path}: unknown columns {sorted(unknown)}")
-            wanted = {name: case.columns[name] for name in columns}
+        n_events = int(self._n_events[i])
+        result = {}
         with open(self.path, "rb") as handle:
-            result = {name: self._read_column(handle, meta)
-                      for name, meta in wanted.items()}
-        for name, values in result.items():
-            self._count_checked(case, name, values.nbytes, values.itemsize)
+            for name in columns:
+                column = self._columns[name]
+                pieces = []
+                for offset, nbytes, crc32 in column.refs[
+                        column.starts[i]:column.starts[i + 1]].tolist():
+                    handle.seek(offset)
+                    pieces.append(handle.read(nbytes))
+                    self._chunk_checked(name, offset, nbytes, crc32,
+                                        pieces[-1])
+                raw = b"".join(pieces)
+                dtype = np.dtype(column.dtypes[i])
+                self._count_checked(name, case_id, len(raw), dtype.itemsize,
+                                    n_events)
+                values = np.frombuffer(raw, dtype=dtype)
+                self._codes_checked(name, values, lambda at: case_id)
+                result[name] = values.copy()
         return result
 
     def to_event_log(self, *, cids: set[str] | None = None) -> EventLog:
@@ -203,56 +313,103 @@ class EventLogStore:
         frame arrives sorted within cases, so ``EventLog`` keeps it
         as is.
         """
-        cases = [self._cases[case_id] for case_id in self.case_ids()
-                 if cids is None or self._cases[case_id].cid in cids]
-        if not cases:
+        order = sorted(range(len(self._ids)), key=self._ids.__getitem__)
+        if cids is not None:
+            order = [i for i in order if self._cids[i] in cids]
+        if not order:
             raise StoreFormatError(
                 f"{self.path}: no cases"
                 + (f" for cids {sorted(cids)}" if cids else ""))
-        pools = FramePools()
-        # Pre-intern in stored order so codes match the file's pools and
-        # the store's call/fp codes can be used verbatim.
-        for call in self.pools["calls"]:
-            pools.calls.intern(call)
-        for fp in self.pools["paths"]:
-            pools.paths.intern(fp)
+        positions = np.array(order)
+        # Codes are the file's own: the frame's call/fp pools are the
+        # store's, in stored order.
+        pools = FramePools(calls=StringPool(self.pools["calls"]),
+                           paths=StringPool(self.pools["paths"]))
         with open(self.path, "rb") as handle:
             data = memoryview(handle.read())
         columns = {
-            name: self._joined_column(data, cases, name).astype(
+            name: self._joined_column(data, positions, name).astype(
                 np.int32 if name in ("call", "fp") else np.int64,
                 copy=False)
             for name in CASE_COLUMNS}
-        constants = np.array(
-            [(pools.cases.intern(case.case_id), pools.cids.intern(case.cid),
-              pools.hosts.intern(case.host), case.rid) for case in cases],
-            dtype=np.int64).reshape(-1, 4)
-        counts = [case.n_events for case in cases]
-        for i, name in enumerate(("case", "cid", "host", "rid")):
-            columns[name] = np.repeat(constants[:, i], counts).astype(
-                np.int64 if name == "rid" else np.int32)
-        columns["activity"] = np.full(sum(counts), MISSING, dtype=np.int32)
+        counts = self._n_events[positions]
+        for name, pool, values in (
+                ("case", pools.cases, self._ids),
+                ("cid", pools.cids, self._cids),
+                ("host", pools.hosts, self._hosts)):
+            columns[name] = np.repeat(
+                pool.intern_all(values[i] for i in order), counts)
+        columns["rid"] = np.repeat(self._rids[positions], counts)
+        columns["activity"] = np.full(int(counts.sum()), MISSING,
+                                      dtype=np.int32)
         return EventLog(EventFrame(pools, columns))
 
-    def _joined_column(self, data: memoryview, cases: list[CaseMeta],
+    def _joined_column(self, data: memoryview, positions: np.ndarray,
                        name: str) -> np.ndarray:
-        """Column ``name`` of ``cases``, end to end, from the file
-        bytes ``data``, in the dtype the TOC declares for it."""
-        declared = cases[0].columns[name].dtype
+        """Column ``name`` of the cases at ``positions``, end to end, from
+        the file bytes ``data``, in the dtype the TOC declares for it.
+        The cases must agree on that dtype; :meth:`read_case`'s checks
+        (value counts, chunk lengths and CRCs, codes) run once over all
+        of them, each as one array expression."""
+        column = self._columns[name]
+        declared = column.dtypes[positions[0]]
         dtype = np.dtype(declared)
-        pieces: list[memoryview] = []
-        for case in cases:
-            column = case.columns[name]
-            if column.dtype != declared and np.dtype(column.dtype) != dtype:
-                raise StoreFormatError(
-                    f"{self.path}: column {name!r} of case "
-                    f"{case.case_id!r} is {column.dtype}, not {declared} "
-                    f"like the cases before it")
-            self._count_checked(case, name, column.nbytes, dtype.itemsize)
-            pieces += [self._checked(column, chunk, data[
-                chunk.offset:chunk.offset + chunk.nbytes])
-                for chunk in column.chunks]
-        return np.frombuffer(b"".join(pieces), dtype=dtype)
+        if len(set(column.dtypes)) > 1:
+            for position in positions.tolist():
+                other = column.dtypes[position]
+                if other != declared and np.dtype(other) != dtype:
+                    raise StoreFormatError(
+                        f"{self.path}: column {name!r} of case "
+                        f"{self._ids[position]!r} is {other}, not "
+                        f"{declared} like the cases before it")
+        # The chosen cases' chunk rows, in the order of ``positions``.
+        begins = column.starts[positions]
+        lengths = column.starts[positions + 1] - begins
+        ends = np.cumsum(lengths)
+        refs = column.refs[np.arange(int(ends[-1]))
+                           + np.repeat(begins - (ends - lengths), lengths)]
+        # Per-case byte counts as a cumulative-sum difference: a case
+        # with no chunks sums to 0.
+        summed = np.zeros(len(refs) + 1, dtype=np.int64)
+        np.cumsum(refs[:, 1], out=summed[1:])
+        nbytes = summed[ends] - summed[ends - lengths]
+        expected = self._n_events[positions]
+        # Divided, not multiplied: a huge n_events must not wrap.
+        n_values, rest = np.divmod(nbytes, dtype.itemsize)
+        wrong = (rest != 0) | (n_values != expected)
+        if wrong.any():
+            case = int(wrong.argmax())
+            self._count_checked(name, self._ids[positions[case]],
+                                int(nbytes[case]), dtype.itemsize,
+                                int(expected[case]))
+        spans = refs.tolist()
+        pieces = [data[offset:offset + size] for offset, size, _ in spans]
+        crcs = np.fromiter(map(zlib.crc32, pieces), dtype=np.int64,
+                           count=len(pieces))
+        sizes = np.fromiter(map(len, pieces), dtype=np.int64,
+                            count=len(pieces))
+        bad = (crcs != refs[:, 2]) | (sizes != refs[:, 1])
+        if bad.any():
+            chunk = int(bad.argmax())
+            self._chunk_checked(name, *spans[chunk], pieces[chunk])
+        values = np.frombuffer(b"".join(pieces), dtype=dtype)
+
+        def case_at(at: int) -> str:
+            case = np.searchsorted(np.cumsum(expected), at, side="right")
+            return self._ids[positions[case]]
+
+        self._codes_checked(name, values, case_at)
+        return values
+
+
+def _first_repeat(strings: list[str]) -> str | None:
+    """The first of ``strings`` that an earlier one equals, if any."""
+    seen: set[str] = set()
+    for string in strings:
+        if string in seen:
+            return string
+        seen.add(string)
+    return None
 
 
 def read_event_log(path: str | os.PathLike[str], *,

@@ -19,8 +19,13 @@ dump and ``jq``.
 
 Why chunked: columns are written in bounded-size chunks so a writer
 can stream arbitrarily long cases with O(chunk) memory, and a reader
-can verify integrity incrementally. ``bench_ablation_store`` sweeps the
-chunk size.
+can verify integrity incrementally. The store chunk-size ablation in
+``benchmarks/bench_ablations.py`` sweeps the chunk size.
+
+:class:`CaseMeta`, :class:`ColumnMeta` and :class:`ChunkRef` are the
+public per-case view of one TOC entry
+(:meth:`~repro.elstore.reader.EventLogStore.case_meta`); the writer and
+the whole-log read work on the TOC's JSON and flat arrays instead.
 """
 
 from __future__ import annotations

@@ -27,9 +27,6 @@ from repro.elstore.schema import (
     HEADER_FMT,
     HEADER_SIZE,
     MAGIC,
-    CaseMeta,
-    ChunkRef,
-    ColumnMeta,
     POOL_NAMES,
 )
 
@@ -60,7 +57,8 @@ class EventLogWriter:
             HEADER_FMT, MAGIC, FORMAT_VERSION, 0, 0, 0))
         #: Where the next chunk lands: column data is only appended.
         self._position = HEADER_SIZE
-        self._cases: list[CaseMeta] = []
+        #: Each case's TOC entry, JSON-ready, in append order.
+        self._toc_cases: list[dict] = []
         self._case_ids: set[str] = set()
         # File-global string pools, built as cases stream in.
         self._pools: dict[str, list[str]] = {n: [] for n in POOL_NAMES}
@@ -129,31 +127,32 @@ class EventLogWriter:
         encoded["fp"] = _recode(columns["fp"], path_lookup,
                                 "fp code out of range of path_strings")
 
-        case = CaseMeta(
-            case_id=case_id, cid=cid, host=host, rid=rid,
-            n_events=n_events)
         self._intern("cases", case_id)
         self._intern("cids", cid)
         self._intern("hosts", host)
         # Lay every chunk down from the running position, then write
         # the case in one call; the position moves once it is written.
+        # The TOC entry is the dict ``CaseMeta.to_json`` would give.
         data = []
         position = self._position
+        toc_columns = {}
         for name, dtype in CASE_COLUMNS.items():
             array = np.ascontiguousarray(encoded[name], dtype=dtype)
             raw = memoryview(array).cast("B")
-            column = case.columns[name] = ColumnMeta(name=name, dtype=dtype)
+            chunks = []
             step = self.chunk_values * array.itemsize
             for start in range(0, len(raw) or 1, step):
                 chunk = raw[start:start + step]
-                column.chunks.append(ChunkRef(
-                    offset=position, nbytes=len(chunk),
-                    crc32=zlib.crc32(chunk)))
+                chunks.append([position, len(chunk), zlib.crc32(chunk)])
                 position += len(chunk)
+            toc_columns[name] = {"name": name, "dtype": dtype,
+                                 "chunks": chunks}
             data.append(raw)
         self._handle.write(b"".join(data))
         self._position = position
-        self._cases.append(case)
+        self._toc_cases.append({
+            "case_id": case_id, "cid": cid, "host": host, "rid": rid,
+            "n_events": n_events, "columns": toc_columns})
         self._case_ids.add(case_id)
 
     def add_case_records(self, name: "TraceFileName",
@@ -179,7 +178,7 @@ class EventLogWriter:
         toc = {
             "version": FORMAT_VERSION,
             "pools": self._pools,
-            "cases": [c.to_json() for c in self._cases],
+            "cases": self._toc_cases,
         }
         raw = json.dumps(toc, separators=(",", ":")).encode("utf-8")
         toc_offset = self._handle.tell()

@@ -241,6 +241,17 @@ def frame_from_case_columns(column_cases: "list[CaseColumns]",
         name: [] for name in COLUMN_ORDER}
     for case in column_cases:
         n = len(case)
+        # The lookups below would wrap a negative call code and drop an
+        # fp code past the case's paths; a min/max pair per column
+        # rejects both without an n-sized temporary.
+        for column, codes, low, high in (
+                ("call", case.call, 0, len(case.calls)),
+                ("fp", case.fp, MISSING, len(case.paths))):
+            if n and (codes.min() < low or codes.max() >= high):
+                raise ReproError(
+                    f"case {case.name.case_id!r}: {column} codes span "
+                    f"[{codes.min()}, {codes.max()}], outside "
+                    f"[{low}, {high})")
         case_code = pools.cases.intern(case.name.case_id)
         cid_code = pools.cids.intern(case.name.cid)
         host_code = pools.hosts.intern(case.name.host)

@@ -166,7 +166,7 @@ class _PerColumnWriter(EventLogWriter):
                     offset=offset, nbytes=len(raw), crc32=zlib.crc32(raw)))
                 if len(array) == 0:
                     break
-        self._cases.append(case)
+        self._toc_cases.append(case.to_json())
         self._case_ids.add(case_id)
 
 
@@ -333,6 +333,24 @@ class TestCorruption:
         with pytest.raises(StoreFormatError):
             EventLogStore(path)
 
+    @pytest.mark.parametrize("field, value, message", [
+        (2, 1, "reserved header field is 1, not 0"),
+        (3, 1 << 62, "truncated TOC"),
+        (4, 1 << 62, "truncated TOC"),
+    ], ids=["reserved", "toc-offset", "toc-length"])
+    def test_damaged_header_field_rejected(self, tmp_path, field, value,
+                                           message):
+        """Every header field is checked at open; a TOC offset or
+        length past the end fails before it can size a read."""
+        path = self._store_path(tmp_path)
+        data = path.read_bytes()
+        header = list(struct.unpack(HEADER_FMT, data[:HEADER_SIZE]))
+        header[field] = value
+        path.write_bytes(struct.pack(HEADER_FMT, *header)
+                         + data[HEADER_SIZE:])
+        with pytest.raises(StoreFormatError, match=message):
+            EventLogStore(path)
+
     def test_unclosed_writer_header_rejected(self, tmp_path):
         path = tmp_path / "log.elog"
         writer = EventLogWriter(path)
@@ -452,6 +470,25 @@ class TestOnePassRead:
                                  r"not <i8 like the cases before it"):
             read_event_log(path)
 
+    def test_case_without_chunks_reads_empty(self, tmp_path):
+        """A TOC may give an empty case no chunks at all; its byte count
+        is then 0, not the next case's first chunk."""
+        path = tmp_path / "log.elog"
+        with EventLogWriter(path) as writer:
+            for rid, n in ((1, 3), (2, 0), (3, 2)):
+                writer.add_case_records(TraceFileName("a", "h", rid),
+                                        [_record(10 * rid + i)
+                                         for i in range(n)])
+
+        def no_chunks(toc):
+            for column in toc["cases"][1]["columns"].values():
+                column["chunks"] = []
+
+        _rewrite_toc(path, no_chunks)
+        assert read_event_log(path).frame.column("start").tolist() == [
+            10, 11, 12, 30, 31]
+        assert EventLogStore(path).read_case("a2")["start"].tolist() == []
+
     def test_value_count_mismatch_rejected(self, tmp_path):
         path = _two_cid_store(tmp_path / "log.elog")
 
@@ -465,6 +502,18 @@ class TestOnePassRead:
             read_event_log(path)
 
 
+def _rejected_end_to_end(path, capsys, message):
+    """``message`` names the fault through the whole-log read, the
+    streaming per-case read and the CLI (exit 2, path on stderr)."""
+    with pytest.raises(StoreFormatError, match=message) as caught:
+        read_event_log(path)
+    assert str(path) in str(caught.value)
+    with pytest.raises(StoreFormatError, match=message):
+        list(ElstoreSource(path).iter_cases())
+    assert main(["report", f"elog:{path}"]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda toc: toc.pop("cases"), "corrupt TOC: missing key 'cases'"),
     (lambda toc: toc["cases"][3].pop("rid"),
@@ -476,26 +525,201 @@ class TestOnePassRead:
      r"corrupt TOC: case '\w+' lacks columns \['size'\]"),
     (lambda toc: toc["cases"][6]["columns"]["dur"].update(dtype="oops"),
      "corrupt TOC: column 'dur': "),
+    (lambda toc: toc["cases"][6]["columns"]["dur"].update(dtype="|S8"),
+     "corrupt TOC: column 'dur': '|S8' is not an integer dtype"),
     (lambda toc: _chunk(toc).__setitem__(0, -40),
      r"chunk of column 'start' in case '\w+' at offset -40"),
     (lambda toc: _chunk(toc, 9, "fp").__setitem__(0, 1 << 40),
      r"chunk of column 'fp' in case '\w+' at offset 1099511627776 "
      r"\(\d+ bytes\) lies outside the file"),
+    (lambda toc: toc["cases"][1].update(
+        case_id=toc["cases"][0]["case_id"]),
+     r"corrupt TOC: case '\w+' appears more than once"),
+    (lambda toc: toc["pools"]["paths"].__setitem__(
+        1, toc["pools"]["paths"][0]),
+     r"corrupt TOC: pool 'paths' repeats '/d\d'"),
 ], ids=["no-cases", "no-rid", "pools-list", "bad-n-events",
-        "missing-column", "bad-dtype", "negative-offset",
-        "offset-past-eof"])
+        "missing-column", "bad-dtype", "bytes-dtype", "negative-offset",
+        "offset-past-eof", "case-named-twice", "pool-repeats-a-path"])
 def test_malformed_toc_is_a_located_store_error(tmp_path, capsys, edit,
                                                 message):
     """A TOC that decodes but is malformed, or points a chunk outside
     the file, fails at open with the path — through the whole-log read,
     the streaming per-case read, and the CLI (exit 2) — never as a
-    ``KeyError`` traceback or a bare errno."""
+    ``KeyError`` traceback or a bare errno. A case named twice would
+    otherwise load as one case, and a repeated pool string shift every
+    later code of its pool."""
     path = _two_cid_store(tmp_path / "log.elog")
     _rewrite_toc(path, edit)
-    with pytest.raises(StoreFormatError, match=message) as caught:
-        read_event_log(path)
-    assert str(path) in str(caught.value)
-    with pytest.raises(StoreFormatError, match=message):
-        list(ElstoreSource(path).iter_cases())
-    assert main(["report", f"elog:{path}"]) == 2
-    assert f"error: {path}: " in capsys.readouterr().err
+    _rejected_end_to_end(path, capsys, message)
+
+
+class TestCodesInPools:
+    @pytest.mark.parametrize("column, code, message", [
+        ("call", 7, r"holds code 7, outside \[0, 3\) of pool 'calls'"),
+        ("call", -1, r"holds code -1, outside \[0, 3\) of pool 'calls'"),
+        ("fp", 3, r"holds code 3, outside \[-1, 3\) of pool 'paths'"),
+        ("fp", -2, r"holds code -2, outside \[-1, 3\) of pool 'paths'"),
+    ])
+    def test_code_outside_its_pool_rejected(self, tmp_path, capsys, column,
+                                            code, message):
+        """A chunk whose CRC matches but whose code lies outside its
+        pool is a located error, not an ``IndexError`` in the mapping
+        or a code read from the end of the pool."""
+        path = _two_cid_store(tmp_path / "log.elog")
+        chunk = EventLogStore(path).case_meta("a12").columns[column] \
+            .chunks[0]
+        data = bytearray(path.read_bytes())
+        data[chunk.offset + 4:chunk.offset + 8] = struct.pack("<i", code)
+        crc = zlib.crc32(data[chunk.offset:chunk.offset + chunk.nbytes])
+        path.write_bytes(data)
+
+        def fix_crc(toc):
+            case = next(case for case in toc["cases"]
+                        if case["case_id"] == "a12")
+            case["columns"][column]["chunks"][0][2] = crc
+
+        _rewrite_toc(path, fix_crc)
+        _rejected_end_to_end(
+            path, capsys, f"column '{column}' of case 'a12' {message}")
+
+
+@st.composite
+def _stores(draw):
+    """A store's cases in a shuffled write order (0-9 events each,
+    empty ones too, over three cids), its chunk size and a cid
+    subset to read."""
+    cases = []
+    for rid in draw(st.permutations(range(draw(st.integers(0, 6))))):
+        n = draw(st.integers(0, 9))
+        calls = draw(st.lists(st.sampled_from(["read", "write", "close"]),
+                              unique=True, min_size=1, max_size=3))
+        paths = draw(st.lists(st.sampled_from(["/a", "/b", "/c", "/d"]),
+                              unique=True, max_size=3))
+
+        def values(low, high):
+            return np.array(draw(st.lists(st.integers(low, high),
+                                          min_size=n, max_size=n)),
+                            dtype=np.int64)
+
+        cid = draw(st.sampled_from("abc"))
+        cases.append(dict(
+            case_id=f"{cid}{rid}", cid=cid, host=f"h{rid % 2}", rid=rid,
+            columns={"pid": values(1, 99),
+                     "call": values(0, len(calls) - 1),
+                     "start": np.sort(values(0, 1 << 40)),
+                     "dur": values(-1, 1 << 20),
+                     "fp": values(-1, len(paths) - 1),
+                     "size": values(-1, 1 << 30)},
+            call_strings=calls, path_strings=paths))
+    chunk_values = draw(st.sampled_from([1, 2, 3, 65536]))
+    cids = draw(st.none() | st.sets(st.sampled_from("abc")))
+    return cases, chunk_values, cids
+
+
+def _write_store(path, cases, chunk_values):
+    with EventLogWriter(path, chunk_values=chunk_values) as writer:
+        for case in cases:
+            writer.add_case_arrays(**case)
+    return path
+
+
+def _toc(path):
+    data = path.read_bytes()
+    _, _, _, toc_offset, toc_len = struct.unpack(HEADER_FMT,
+                                                 data[:HEADER_SIZE])
+    return json.loads(data[toc_offset:toc_offset + toc_len])
+
+
+class TestFlatTocProperties:
+    @given(_stores())
+    @settings(max_examples=100, deadline=None)
+    def test_whole_log_equals_per_case_reads(self, tmp_path_factory,
+                                             store_spec):
+        """``read_event_log`` equals the per-case reads laid end to end
+        in sorted case order, column for column and pool for pool; each
+        case reads back what was written; ``case_meta`` equals
+        ``CaseMeta.from_json`` of the case's TOC entry."""
+        cases, chunk_values, cids = store_spec
+        path = _write_store(tmp_path_factory.mktemp("flat") / "log.elog",
+                            cases, chunk_values)
+        store = EventLogStore(path)
+        assert store.stored_case_ids() == [c["case_id"] for c in cases]
+        for entry in _toc(path)["cases"]:
+            assert store.case_meta(entry["case_id"]) == \
+                CaseMeta.from_json(entry)
+        written = {case["case_id"]: case for case in cases}
+        chosen = [case_id for case_id in store.case_ids()
+                  if cids is None or written[case_id]["cid"] in cids]
+        if not chosen:
+            with pytest.raises(StoreFormatError, match="no cases"):
+                read_event_log(path, cids=cids)
+            return
+        frame = read_event_log(path, cids=cids).frame
+        reads = {case_id: store.read_case(case_id) for case_id in chosen}
+        for case_id, data in reads.items():
+            case = written[case_id]
+            for name in ("pid", "start", "dur", "size"):
+                assert data[name].tolist() == case["columns"][name].tolist()
+            assert [store.pools["calls"][code] for code in data["call"]] \
+                == [case["call_strings"][code]
+                    for code in case["columns"]["call"]]
+            assert [store.pools["paths"][code] if code >= 0 else None
+                    for code in data["fp"]] == \
+                [case["path_strings"][code] if code >= 0 else None
+                 for code in case["columns"]["fp"]]
+        for name in CASE_COLUMNS:
+            joined = np.concatenate([reads[case_id][name]
+                                     for case_id in chosen])
+            assert frame.column(name).tolist() == joined.tolist(), name
+        counts = [len(reads[case_id]["pid"]) for case_id in chosen]
+        for name, key in (("case", "case_id"), ("cid", "cid"),
+                          ("host", "host"), ("rid", "rid")):
+            expected = [written[case_id][key] for case_id, count
+                        in zip(chosen, counts) for _ in range(count)]
+            values = frame.column(name).tolist() if name == "rid" \
+                else frame.decoded(name)
+            assert values == expected, name
+        assert list(frame.pools.calls) == store.pools["calls"]
+        assert list(frame.pools.paths) == store.pools["paths"]
+        assert list(frame.pools.cases) == chosen
+        for pool, key in (("cids", "cid"), ("hosts", "host")):
+            assert list(getattr(frame.pools, pool)) == list(dict.fromkeys(
+                written[case_id][key] for case_id in chosen)), pool
+        assert frame.sorted_within_cases() is frame
+
+    @given(_stores(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_damage_is_a_located_store_error(self, tmp_path_factory,
+                                             store_spec, data):
+        """A cut anywhere, or a flipped byte in the header or in the
+        chunks, raises ``StoreFormatError`` naming the path. A flipped
+        byte in the TOC raises it too, or the store loads — through the
+        whole-log read and the per-case reads alike."""
+        cases, chunk_values, _ = store_spec
+        path = _write_store(tmp_path_factory.mktemp("damage") / "log.elog",
+                            cases, chunk_values)
+        original = path.read_bytes()
+        toc_offset = struct.unpack(HEADER_FMT, original[:HEADER_SIZE])[3]
+        damaged = bytearray(original)
+        region = data.draw(st.sampled_from(["cut", "header", "chunks",
+                                            "toc"]))
+        if region == "cut":
+            del damaged[data.draw(st.integers(0, len(original) - 1)):]
+        else:
+            low, high = {"header": (0, HEADER_SIZE),
+                         "chunks": (HEADER_SIZE, toc_offset),
+                         "toc": (toc_offset, len(original))}[region]
+            if low == high:  # a store with no cases has no chunk bytes
+                return
+            damaged[data.draw(st.integers(low, high - 1))] ^= data.draw(
+                st.integers(1, 255))
+        path.write_bytes(damaged)
+        try:
+            read_event_log(path)
+            for _ in ElstoreSource(path).iter_cases():
+                pass
+        except StoreFormatError as exc:
+            assert str(path) in str(exc)
+        else:
+            assert region == "toc"

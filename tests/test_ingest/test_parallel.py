@@ -307,6 +307,37 @@ class TestFrameAssembly:
             assert list(getattr(frame.pools, pool)) == \
                 list(getattr(expected.pools, pool)), pool
 
+    @pytest.mark.parametrize("call, fp, paths, message", [
+        ([-1, 0], [-1, -1], [], r"call codes span \[-1, 0\], outside "
+                                r"\[0, 2\)"),
+        ([0, 2], [-1, 0], ["/x"], r"call codes span \[0, 2\], outside "
+                                  r"\[0, 2\)"),
+        ([1, 0], [0, 3], [], r"fp codes span \[0, 3\], outside "
+                             r"\[-1, 0\)"),
+        ([1, 0], [-2, 0], ["/x"], r"fp codes span \[-2, 0\], outside "
+                                  r"\[-1, 1\)"),
+    ], ids=["negative-call", "call-past-calls", "fp-without-paths",
+            "fp-below-missing"])
+    def test_codes_outside_their_strings_rejected(self, call, fp, paths,
+                                                  message):
+        """A negative call code would index the case's calls from the
+        end, and an fp code past its paths would become MISSING."""
+        from repro.ingest.parallel import CaseColumns, frame_from_case_columns
+        from repro.strace.naming import TraceFileName
+        from repro.strace.resume import MergeStats
+
+        case = CaseColumns(
+            name=TraceFileName(cid="a", host="h", rid=1),
+            pid=np.ones(2, dtype=np.int64),
+            start=np.arange(2, dtype=np.int64),
+            dur=np.ones(2, dtype=np.int64),
+            size=np.ones(2, dtype=np.int64),
+            call=np.array(call, dtype=np.int32),
+            fp=np.array(fp, dtype=np.int32),
+            calls=["read", "write"], paths=paths, merge_stats=MergeStats())
+        with pytest.raises(ReproError, match="case 'a1': " + message):
+            frame_from_case_columns([case])
+
 
 # -- the one dispatcher: chunks, window, fallback ----------------------------
 
