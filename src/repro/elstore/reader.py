@@ -205,6 +205,12 @@ class EventLogStore:
             raise StoreFormatError(
                 f"{self.path}: no case {case_id!r}") from None
 
+    def case_name(self, case_id: str) -> tuple[str, str, int]:
+        """One case's ``(cid, host, rid)``, read from the flat tables —
+        without the per-chunk view :meth:`case_meta` builds."""
+        i = self._position(case_id)
+        return self._cids[i], self._hosts[i], int(self._rids[i])
+
     def case_meta(self, case_id: str) -> CaseMeta:
         """Metadata of one case (cid/host/rid/n_events/columns), built
         from the flat tables on each call."""

@@ -6,8 +6,8 @@ per rank. This subsystem makes ingestion scale along two independent
 axes, both of which preserve the sequential semantics *exactly*:
 
 - :mod:`repro.ingest.streaming` — a generator pipeline
-  (file → lines → merged rows) that holds one line at a time
-  instead of a per-file token list, and diagnoses undecodable bytes
+  (file → blocks of lines → merged rows) that holds one block at a
+  time instead of a per-file token list, and diagnoses undecodable bytes
   instead of silently replacing them;
 - :mod:`repro.ingest.parallel` — the one fan-out of per-file parsing:
   a process pool, auto-sized to the available CPUs, that streams
@@ -31,7 +31,7 @@ from repro._util.lazy import lazy_exports
 
 __all__ = [
     "TokenStream",
-    "TraceLines",
+    "TraceBlocks",
     "MAX_AUTO_WORKERS",
     "CaseColumns",
     "available_cpus",
@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.ingest.streaming": ("TokenStream", "TraceLines"),
+    "repro.ingest.streaming": ("TokenStream", "TraceBlocks"),
     "repro.ingest.parallel": ("MAX_AUTO_WORKERS", "CaseColumns",
                               "available_cpus", "case_to_columns",
                               "frame_from_case_columns", "iter_case_columns",

@@ -1,4 +1,4 @@
-"""Streaming line reading: trace file → line generator, O(1) memory.
+"""Streaming trace reading: trace file → blocks of lines, O(1) memory.
 
 The original reader materialized every line of a trace file into a
 ``list[Token]`` before the unfinished/resumed merge — for multi-GB
@@ -6,31 +6,36 @@ traces that list dominates peak memory even though the merge itself
 only ever needs the per-pid in-flight slot (Sec. III). This module
 replaces the list with a generator pipeline::
 
-    open(file) → split + decode line → IncrementalMerger.feed_lines
+    open(file) → 64 KB blocks of complete lines → decode
+               → IncrementalMerger.feed_text
 
-:class:`TraceLines` is the file-side half: it opens the trace lazily,
-splits it into universal-newline lines, decodes them a block at a time
-and yields each non-blank line with its line number. The merger
-(:class:`~repro.strace.resume.IncrementalMerger`) parses each line as
-it arrives, so the two halves compose without an intermediate list.
-:class:`TokenStream` is the same stream classified line by line with
+:class:`TraceBlocks` is the file-side half: it opens the trace lazily,
+cuts it into blocks of complete universal-newline lines, makes every
+terminator ``\\n`` and decodes each block in one call, yielding it with
+the number of its first line. The merger
+(:class:`~repro.strace.resume.IncrementalMerger`) scans each block with
+one regex pass as it arrives, so the two halves compose without an
+intermediate list. :class:`TokenStream` is the line view of the same
+reader, each line classified with
 :func:`~repro.strace.tokenizer.tokenize_line`, for token consumers
-such as :func:`~repro.strace.resume.merge_unfinished`.
+such as :func:`~repro.strace.resume.merge_unfinished`. The live
+follower (:mod:`repro.live.tail`) cuts and decodes its appended bytes
+with the same helpers.
 
 Decoding is done from bytes so that undecodable input is *diagnosed*
 instead of silently smoothed over: the old text-mode
-``errors="replace"`` swallowed bad bytes with no trace. A
-:class:`TraceLines` counts every replacement character it has to
-introduce (exposed as :attr:`TraceLines.decode_replacements`, surfaced
-as ``MergeStats.decode_replacements`` by the reader) and, under
-``strict=True``, raises :class:`~repro._util.errors.TraceParseError` at
-the offending line instead of continuing.
+``errors="replace"`` swallowed bad bytes with no trace. A block that
+is not valid UTF-8 is decoded line by line; every replacement
+character that has to be introduced is counted (exposed as
+:attr:`TraceBlocks.decode_replacements`, surfaced as
+``MergeStats.decode_replacements`` by the reader) and, under
+``strict=True``, the first undecodable line raises
+:class:`~repro._util.errors.TraceParseError` instead.
 """
 
 from __future__ import annotations
 
 import os
-import re
 from pathlib import Path
 from typing import Iterator
 
@@ -39,13 +44,6 @@ from repro.strace.tokenizer import Token, tokenize_line
 
 #: The replacement character produced by ``errors="replace"`` decoding.
 REPLACEMENT_CHAR = "�"
-
-#: The universal-newline terminators of the pre-streaming text reader,
-#: as bytes: splitting before decoding is safe for UTF-8 because the
-#: 0x0A/0x0D bytes never occur inside a multi-byte sequence.
-_NEWLINE_BYTES_RE = re.compile(b"\r\n|\r|\n")
-#: The same terminators in decoded text.
-_NEWLINE_RE = re.compile("\r\n|\r|\n")
 
 #: Read granularity of the chunked line splitter.
 _CHUNK_BYTES = 1 << 16
@@ -59,9 +57,10 @@ def decode_trace_line(raw: bytes, *, strict: bool,
     Returns ``(text, replacements)`` where ``replacements`` counts the
     U+FFFD characters *introduced* by lenient decoding (a line may
     legitimately contain U+FFFD already). Under ``strict=True`` an
-    undecodable line raises :class:`TraceParseError` instead. Shared by
-    the batch :class:`TraceLines` and the live file follower
-    (:mod:`repro.live`), so both diagnose corruption identically.
+    undecodable line raises :class:`TraceParseError` instead. The line
+    road of :func:`decode_block`, which the batch :class:`TraceBlocks`
+    and the live file follower (:mod:`repro.live`) share, so both
+    diagnose corruption identically.
     """
     try:
         return raw.decode("utf-8"), 0
@@ -82,7 +81,8 @@ def decode_trace_line(raw: bytes, *, strict: bool,
 
 
 def _cut_lines(data: bytes) -> tuple[bytes, bytes]:
-    """Split ``data`` into its complete lines and the unterminated rest.
+    """Split ``data`` into its complete lines, every terminator made
+    ``\\n``, and the unterminated rest.
 
     The terminators are the universal-newline ones, ``\\r\\n``,
     ``\\r`` and ``\\n`` — matching the pre-streaming text-mode reader.
@@ -94,7 +94,10 @@ def _cut_lines(data: bytes) -> tuple[bytes, bytes]:
     if data.endswith(b"\r"):
         data, hold = data[:-1], b"\r"
     cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-    return data[:cut], data[cut:] + hold
+    block = data[:cut]
+    if b"\r" in block:
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return block, data[cut:] + hold
 
 
 def _last_block(rest: bytes) -> bytes:
@@ -106,21 +109,15 @@ def _last_block(rest: bytes) -> bytes:
     return rest + b"\n" if rest else b""
 
 
-def _split_block(block: bytes) -> list[bytes]:
-    """The lines of a block of complete lines, terminators dropped."""
-    pieces = _NEWLINE_BYTES_RE.split(block)
-    pieces.pop()  # the empty piece after the final terminator
-    return pieces
-
-
 def _iter_raw_blocks(handle, chunk_size: int = _CHUNK_BYTES):
-    """Yield a binary stream as blocks of complete lines.
+    """Yield a binary stream as blocks of complete lines, each ended by
+    ``\\n`` (see :func:`_cut_lines`).
 
-    Every block ends with a line terminator, the last one included
-    (:func:`_last_block`), so EOF ends a line exactly as a newline
-    would. At most ``chunk_size`` plus one logical line is held in
-    memory. Plain ``for line in handle`` splits on ``\\n`` only, which
-    would read a whole CR-terminated file as one "line".
+    The last block ends with a terminator too (:func:`_last_block`), so
+    EOF ends a line exactly as a newline would. At most ``chunk_size``
+    plus one logical line is held in memory. Plain ``for line in
+    handle`` splits on ``\\n`` only, which would read a whole
+    CR-terminated file as one "line".
     """
     carry = b""
     while chunk := handle.read(chunk_size):
@@ -131,28 +128,59 @@ def _iter_raw_blocks(handle, chunk_size: int = _CHUNK_BYTES):
         yield last
 
 
-def _iter_raw_lines(handle, chunk_size: int = _CHUNK_BYTES):
-    """Yield the logical lines (terminators stripped) of a binary
-    stream, block by block (see :func:`_iter_raw_blocks`)."""
-    for block in _iter_raw_blocks(handle, chunk_size):
-        yield from _split_block(block)
+def decode_block(block: bytes, *, strict: bool, path: str | None = None,
+                 lineno: int = 1,
+                 ) -> tuple[str, int, TraceParseError | None]:
+    """Decode a block of complete ``\\n``-terminated lines, the first of
+    them line ``lineno``: ``(text, replacements, error)``.
+
+    A valid UTF-8 block is decoded in one call. One that is not is
+    decoded line by line with :func:`decode_trace_line`, so
+    ``replacements`` counts the U+FFFD characters lenient decoding
+    introduces. Under ``strict=True`` ``text`` ends before the first
+    undecodable line and ``error`` is that line's: the caller feeds
+    ``text`` first, so a parse error on an earlier line still fires
+    first, as it does when lines are consumed one by one.
+    """
+    try:
+        return block.decode("utf-8"), 0, None
+    except UnicodeDecodeError:
+        pass
+    raws = block.split(b"\n")
+    raws.pop()  # the empty piece after the final terminator
+    texts: list[str] = []
+    replacements = 0
+    error = None
+    for number, raw in enumerate(raws, lineno):
+        try:
+            text, replaced = decode_trace_line(
+                raw, strict=strict, path=path, lineno=number)
+        except TraceParseError as exc:
+            error = exc
+            break
+        texts.append(text + "\n")
+        replacements += replaced
+    return "".join(texts), replacements, error
 
 
-class TraceLines:
-    """A restartable iterable of the lines of one trace file.
+class TraceBlocks:
+    """A restartable iterable of the decoded text of one trace file, a
+    block of lines at a time.
 
-    Yields ``(lineno, text)`` for every non-blank line: ``text`` is the
-    decoded line without its terminator, ``lineno`` its 1-based number
-    among the file's logical (universal-newline) lines, blank ones
-    included — the input shape of
-    :meth:`~repro.strace.resume.IncrementalMerger.feed_lines`. Each
-    iteration re-opens the file and streams it front to back; nothing
-    beyond the current block of lines is held in memory. A block that
-    is valid UTF-8 is decoded in one call; one that is not is decoded
-    line by line as its lines are consumed, so an error names the
-    first bad line, whether it fails to decode or to parse.
-    :attr:`decode_replacements` reflects the most recent (possibly
-    in-progress) iteration.
+    Yields ``(lineno, text)``: ``text`` holds complete lines, each
+    ended by ``\\n`` whatever the file's universal-newline terminators
+    (an unterminated last line is ended too), and ``lineno`` is the
+    1-based number of its first line among the file's logical lines,
+    blank ones included — the input of
+    :meth:`~repro.strace.resume.IncrementalMerger.feed_text`. Each
+    iteration re-opens the file and streams it front to back in
+    64 KB reads; nothing beyond the current block is held in memory.
+    A block that is not valid UTF-8 is decoded line by line
+    (:func:`decode_block`); under ``strict`` the lines before its
+    first bad line are yielded as one block before that line's error
+    is raised, so an error names the first bad line, whether it fails
+    to decode or to parse. :attr:`decode_replacements` reflects the
+    most recent (possibly in-progress) iteration.
 
     Parameters
     ----------
@@ -175,56 +203,52 @@ class TraceLines:
     def __iter__(self) -> Iterator[tuple[int, str]]:
         self.decode_replacements = 0
         path_str = str(self.path)
-        lineno = 0
+        lineno = 1
         with open(self.path, "rb") as handle:
             for block in _iter_raw_blocks(handle):
-                try:
-                    texts = _NEWLINE_RE.split(block.decode("utf-8"))
-                except UnicodeDecodeError:
-                    for raw in _split_block(block):
-                        lineno += 1
-                        text, replaced = decode_trace_line(
-                            raw, strict=self.strict, path=path_str,
-                            lineno=lineno)
-                        self.decode_replacements += replaced
-                        if text and not text.isspace():
-                            yield lineno, text
-                    continue
-                texts.pop()  # the empty piece after the final terminator
-                for text in texts:
-                    lineno += 1
-                    if text and not text.isspace():
-                        yield lineno, text
+                text, replaced, error = decode_block(
+                    block, strict=self.strict, path=path_str,
+                    lineno=lineno)
+                self.decode_replacements += replaced
+                if text:
+                    yield lineno, text
+                if error is not None:
+                    raise error
+                lineno += block.count(b"\n")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceLines({str(self.path)!r})"
+        return f"TraceBlocks({str(self.path)!r})"
 
 
 class TokenStream:
-    """A restartable iterable of the tokens of one trace file: the
-    lines of a :class:`TraceLines` (:attr:`lines`), each classified by
-    :func:`~repro.strace.tokenizer.tokenize_line`.
+    """A restartable iterable of the tokens of one trace file: the line
+    view of a :class:`TraceBlocks` (:attr:`blocks`), every non-blank
+    line classified by :func:`~repro.strace.tokenizer.tokenize_line`.
 
     Parameters
     ----------
     path, strict:
-        As for :class:`TraceLines`.
+        As for :class:`TraceBlocks`.
     default_pid:
         Forwarded to :func:`tokenize_line` for pid-less traces.
     """
 
-    __slots__ = ("lines", "default_pid")
+    __slots__ = ("blocks", "default_pid")
 
     def __init__(self, path: str | os.PathLike[str], *,
                  strict: bool = True, default_pid: int = 0) -> None:
-        self.lines = TraceLines(path, strict=strict)
+        self.blocks = TraceBlocks(path, strict=strict)
         self.default_pid = default_pid
 
     def __iter__(self) -> Iterator[Token]:
-        path_str = str(self.lines.path)
-        for lineno, text in self.lines:
-            yield tokenize_line(text, path=path_str, lineno=lineno,
-                                default_pid=self.default_pid)
+        path_str = str(self.blocks.path)
+        for lineno, text in self.blocks:
+            lines = text.split("\n")
+            lines.pop()  # the empty piece after the final terminator
+            for number, line in enumerate(lines, lineno):
+                if line and not line.isspace():
+                    yield tokenize_line(line, path=path_str, lineno=number,
+                                        default_pid=self.default_pid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TokenStream({str(self.lines.path)!r})"
+        return f"TokenStream({str(self.blocks.path)!r})"

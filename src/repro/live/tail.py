@@ -16,11 +16,14 @@ batch parsing of the final file:
   syscall whose two halves land in different polls merges exactly as
   Sec. III prescribes.
 
-Byte-level decoding reuses the batch reader's diagnosis
-(:func:`~repro.ingest.streaming.decode_trace_line`): undecodable bytes
+The appended bytes are cut into blocks of complete lines and decoded
+exactly as the batch reader does
+(:func:`~repro.ingest.streaming.decode_block`): undecodable bytes
 raise under ``strict=True`` and are counted as U+FFFD replacements
-otherwise. Line numbers are cumulative across polls, so parse errors
-point at the same line batch parsing would name.
+otherwise. Each block goes to the merger in one
+:meth:`~repro.strace.resume.IncrementalMerger.feed_text` call. Line
+numbers are cumulative across polls, so parse errors point at the same
+line batch parsing would name.
 """
 
 from __future__ import annotations
@@ -33,8 +36,7 @@ from repro.ingest.streaming import (
     _CHUNK_BYTES,
     _cut_lines,
     _last_block,
-    _split_block,
-    decode_trace_line,
+    decode_block,
 )
 from repro.strace.naming import TraceFileName
 from repro.strace.parser import ParsedRecord
@@ -135,9 +137,9 @@ class FileTail:
                 self.offset += len(chunk)
                 with telemetry.phase("decode"):
                     block, self.carry = _cut_lines(self.carry + chunk)
-                    lines, error = self._decode(block)
+                    text, error = self._decode(block)
                 with telemetry.phase("seal"):
-                    records.extend(self.merger.feed_lines(lines))
+                    records.extend(self._feed(text))
                 if error is not None:
                     raise error
         return records
@@ -149,41 +151,36 @@ class FileTail:
             return []
         self.finished = True
         block, self.carry = _last_block(self.carry), b""
-        lines: list[tuple[int, str]] = []
+        text = ""
         if block:
             with self.telemetry.phase("decode"):
-                lines, error = self._decode(block)
+                text, error = self._decode(block)
             if error is not None:
                 raise error
         with self.telemetry.phase("seal"):
-            records = self.merger.feed_lines(lines) if lines else []
-            return records + self.merger.finish()
+            return self._feed(text) + self.merger.finish()
 
     # -- internals ---------------------------------------------------------
 
-    def _decode(self, block: bytes,
-                ) -> tuple[list[tuple[int, str]], TraceParseError | None]:
-        """Number and decode a block of complete lines: the non-blank
-        ``(lineno, text)`` lines, and the error of an undecodable line
-        under ``strict``, if any.
+    def _decode(self, block: bytes) -> tuple[str, TraceParseError | None]:
+        """Decode a block of complete lines: its text, and the error of
+        an undecodable line under ``strict``, if any — the text then
+        holds the lines before the bad one, which the caller feeds
+        first, so a parse error on an earlier line fires first, as it
+        does in batch reading."""
+        text, replaced, error = decode_block(
+            block, strict=self.strict, path=str(self.path),
+            lineno=self.lineno + 1)
+        self.merger.stats.decode_replacements += replaced
+        return text, error
 
-        The lines before a bad one are returned with its error, so the
-        caller feeds them first: a parse error on an earlier line
-        fires first, as it does in batch reading.
-        """
-        lines: list[tuple[int, str]] = []
-        for raw in _split_block(block) if block else ():
-            self.lineno += 1
-            try:
-                text, replaced = decode_trace_line(
-                    raw, strict=self.strict, path=str(self.path),
-                    lineno=self.lineno)
-            except TraceParseError as exc:
-                return lines, exc
-            self.merger.stats.decode_replacements += replaced
-            if text and not text.isspace():
-                lines.append((self.lineno, text))
-        return lines, None
+    def _feed(self, text: str) -> list[ParsedRecord]:
+        """Feed decoded lines that follow line :attr:`lineno`."""
+        if not text:
+            return []
+        records = self.merger.feed_text(text, self.lineno + 1)
+        self.lineno += text.count("\n")
+        return records
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FileTail({str(self.path)!r}, offset={self.offset}, "

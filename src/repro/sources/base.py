@@ -218,19 +218,20 @@ def case_columns_from_text(name, text: str, *, strict: bool = True,
     """Parse in-memory strace text into one case's columns.
 
     The exact pipeline of :func:`~repro.strace.reader.read_trace_file`
-    minus the file and byte-decode steps: feed the lines to the merger
-    (which parses each as it arrives), columnarize the sealed rows.
-    Lets synthetic producers (the simulator) feed the analysis without
-    a temp directory while staying byte-identical to the
-    write-files-then-ingest path.
+    minus the file and byte-decode steps: end lines where a file's
+    do (``\\r\\n``, ``\\r`` or ``\\n``, made ``\\n``, and the end of the
+    text), feed them to the merger as one block, columnarize the
+    sealed rows. Lets synthetic producers (the simulator) feed the
+    analysis without a temp directory while staying byte-identical to
+    the write-files-then-ingest path.
     """
     from repro.ingest.parallel import rows_to_columns
     from repro.strace.resume import IncrementalMerger
 
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if text and not text.endswith("\n"):
+        text += "\n"
     merger = IncrementalMerger(path=path_label, strict=strict, rows=True)
-    rows = merger.feed_lines(
-        (lineno, line)
-        for lineno, line in enumerate(text.splitlines(), start=1)
-        if line.strip())
+    rows = merger.feed_text(text)
     rows += merger.finish()
     return rows_to_columns(name, rows, merger.stats)

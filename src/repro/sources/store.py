@@ -71,8 +71,8 @@ class ElstoreSource(TraceSource):
         calls_pool = store.pools["calls"]
         paths_pool = store.pools["paths"]
         for case_id in store.stored_case_ids():
-            meta = store.case_meta(case_id)
-            if self.cids is not None and meta.cid not in self.cids:
+            cid, host, rid = store.case_name(case_id)
+            if self.cids is not None and cid not in self.cids:
                 continue
             data = store.read_case(case_id)
             call, calls = _localize_codes(
@@ -80,8 +80,7 @@ class ElstoreSource(TraceSource):
             fp, paths = _localize_codes(
                 data["fp"].astype(np.int32), paths_pool.__getitem__)
             yield CaseColumns(
-                name=TraceFileName(cid=meta.cid, host=meta.host,
-                                   rid=meta.rid),
+                name=TraceFileName(cid=cid, host=host, rid=rid),
                 pid=data["pid"].astype(np.int64),
                 start=data["start"].astype(np.int64),
                 dur=data["dur"].astype(np.int64),

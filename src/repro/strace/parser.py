@@ -24,17 +24,19 @@ These seven fields, in this order, are a *row*: the unit the merger
 There are two roads to a row, and they agree by construction (pinned
 by differential hypothesis properties):
 
-- the **fast road**: :data:`LINE_RE`, one compiled, anchored regex,
-  recognises the three line shapes ``strace -f -tt -T -y`` prints for
-  I/O calls — a complete call, an unfinished head
-  (``name(... <unfinished ...>``) and a resumed tail
-  (``<... name resumed> ...) = ret <dur>``) — behind one shared
-  pid/stamp header. Arguments may hold no struct/array literal; an
-  optional leading ``fd</path>`` and quoted strings with escapes are
-  fine. :meth:`~repro.strace.resume.IncrementalMerger.feed_lines`
-  builds rows straight from its groups, with :data:`FP_MODES` and
-  :data:`SIZE_CALLS` saying where each call's ``fp`` and ``size``
-  come from;
+- the **fast road**: :data:`LINE_RE`, one compiled regex, recognises
+  the three line shapes ``strace -f -tt -T -y`` prints for I/O calls —
+  a complete call, an unfinished head (``name(... <unfinished ...>``)
+  and a resumed tail (``<... name resumed> ...) = ret <dur>``) — behind
+  one shared pid/stamp header. Arguments may hold no struct/array
+  literal; an optional leading ``fd</path>`` and quoted strings with
+  escapes are fine. The pattern is anchored to a line start and end
+  and no part of it matches a newline, so one ``finditer`` over a
+  block of lines matches each line it takes whole and on its own:
+  :meth:`~repro.strace.resume.IncrementalMerger.feed_text` scans a
+  block that way and builds rows straight from the groups, with
+  :data:`FP_MODES` and :data:`SIZE_CALLS` saying where each call's
+  ``fp`` and ``size`` come from;
 - the **general scan** (:func:`scan_body`): a quote- and bracket-aware
   character scan (:func:`split_args`) that handles every body strace
   can print, and the one source of the argument-list and
@@ -65,16 +67,20 @@ _CLOSERS = {v: k for k, v in _OPENERS.items()}
 _FD_ANNOT_RE = re.compile(r"^(\d+)<(.*)>$", re.DOTALL)
 _CALL_RE = re.compile(r"^([a-zA-Z_][a-zA-Z0-9_]*)\(")
 
+#: Whitespace within a line: every pattern below spells spacing with
+#: it, and its classes exclude ``\n``, so no match crosses a line.
+_SPACE = r"[^\S\n]"
+
 #: The ``= RET ... <dur>`` tail: value (numeric / ``?`` / hex), the
 #: ``-y`` annotation on a returned fd, ``ENOENT (No such ...)``, a flag
 #: description such as ``(Timeout)``, and the ``-T`` duration. One
 #: source for the general scan's :data:`_RET_RE` and :data:`LINE_RE`.
 _RETURN_PATTERN = (
-    r"=\s+(-?\d+|\?|0x[0-9a-fA-F]+)"
-    r"(?:<([^>]*)>)?"
-    r"(?:\s+([A-Z][A-Z0-9_]+)\s+\([^)]*\))?"
-    r"(?:\s+\([^)]*\))?"
-    r"\s*(?:<(\d+)\.(\d{6})>)?\s*$")
+    r"=" + _SPACE + r"+(-?\d+|\?|0x[0-9a-fA-F]+)"
+    r"(?:<([^>\n]*)>)?"
+    r"(?:" + _SPACE + r"+([A-Z][A-Z0-9_]+)" + _SPACE + r"+\([^)\n]*\))?"
+    r"(?:" + _SPACE + r"+\([^)\n]*\))?"
+    + _SPACE + r"*(?:<(\d+)\.(\d{6})>)?" + _SPACE + r"*$")
 _RET_RE = re.compile("^" + _RETURN_PATTERN)
 
 #: Argument text the general scan would split trivially: no bracket
@@ -83,8 +89,8 @@ _RET_RE = re.compile("^" + _RETURN_PATTERN)
 #: scanned exactly as :func:`split_args` scans them. The unrolled
 #: ``[^"]*(?:"..."[^"]*)*`` form keeps a declined line linear in its
 #: length.
-_PLAIN = r'[^"()\[\]{}<>]'
-_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'
+_PLAIN = r'[^"()\[\]{}<>\n]'
+_STRING = r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
 _ARGS = r"(" + _PLAIN + r"*(?:" + _STRING + _PLAIN + r"*)*)"
 _NAME = r"([a-zA-Z_][a-zA-Z0-9_]*)"
 
@@ -96,13 +102,16 @@ _NAME = r"([a-zA-Z_][a-zA-Z0-9_]*)"
 #: ``HH:MM:SS``, epoch seconds, fraction; call, fd path, resumed call,
 #: arguments; the return clause's value, returned path, errno and
 #: duration seconds and micros (all ``None`` for a head). A head's body
-#: starts at the call group, a tail's resumed text at the arguments.
+#: starts at the call group. ``MULTILINE`` anchors a match to one
+#: whole line of a block, and on a single line it accepts exactly what
+#: ``match`` on that line alone would.
 LINE_RE = re.compile(
-    PID_PATTERN + STAMP_PATTERN + r"\s+"
+    "^" + PID_PATTERN + STAMP_PATTERN + _SPACE + "+"
     r"(?:" + _NAME + r"\((?:\d+<(" + _PLAIN + r"*)>(?=[,)]))?"
-    r"|<\.\.\.\s+" + _NAME + r"\s+resumed>)"
-    + _ARGS + r"(?:\)\s*" + _RETURN_PATTERN + r"|<unfinished \.\.\.>\Z)",
-    re.DOTALL)
+    r"|<\.\.\." + _SPACE + "+" + _NAME + _SPACE + r"+resumed>)"
+    + _ARGS + r"(?:\)" + _SPACE + "*" + _RETURN_PATTERN
+    + r"|<unfinished \.\.\.>$)",
+    re.MULTILINE)
 #: The first argument of a bracket-free argument list that starts with
 #: a quote, when that argument is one string (possibly abbreviated
 #: ``"..."...``): the path of a failed ``openat`` without ``-y``.

@@ -7,14 +7,14 @@ unfinished/resumed pairs, drop ERESTARTSYS records, and keep the result
 sorted by start timestamp — the exact preprocessing Sec. III prescribes
 before events enter the event-log formalism.
 
-Both steps stream: :func:`read_trace_records` pipes the lazy lines of
-a :class:`~repro.ingest.streaming.TraceLines` straight into the
-:class:`~repro.strace.resume.IncrementalMerger`, which parses each line
-as it arrives, so only the current block of lines of a file is ever
-in memory. :func:`read_trace_dir` reads the record form one file at a
-time; the columnar form that feeds event-logs and the ``.elog`` store
-fans out over processes in :mod:`repro.ingest.parallel`, from the same
-:func:`discover_trace_files` order.
+Both steps stream: :func:`read_trace_records` pipes the lazy blocks
+of a :class:`~repro.ingest.streaming.TraceBlocks` straight into the
+:class:`~repro.strace.resume.IncrementalMerger`, which parses each
+block as it arrives, so only the current block of lines of a file is
+ever in memory. :func:`read_trace_dir` reads the record form one file
+at a time; the columnar form that feeds event-logs and the ``.elog``
+store fans out over processes in :mod:`repro.ingest.parallel`, from
+the same :func:`discover_trace_files` order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro._util.errors import TraceParseError
-from repro.ingest.streaming import TraceLines
+from repro.ingest.streaming import TraceBlocks
 from repro.strace.naming import TRACE_SUFFIX, TraceFileName, parse_trace_filename
 from repro.strace.parser import ParsedRecord
 from repro.strace.resume import IncrementalMerger, MergeStats
@@ -77,16 +77,17 @@ def read_trace_records(
     of :mod:`repro.ingest.parallel` consume. ``strict`` is as for
     :func:`read_trace_file`.
     """
-    lines = TraceLines(path, strict=strict)
-    merger = IncrementalMerger(path=str(lines.path), strict=strict,
+    blocks = TraceBlocks(path, strict=strict)
+    merger = IncrementalMerger(path=str(blocks.path), strict=strict,
                                rows=rows)
-    records = merger.feed_lines(lines)
-    records += merger.finish()
+    for lineno, text in blocks:
+        merger.feed_text(text, lineno, seal=False)
+    records = merger.finish()
     stats = merger.stats
-    stats.decode_replacements = lines.decode_replacements
+    stats.decode_replacements = blocks.decode_replacements
     if stats.decode_replacements:
         warnings.warn(
-            f"{lines.path}: replaced {stats.decode_replacements} "
+            f"{blocks.path}: replaced {stats.decode_replacements} "
             f"undecodable byte(s) with U+FFFD — the trace is corrupt "
             f"or not UTF-8",
             stacklevel=3)

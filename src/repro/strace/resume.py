@@ -21,17 +21,21 @@ are dropped, again per Sec. III ("we ignore these calls"). Signal
 delivery (``--- SIGx ---``) and exit (``+++ exited +++``) records are
 skipped here; the reader records their counts for diagnostics.
 
-Each line is matched once, against :data:`~repro.strace.parser.LINE_RE`:
-a complete call becomes its row, an unfinished head fills its pid's
-slot, and a resumed tail splices with that head — all from the match
-groups, with no per-line helper call. A head keeps its argument text,
-so the splice reads ``fp`` from it and the rest from the tail, which is
-the row the general scan gives for the joined body. ``HH:MM:SS`` is
-converted once per run of lines sharing it. Every other line —
-signals, exits, struct/array arguments, paths at another argument
-index, out-of-range stamps, a complete call returning
-``3<unfinished ...>``, text holding a newline — is tokenized and
-handled by the general road, which raises every located error.
+Input arrives as blocks of complete lines, each scanned with one
+:data:`~repro.strace.parser.LINE_RE` ``finditer``; a match is one whole
+line. A complete call becomes its row, an unfinished head fills its
+pid's slot, and a resumed tail splices with that head — all from the
+match groups, with no per-line helper call. A head keeps its argument
+text, so the splice reads ``fp`` from it and the rest from the tail,
+which is the row the general scan gives for the joined body.
+``HH:MM:SS`` is converted once per run of lines sharing it. Every other
+line — signals, exits, struct/array arguments, paths at another
+argument index, out-of-range stamps, a complete call returning
+``3<unfinished ...>``, a second head on one pid, a tail whose head is
+missing, names another call or was taken by the general road — lies
+between two matches or is a match the fast road declines; it is
+tokenized and handled by the general road, which raises every located
+error.
 """
 
 from __future__ import annotations
@@ -89,15 +93,16 @@ class IncrementalMerger:
     """Stateful unfinished/resumed merger, consumable in arbitrary slices.
 
     The one merger of both ingestion paths: batch reading feeds it a
-    whole file, the live follower (:mod:`repro.live`) a few lines at a
-    time, so the merge state — the per-pid in-flight slot — survives
-    between feeds. :meth:`feed_lines` is also where each line is
-    parsed: a complete I/O call, an unfinished head and a resumed tail
-    take the fast road (one :data:`~repro.strace.parser.LINE_RE`
-    match each, see the module docstring); every other line is
-    tokenized and handled here, its syscall bodies (including spliced
-    resumed pairs) parsed by :func:`~repro.strace.parser.scan_body`.
-    Errors name the path and the line.
+    file a block at a time, the live follower (:mod:`repro.live`) a
+    few lines at a time, so the merge state — the per-pid in-flight
+    slot — survives between feeds. :meth:`feed_text` is also where
+    each line is parsed: a complete I/O call, an unfinished head and a
+    resumed tail take the fast road (one
+    :data:`~repro.strace.parser.LINE_RE` match each, see the module
+    docstring); every other line is tokenized and handled here, its
+    syscall bodies (including spliced resumed pairs) parsed by
+    :func:`~repro.strace.parser.scan_body`. Errors name the path and
+    the line.
 
     The merger also solves an ordering problem batch merging hides: a
     merged record sits at its *unfinished* (start) position, which
@@ -206,28 +211,39 @@ class IncrementalMerger:
 
     # -- the merge ---------------------------------------------------------
 
-    def feed_lines(self, lines: Iterable[tuple[int, str]]) -> list:
-        """Consume ``(lineno, text)`` lines; return the records sealed
-        by them.
+    def feed_text(self, text: str, lineno: int = 1, *,
+                  seal: bool = True) -> list:
+        """Consume ``text`` — decoded, complete lines, each ending in
+        ``\\n``, the first of them line ``lineno`` of the file — and
+        return the records sealed by them.
 
-        ``text`` is one decoded, non-blank line without its terminator;
-        ``lineno`` is its 1-based line number in the file, which every
-        error raised here names. Sealed records are final: their
-        position in the overall record sequence can no longer change,
-        so callers may fold them into downstream incremental
-        structures immediately.
+        One :data:`~repro.strace.parser.LINE_RE` ``finditer`` scans the
+        block; each match is one whole line the fast road may take (see
+        the module docstring). The text between two taken lines is the
+        declined lines: blank and whitespace-only ones are skipped, and
+        every other one goes to the general road in file order. Line
+        numbers, which every error names, are counted only where
+        declined lines need them, and only from the last counted
+        offset. Sealed records are final: their position in the
+        overall record sequence can no longer change, so callers may
+        fold them into downstream incremental structures immediately.
+        ``seal=False`` seals nothing and holds every completed record
+        for :meth:`finish`, which returns them in one start-ordered
+        list whatever the block boundaries were (the batch reader).
         """
         default_pid = self.default_pid
         pending = self._pending
         append = self._buffer.append
-        match = LINE_RE.match
         fp_modes = FP_MODES
         clock = clock_us = None  # the last HH:MM:SS and its µs
-        for lineno, text in lines:
-            m = match(text)
-            if m is None or "\n" in text:
-                self._feed_general(text, lineno)
-                continue
+        done = 0  # the start of the first line neither taken nor fed
+        counted = 0  # ``lineno`` is the number of the line starting here
+        for m in LINE_RE.finditer(text):
+            start = m.start()
+            if start != done:
+                lineno += text.count("\n", counted, done)
+                lineno = self._feed_declined(text[done:start], lineno)
+                counted = done = start
             (pid, hms, epoch, fraction, call, fd_path, resumed, args,
              val, ret_path, errno, dur_s, dur_frac) = m.groups()
             if hms is None:
@@ -237,36 +253,30 @@ class IncrementalMerger:
                     hours, minutes, seconds = \
                         int(hms[:2]), int(hms[3:5]), int(hms[6:])
                     if hours > 23 or minutes > 59 or seconds > 60:
-                        # The tokenizer raises the located range error.
-                        self._feed_general(text, lineno)
-                        continue
+                        continue  # the tokenizer raises the range error
                     clock = hms
                     clock_us = ((hours * 60 + minutes) * 60
                                 + seconds) * 1_000_000
                 start_us = clock_us + int(fraction)
             pid = default_pid if pid is None else int(pid)
             if val is None:  # the line ends ``<unfinished ...>``
-                if call is None:  # ... after a resumed tail's opening
-                    self._feed_general(text, lineno)
+                if call is None or pid in pending:
+                    # after a resumed tail's opening, or a second head
+                    # on the pid: the general road's record or error
                     continue
-                if pid in pending:
-                    raise TraceParseError(
-                        f"pid {pid} has two in-flight unfinished calls",
-                        path=self.path, lineno=lineno)
-                pending[pid] = (start_us, call, text[m.start(5):],
+                pending[pid] = (start_us, call, text[m.start(5):m.end()],
                                 fd_path, args)
+                done = m.end() + 1
                 continue
             if call is None:  # a resumed tail: splice with its head
-                entry = pending.pop(pid, None)
+                entry = pending.get(pid)
                 if entry is None or entry[1] != resumed \
                         or entry[4] is None:
-                    self._splice(pid, entry, resumed, text[m.start(8):],
-                                 lineno)
-                    continue
+                    continue  # the general road splices it, or raises
                 start_us, call, _, fd_path, head_args = entry
-            elif dur_s is None and text.endswith(UNFINISHED_SUFFIX):
-                self._feed_general(text, lineno)  # ``= 3<unfinished ...>``
-                continue
+            elif dur_s is None and text.endswith(
+                    UNFINISHED_SUFFIX, start, m.end()):
+                continue  # ``= 3<unfinished ...>``
             mode = fp_modes.get(call, FP_FD)
             if mode == FP_FD:
                 fp = fd_path
@@ -282,13 +292,11 @@ class IncrementalMerger:
                         # seam cannot move the first quoted argument)
                         args = head_args + args
                     fp = first_quoted_path(args)
-                if fp is None:  # the path needs the general scan
-                    if resumed is None:
-                        self._feed_general(text, lineno)
-                    else:
-                        self._splice(pid, entry, resumed,
-                                     text[m.start(8):], lineno)
-                    continue
+                if fp is None:
+                    continue  # the path needs the general scan
+            done = m.end() + 1
+            if resumed is not None:
+                del pending[pid]
             if errno is not None and errno in RESTART_ERRNOS:
                 self.stats.dropped_restarts += 1
                 continue
@@ -304,7 +312,10 @@ class IncrementalMerger:
                 None if dur_s is None else int(dur_s + dur_frac), errno)))
             if resumed is not None:
                 self.stats.merged_pairs += 1
-        return self._drain()
+        if done != len(text):
+            self._feed_declined(
+                text[done:], lineno + text.count("\n", counted, done))
+        return self._drain() if seal else []
 
     def feed(self, tokens: Iterable[Token]) -> list:
         """Consume already tokenized lines (no line numbers to name in
@@ -318,6 +329,18 @@ class IncrementalMerger:
         self.stats.orphan_unfinished += len(self._pending)
         self._pending.clear()
         return self._drain()
+
+    def _feed_declined(self, lines: str, lineno: int) -> int:
+        """The general road for lines the fast road declined: ``lines``
+        holds complete lines, the first of them line ``lineno``.
+        Returns the number of the line after them."""
+        texts = lines.split("\n")
+        texts.pop()  # the empty piece after the final terminator
+        for text in texts:
+            if text and not text.isspace():
+                self._feed_general(text, lineno)
+            lineno += 1
+        return lineno
 
     def _feed_general(self, text: str, lineno: int) -> None:
         """The general road for one line the fast road declined."""
@@ -435,8 +458,8 @@ def merge_unfinished(
         iterable works — in particular a lazy
         :class:`~repro.ingest.streaming.TokenStream`, so the full token
         list of a file never needs to exist in memory. (The readers
-        feed lines to :meth:`IncrementalMerger.feed_lines` instead,
-        which also names the line of an error.)
+        feed blocks of text to :meth:`IncrementalMerger.feed_text`
+        instead, which also names the line of an error.)
     path:
         For error messages.
     strict:

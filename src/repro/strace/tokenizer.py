@@ -72,8 +72,9 @@ class Token:
 
 
 #: The optional pid column (strace without ``-f``/``-o`` on a single
-#: process omits it).
-PID_PATTERN = r"(?:(\d+)\s+)?"
+#: process omits it). Its spacing is any whitespace but a newline, so
+#: the fast line pattern that shares it never reads across a line.
+PID_PATTERN = r"(?:(\d+)[^\S\n]+)?"
 #: ``-tt`` wall clock (HH:MM:SS.ffffff) or ``-ttt`` epoch seconds
 #: (1700000000.123456), with the ``HH:MM:SS``, epoch and fraction
 #: fields as groups. Shared with the fast line pattern of

@@ -38,14 +38,16 @@ SRC = REPO / "src"
 #: fan-outs that ``iter_case_columns`` replaced, the batch feed of
 #: the live accumulators that the statistics cell table replaced, the
 #: per-front-end copies of the watch-job rules that
-#: ``JobSpec.validate`` replaced, and two options nothing read.
+#: ``JobSpec.validate`` replaced, two options nothing read, and the
+#: per-line merger feed that the block scan ``feed_text`` replaced.
 REMOVED_NAMES = ("run_watch", "from_strace_dir", "from_store",
                  "_LOADABLE_VERSIONS", "repro.adapters",
                  "ingest_event_frame", "read_cases", "_map_tasks",
                  "_pool_map", "dfg_from_trace_dir", "iter_case_dfgs",
                  "convert_strace_dir", "feed_frame", "add_rows",
                  "_check_types", "_window_arg", "_nonneg_float_arg",
-                 "_MAPPINGS", "supports_tail", "show_stats")
+                 "_MAPPINGS", "supports_tail", "show_stats",
+                 "feed_lines")
 
 
 def test_adapters_package_is_gone():

@@ -80,16 +80,17 @@ class TestTokenStream:
     @pytest.mark.parametrize("chunk_size", [1, 2, 3, 7, 64])
     def test_raw_line_splitter_chunk_boundaries(self, chunk_size):
         """\\r\\n spanning a chunk boundary must not produce a phantom
-        blank line; every terminator style round-trips."""
+        blank line; every terminator style round-trips, as ``\\n``
+        in blocks of complete lines."""
         import io
 
-        from repro.ingest.streaming import _iter_raw_lines
+        from repro.ingest.streaming import _iter_raw_blocks
 
         data = b"one\r\ntwo\rthree\nfour\r\n\r\nfive"
-        lines = list(_iter_raw_lines(io.BytesIO(data),
-                                     chunk_size=chunk_size))
-        assert lines == [b"one", b"two", b"three", b"four", b"",
-                         b"five"]
+        blocks = list(_iter_raw_blocks(io.BytesIO(data),
+                                       chunk_size=chunk_size))
+        assert all(block.endswith(b"\n") for block in blocks)
+        assert b"".join(blocks) == b"one\ntwo\nthree\nfour\n\nfive\n"
 
     def test_composes_with_merger_without_list(self, tmp_path):
         path = tmp_path / "a_h_1.st"

@@ -30,6 +30,13 @@ def _sequential(directory) -> EventLog:
     return StraceDirSource(directory, workers=1).event_log()
 
 
+def _same_case(got, want) -> None:
+    assert (got.name, got.calls, got.paths, got.merge_stats) == \
+        (want.name, want.calls, want.paths, want.merge_stats)
+    for column, values in want.columns().items():
+        np.testing.assert_array_equal(got.columns()[column], values)
+
+
 class TestStraceDirSource:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_byte_identical_to_legacy(self, ls_traces, workers,
@@ -82,6 +89,30 @@ class TestElstoreSource:
         out = convert_source(f"elog:{ls_store}", tmp_path / "re.elog")
         assert out.read_bytes() == ls_store.read_bytes()
 
+    def test_iter_cases_reads_no_per_chunk_view(self, ls_store, tmp_path,
+                                                monkeypatch):
+        """``iter_cases`` takes cid, host and rid from the store's flat
+        tables: with ``case_meta`` unavailable its cases, a cid subset
+        and an elog → elog repack are unchanged."""
+        from repro.elstore.convert import convert_source
+        from repro.elstore.reader import EventLogStore
+
+        every = list(ElstoreSource(ls_store).iter_cases())
+        subset = list(ElstoreSource(ls_store, cids={"b"}).iter_cases())
+
+        def refuse(self, case_id):
+            raise AssertionError(f"case_meta({case_id!r}) was built")
+
+        monkeypatch.setattr(EventLogStore, "case_meta", refuse)
+        for cids, cases in ((None, every), ({"b"}, subset)):
+            got = list(ElstoreSource(ls_store, cids=cids).iter_cases())
+            assert len(got) == len(cases)
+            for case, want in zip(got, cases):
+                _same_case(case, want)
+        assert [case.name.cid for case in subset] == ["b"] * len(subset)
+        out = convert_source(f"elog:{ls_store}", tmp_path / "re.elog")
+        assert out.read_bytes() == ls_store.read_bytes()
+
     def test_store_equals_dir_after_mapping(self, ls_traces, ls_store):
         mapping = CallTopDirs(levels=2)
         from_dir = EventLog.from_source(
@@ -93,6 +124,23 @@ class TestElstoreSource:
     def test_cids_filter(self, ls_store):
         log = EventLog.from_source(str(ls_store), cids={"b"})
         assert log.cids() == ["b"]
+
+
+@pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028", "\x1e"],
+                         ids=["form-feed", "NEL", "line-sep", "record-sep"])
+def test_text_ends_lines_where_a_file_does(tmp_path, char):
+    """In-memory strace text ends a line only at ``\\r\\n``, ``\\r`` or
+    ``\\n``, as a trace file does, so a path holding a character
+    ``str.splitlines`` would also break at parses as from the file."""
+    from repro.sources.base import case_columns_from_text
+
+    line = (f'7 10:00:00.000001 openat(AT_FDCWD, "/p/a{char}b", '
+            f"O_RDONLY) = 3</p/a{char}b> <0.000002>")
+    (tmp_path / "a_host1_1.st").write_text(line + "\n", encoding="utf-8")
+    (from_file,) = StraceDirSource(tmp_path, workers=1).iter_cases()
+    assert from_file.paths == [f"/p/a{char}b"]
+    for text in (line, line + "\n", line + "\r\n", line + "\r"):
+        _same_case(case_columns_from_text(from_file.name, text), from_file)
 
 
 class TestSimulationSource:

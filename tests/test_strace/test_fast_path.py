@@ -1,12 +1,12 @@
 """The fast road of the line parse against the general road
 (differential).
 
-:meth:`~repro.strace.resume.IncrementalMerger.feed_lines` matches each
-line once against :data:`repro.strace.parser.LINE_RE` and builds rows,
-fills a pid's slot or splices a resumed pair straight from the groups;
-every line it declines is tokenized
-(:func:`~repro.strace.tokenizer.tokenize_line`) and handled by the
-general road, whose bodies go through
+:meth:`~repro.strace.resume.IncrementalMerger.feed_text` scans a block
+of lines with one :data:`repro.strace.parser.LINE_RE` ``finditer``
+and builds rows, fills a pid's slot or splices a resumed pair straight
+from the groups of each line it takes; every line it declines is
+tokenized (:func:`~repro.strace.tokenizer.tokenize_line`) and handled
+by the general road, whose bodies go through
 :func:`repro.strace.parser.scan_body`. The fast road may decline any
 line, but what it takes must give exactly the general road's rows,
 merge statistics and located errors. Lines are drawn from the
@@ -15,13 +15,18 @@ arguments holding ``,)]}>``, escapes and the ``"..."...``
 abbreviation, ``fd<path>`` at a non-zero index, struct/array
 arguments, hex and ``?`` returns, ``ERESTART*``, ``(Timeout)``-style
 flag descriptions, pid-less and ``-ttt`` headers, out-of-range hours
-and stray characters anywhere.
+and stray characters anywhere. Whole files are also read from bytes —
+any line terminators, blank lines, undecodable bytes, blocks cut
+anywhere — by the batch reader and by the live follower, against a
+reference that decodes and tokenizes one line at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -29,10 +34,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._util.errors import TraceParseError
+from repro.ingest import streaming
+from repro.ingest.streaming import decode_trace_line
+from repro.live.tail import FileTail
 from repro.simulate.recording import SyscallRecord
 from repro.simulate.strace_writer import format_record, format_record_split
 from repro.strace import resume
 from repro.strace.parser import scan_body
+from repro.strace.reader import read_trace_records
 from repro.strace.resume import IncrementalMerger
 from repro.strace.tokenizer import RecordKind, tokenize_line
 
@@ -249,36 +258,51 @@ def general_row(line: str):
         return exc
 
 
-def _numbered(texts: list[str]):
-    return [(n, text) for n, text in enumerate(texts, start=1)
-            if text.strip()]
+def _file_text(texts: list[str]) -> str:
+    """``texts`` as the text of a file, each ended by a newline (a
+    text holding a newline is two lines, as in a file)."""
+    return "".join(text + "\n" for text in texts)
+
+
+def _numbered(text: str):
+    """The non-blank lines of file text, numbered as in the file."""
+    texts = text.split("\n")
+    texts.pop()
+    return [(n, line) for n, line in enumerate(texts, start=1)
+            if line.strip()]
 
 
 def _merge(texts: list[str], strict: bool):
-    """``feed_lines``: rows + stats, or the (lineno, message) of the
-    error raised."""
+    """``feed_text``: rows + stats, or the (path, lineno, message) of
+    the error raised."""
     merger = IncrementalMerger(path="t.st", rows=True, strict=strict)
     try:
-        rows = merger.feed_lines(_numbered(texts))
+        rows = merger.feed_text(_file_text(texts))
         rows += merger.finish()
     except TraceParseError as exc:
-        return exc.lineno, str(exc)
+        return exc.path, exc.lineno, str(exc)
     return rows, merger.stats
 
 
-def _reference_merge(texts: list[str], strict: bool):
-    """The same from the general road alone: every line tokenized and
-    fed through the merger's token handling."""
-    merger = IncrementalMerger(path="t.st", rows=True, strict=strict)
+def _reference(numbered, strict: bool, path: str = "t.st"):
+    """The general road alone: every ``(lineno, line)`` of
+    ``numbered`` tokenized and fed through the merger's token
+    handling. Rows + stats, or the (path, lineno, message) of the
+    first error raised, by the merger or by ``numbered`` itself."""
+    merger = IncrementalMerger(path=path, rows=True, strict=strict)
     try:
-        for lineno, text in _numbered(texts):
-            merger._consume(tokenize_line(text, path="t.st", lineno=lineno),
+        for lineno, text in numbered:
+            merger._consume(tokenize_line(text, path=path, lineno=lineno),
                             lineno)
         rows = merger._drain()
         rows += merger.finish()
     except TraceParseError as exc:
-        return exc.lineno, str(exc)
+        return exc.path, exc.lineno, str(exc)
     return rows, merger.stats
+
+
+def _reference_merge(texts: list[str], strict: bool):
+    return _reference(_numbered(_file_text(texts)), strict)
 
 
 class _Declined(Exception):
@@ -293,7 +317,7 @@ def fast_rows(texts: list[str], **options):
     with mock.patch.object(resume, "tokenize_line", side_effect=_Declined), \
             mock.patch.object(resume, "RESTART_ERRNOS", frozenset()):
         try:
-            return merger.feed_lines(_numbered(texts)) + merger.finish()
+            return merger.feed_text(_file_text(texts)) + merger.finish()
         except _Declined:
             return None
 
@@ -303,9 +327,12 @@ def fast_rows(texts: list[str], **options):
 @given(lines)
 @settings(max_examples=300, deadline=None)
 def test_fast_line_agrees_with_general_scan(line):
-    rows = fast_rows([line], strict=False)
-    if rows:
-        assert rows == [general_row(line)]
+    """Each line the fast road takes gives the general scan's row (a
+    stray newline makes two lines, each checked on its own)."""
+    for text in line.split("\n"):
+        rows = fast_rows([text], strict=False)
+        if rows:
+            assert rows == [general_row(text)]
 
 
 @given(lines, st.data())
@@ -336,11 +363,148 @@ def test_fast_body_agrees_with_general_scan(line, data):
 @given(trace_files(), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_merge_with_and_without_fast_path(texts, strict):
-    """Whole files: ``feed_lines`` gives the same rows and merge
+    """Whole files: ``feed_text`` gives the same rows and merge
     statistics, or the same located error, as a reference that
     tokenizes every line and feeds it through the merger's token
     handling."""
     assert _merge(texts, strict) == _reference_merge(texts, strict)
+
+
+#: Lines the fast road declines, to put between the ones it takes: a
+#: signal, an exit and a call with a struct argument.
+_DECLINED = [
+    "7  10:00:00.000003 --- SIGCHLD {si_signo=SIGCHLD, "
+    "si_code=CLD_EXITED} ---",
+    "8  10:00:00.000003 +++ exited with 0 +++",
+    "9  10:00:00.000003 fstat(3</x>, {st_mode=S_IFREG|0644, "
+    "st_size=1}) = 0 <0.000001>",
+]
+
+
+@st.composite
+def trace_bytes(draw):
+    """A whole file as bytes: the lines of :func:`trace_files` with
+    declined, blank and whitespace-only lines between them, each ended
+    by LF, CRLF or CR (the last one maybe not at all), and sometimes
+    one undecodable byte anywhere."""
+    lines = []
+    for text in draw(trace_files()):
+        lines += draw(st.lists(st.sampled_from(
+            _DECLINED + ["", " ", "\t \x0c"]), max_size=2))
+        lines.append(text)
+    pieces = [line.encode() + draw(st.sampled_from([b"\n", b"\r\n", b"\r"]))
+              for line in lines]
+    if draw(st.booleans()):
+        pieces[-1] = pieces[-1].rstrip(b"\r\n")
+    data = b"".join(pieces)
+    if not draw(st.integers(0, 3)):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def _decoded_lines(data: bytes, path: str, strict: bool,
+                   replacements: list[int]):
+    """The non-blank ``(lineno, text)`` lines of a file's bytes, split
+    at universal newlines and decoded one at a time (an undecodable
+    line raises under ``strict``); each line's U+FFFD count is
+    appended to ``replacements``."""
+    raws = re.split(rb"\r\n|\r|\n", data)
+    if not raws[-1]:
+        raws.pop()
+    for lineno, raw in enumerate(raws, start=1):
+        text, replaced = decode_trace_line(raw, strict=strict, path=path,
+                                           lineno=lineno)
+        replacements.append(replaced)
+        if text.strip():
+            yield lineno, text
+
+
+def _reference_read(data: bytes, path: str, strict: bool):
+    """:func:`_reference` over a file's bytes, with its decode
+    replacements."""
+    replacements: list[int] = []
+    result = _reference(_decoded_lines(data, path, strict, replacements),
+                        strict, path)
+    if len(result) == 2:
+        result[1].decode_replacements = sum(replacements)
+    return result
+
+
+def _batch_read(path, strict: bool, chunk_size: int):
+    """``read_trace_records`` reading ``chunk_size`` bytes at a time."""
+    blocks = functools.partial(streaming._iter_raw_blocks,
+                               chunk_size=chunk_size)
+    with mock.patch.object(streaming, "_iter_raw_blocks", blocks), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return read_trace_records(path, strict=strict, rows=True)
+        except TraceParseError as exc:
+            return exc.path, exc.lineno, str(exc)
+
+
+def _tail_read(path, data: bytes, cuts: list[int], strict: bool):
+    """A :class:`FileTail` polled after each slice of ``data`` between
+    ``cuts`` is appended, then finished."""
+    path.write_bytes(b"")
+    tail = FileTail(path, strict=strict)
+    records = []
+    try:
+        for low, high in zip([0, *cuts], [*cuts, len(data)]):
+            with path.open("ab") as handle:
+                handle.write(data[low:high])
+            records += tail.poll()
+        records += tail.finish()
+    except TraceParseError as exc:
+        return exc.path, exc.lineno, str(exc)
+    return [tuple(record) for record in records], tail.merger.stats
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("blocks") / "a_host1_1.st"
+
+
+@given(trace_bytes(), st.booleans(),
+       st.sampled_from([1, 2, 3, 7, 64, streaming._CHUNK_BYTES]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_blocks_cut_anywhere_agree_with_line_reference(
+        trace_path, data, strict, chunk_size, draw):
+    """Whole files from bytes — LF, CRLF, CR and mixed terminators,
+    blank and declined lines between fast ones, an undecodable byte —
+    read in blocks of ``chunk_size`` bytes, so that lines and CRLF
+    pairs straddle blocks (or all in one), and tailed in random slices:
+    both give the rows, merge statistics and decode replacements, or
+    the located first error, of a reference that decodes and tokenizes
+    one line at a time."""
+    cuts = sorted(draw.draw(st.lists(st.integers(0, len(data)),
+                                     max_size=6)))
+    expected = _reference_read(data, str(trace_path), strict)
+    trace_path.write_bytes(data)
+    assert _batch_read(trace_path, strict, chunk_size) == expected
+    tailed = _tail_read(trace_path, data, cuts, strict)
+    if len(expected) == 3:  # the located first error
+        assert tailed == expected
+        return
+    # A follower seals per poll, which keeps the batch order only where
+    # stamps never go back; these lines' stamps may, so the rows agree
+    # as a multiset (the live suites pin the order on ordered traces).
+    assert len(tailed) == 2, tailed
+    assert tailed[1] == expected[1]
+    assert sorted(map(repr, tailed[0])) == sorted(map(repr, expected[0]))
+
+
+def test_batch_read_seals_once_whatever_the_blocks(trace_path):
+    """Stamps that go back across a block boundary: the batch reader
+    still returns the one start-ordered list a single block gives."""
+    lines = [f"{pid}  10:00:00.{stamp:06d} close({pid}</x>) = 0 <0.000001>"
+             for pid, stamp in [(1, 5), (1, 9), (2, 2), (2, 7)]]
+    data = "".join(line + "\n" for line in lines).encode()
+    trace_path.write_bytes(data)
+    result = _batch_read(trace_path, True, 8)
+    assert [row[1] % 1000 for row in result[0]] == [2, 5, 7, 9]
+    assert result == _reference_read(data, str(trace_path), True)
 
 
 def test_split_pair_across_a_poll_and_a_restore(tmp_path):
@@ -438,7 +602,7 @@ def test_adversarial_shapes_agree(line):
 def test_general_scan_shapes_are_declined(line):
     """Structs, arrays, an ``fd<path>`` at a non-zero index, a quoted
     path the catalog puts at an argument index, a return that reads as
-    ``<unfinished ...>``, out-of-range stamps and text holding a
-    newline (which the tokenizer's header rejects) go to the general
-    road."""
+    ``<unfinished ...>``, out-of-range stamps and a newline inside a
+    string (two lines, neither a call the fast road takes) go to the
+    general road."""
     assert fast_rows([line]) is None
