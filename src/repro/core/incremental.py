@@ -23,7 +23,8 @@ property tests over randomized increment schedules.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections import Counter
+from typing import Iterable, Mapping
 
 from repro._util.errors import ReproError
 from repro.core.activity import END_ACTIVITY, START_ACTIVITY
@@ -181,6 +182,50 @@ class IncrementalDFG:
             "last": {case: last for case, last
                      in sorted(self._last.items())},
         }
+
+    def check_laws(self, event_counts: Mapping[str, int]) -> None:
+        """Raise :class:`ValueError`, naming the activity, unless the
+        graph keeps the laws every fold keeps — a check for state read
+        back from disk. Each activity occurs as often as
+        ``event_counts`` (the statistics' events per activity) says.
+        With endpoints, each node is entered, occurs and is left
+        equally often, where each case of the ``last`` table enters ●
+        and leaves ■ once; and each ``(x, ■)`` count is the number of
+        cases whose last activity is x."""
+        for activity in sorted({*event_counts, *self._node_freq}
+                               - {START_ACTIVITY, END_ACTIVITY}):
+            occurs = self._node_freq.get(activity, 0)
+            counted = event_counts.get(activity, 0)
+            if occurs != counted:
+                raise ValueError(
+                    f"activity {activity!r} occurs {occurs} times in the "
+                    f"graph but {counted} times in the statistics")
+        if not self.add_endpoints:
+            return
+        entered: Counter[str] = Counter()
+        left: Counter[str] = Counter()
+        for (source, target), count in self._edges.items():
+            left[source] += count
+            entered[target] += count
+        entered[START_ACTIVITY] += len(self._last)
+        left[END_ACTIVITY] += len(self._last)
+        for activity in sorted({*entered, *left, *self._node_freq}):
+            counts = (entered[activity], self._node_freq.get(activity, 0),
+                      left[activity])
+            if len(set(counts)) > 1:
+                raise ValueError(
+                    f"activity {activity!r} is entered {counts[0]} times, "
+                    f"occurs {counts[1]} times and is left {counts[2]} "
+                    f"times")
+        closing = Counter({source: count for (source, target), count
+                           in self._edges.items() if target == END_ACTIVITY})
+        ending = Counter(self._last.values())
+        for activity in sorted({*closing, *ending}):
+            if closing[activity] != ending[activity]:
+                raise ValueError(
+                    f"edge ({activity!r}, {END_ACTIVITY!r}) counts "
+                    f"{closing[activity]} but {ending[activity]} case(s) "
+                    f"end at {activity!r}")
 
     @classmethod
     def from_state(cls, state: dict) -> "IncrementalDFG":

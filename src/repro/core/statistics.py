@@ -573,6 +573,11 @@ class StatsAccumulator:
                 acc.timeline_snapshot(ordered)))
         return _fill(IOStatistics(), parts)
 
+    def event_counts(self) -> dict[str, int]:
+        """Events folded per activity."""
+        return {activity: acc.event_count
+                for activity, acc in self._activities.items()}
+
     # -- checkpoint state --------------------------------------------------
 
     def exact_buffers(self, cells: Iterable[tuple[str, str]] | None
@@ -876,22 +881,6 @@ class IOStatistics:
     def total_duration_us(self) -> int:
         """Denominator of Eq. 8: Σ_a Σ_{e ∈ f⁻¹(a)} dur(e)."""
         return self._total_dur_us
-
-    def relative_duration(self, activity: str) -> float:
-        """rd_f(a, C) — Eq. 8."""
-        return self[activity].relative_duration
-
-    def total_bytes(self, activity: str) -> int:
-        """b_f(a, C) — Eq. 9."""
-        return self[activity].total_bytes
-
-    def process_data_rate(self, activity: str) -> float | None:
-        """dr̄_f(a, C) in bytes/second — Eq. 13."""
-        return self[activity].process_data_rate
-
-    def max_concurrency_of(self, activity: str) -> int:
-        """mc_f(a, C) — Eq. 16."""
-        return self[activity].max_concurrency
 
     def timeline(self, activity: str) -> list[tuple[str, int, int]]:
         """The t_f(a, C) list (Eq. 15) as (case_id, start_us, end_us).

@@ -12,7 +12,8 @@ single-file columnar container with the same contract:
 - per-case columns ``pid/call/start/dur/fp/size`` in start order;
 - string columns dictionary-encoded against file-global pools;
 - chunked column storage with per-chunk CRC32 integrity checks;
-- O(1) open + per-case lazy reads via a JSON table of contents.
+- O(1) open + per-case lazy reads via a binary, CRC-checked table of
+  contents.
 """
 
 from repro._util.lazy import lazy_exports

@@ -1,11 +1,12 @@
 """Reading ``.elog`` event-log containers.
 
 :class:`EventLogStore` is the lazy handle — open is O(header + TOC).
-The TOC is decoded in one pass into flat tables: per case its id, cid,
-host, rid and event count, and per column of :data:`CASE_COLUMNS` the
-cases' dtypes and one int64 ``(offset, nbytes, crc32)`` array of chunk
-references. Open checks them with one vectorized expression per
-column, including that every chunk reference lies inside the file.
+The binary TOC is CRC-checked and decoded into its flat tables
+(:func:`~repro.elstore.schema.decode_toc`): per case its id, cid, host,
+rid and event count, and per column of :data:`CASE_COLUMNS` one int64
+``(offset, nbytes, crc32)`` array of chunk references with per-case
+starts. Open checks them with one vectorized expression per column,
+including that every chunk reference lies inside the file.
 Individual cases (groups) are read on demand with per-chunk CRC
 verification, mirroring how the paper's implementation retrieves
 per-case tables from its HDF5 file. :func:`read_event_log` materializes
@@ -16,13 +17,11 @@ file, every chunk CRC-checked on a slice of it, one join per column.
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
-from itertools import chain
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +31,7 @@ from repro.core.eventlog import EventLog
 from repro.core.frame import MISSING, EventFrame, FramePools
 from repro.elstore.schema import (
     CASE_COLUMNS,
+    CASE_FIELDS,
     FORMAT_VERSION,
     HEADER_FMT,
     HEADER_SIZE,
@@ -39,23 +39,13 @@ from repro.elstore.schema import (
     CaseMeta,
     ChunkRef,
     ColumnMeta,
-    POOL_NAMES,
+    TocColumn,
+    decode_toc,
 )
 
 #: Code columns: the pool each one indexes and its lowest code (an fp
 #: of -1 is MISSING, no path).
 _CODE_POOLS = {"call": ("calls", 0), "fp": ("paths", MISSING)}
-
-
-class _Column(NamedTuple):
-    """One column of every case, in stored case order."""
-
-    #: Each case's declared dtype string.
-    dtypes: list[str]
-    #: Every case's chunk references, one ``(offset, nbytes, crc32)``
-    #: int64 row each; case ``i`` owns rows ``starts[i]:starts[i + 1]``.
-    refs: np.ndarray
-    starts: np.ndarray
 
 
 class EventLogStore:
@@ -78,9 +68,11 @@ class EventLogStore:
                 raise StoreFormatError(
                     f"{self.path}: bad magic {magic!r} (not an .elog file)")
             if version != FORMAT_VERSION:
+                hint = (" — a JSON-TOC store: re-run convert from the "
+                        "traces" if version == 1 else "")
                 raise StoreFormatError(
                     f"{self.path}: unsupported version {version} "
-                    f"(expected {FORMAT_VERSION})")
+                    f"(expected {FORMAT_VERSION}){hint}")
             if reserved != 0:
                 raise StoreFormatError(
                     f"{self.path}: reserved header field is {reserved}, "
@@ -89,72 +81,58 @@ class EventLogStore:
                 raise StoreFormatError(
                     f"{self.path}: missing TOC (writer not closed?)")
             # Bounded before the read: a damaged length must not size
-            # an allocation, nor a damaged offset a seek.
+            # an allocation, nor a damaged offset a seek. The TOC ends
+            # the file, so a changed offset or length cannot pass.
             size = os.fstat(handle.fileno()).st_size
             if toc_offset + toc_len > size:
                 raise StoreFormatError(f"{self.path}: truncated TOC")
+            if toc_offset + toc_len < size:
+                raise StoreFormatError(
+                    f"{self.path}: {size - toc_offset - toc_len} bytes "
+                    f"after the TOC")
             handle.seek(toc_offset)
             raw = handle.read(toc_len)
         try:
-            toc = json.loads(raw.decode("utf-8"))
-            self.pools: dict[str, list[str]] = {
-                name: list(toc["pools"].get(name, []))
-                for name in POOL_NAMES}
-            entries = toc["cases"]
-            self._ids: list[str] = [entry["case_id"] for entry in entries]
-            self._cids: list[str] = [entry["cid"] for entry in entries]
-            self._hosts: list[str] = [entry["host"] for entry in entries]
-            self._rids = np.array(
-                [entry["rid"] for entry in entries],
-                dtype=np.int64).reshape(len(entries))
-            self._n_events = np.array(
-                [entry["n_events"] for entry in entries],
-                dtype=np.int64).reshape(len(entries))
-            case_columns = [entry["columns"] for entry in entries]
-            for case_id, columns in zip(self._ids, case_columns):
-                if not columns.keys() >= CASE_COLUMNS.keys():
-                    raise StoreFormatError(
-                        f"{self.path}: corrupt TOC: case {case_id!r} "
-                        f"lacks columns "
-                        f"{sorted(CASE_COLUMNS.keys() - columns.keys())}")
-            self._columns = {name: self._decode_column(
-                name, [columns[name] for columns in case_columns], size)
-                for name in CASE_COLUMNS}
-            self._check_distinct()
-            self._index = {case_id: position
-                           for position, case_id in enumerate(self._ids)}
-        except KeyError as exc:
-            raise StoreFormatError(
-                f"{self.path}: corrupt TOC: missing key {exc}") from exc
-        except (TypeError, ValueError, AttributeError, IndexError,
-                OverflowError) as exc:
+            toc = decode_toc(raw)
+        except ValueError as exc:
             raise StoreFormatError(
                 f"{self.path}: corrupt TOC: {exc}") from exc
+        self.pools: dict[str, list[str]] = toc.pools
+        cases = toc.cases
+        # The first three case fields are codes into these pools.
+        code_pools = ("cases", "cids", "hosts")
+        names = []
+        for field, pool, codes in zip(CASE_FIELDS, code_pools, cases.T):
+            strings = self.pools[pool]
+            at = _first_outside(codes, 0, len(strings))
+            if at is not None:
+                raise StoreFormatError(
+                    f"{self.path}: corrupt TOC: case row {at} holds "
+                    f"{field} code {codes[at]}, outside "
+                    f"[0, {len(strings)}) of pool {pool!r}")
+            names.append([strings[code] for code in codes.tolist()])
+        self._ids, self._cids, self._hosts = names
+        self._rids = cases[:, CASE_FIELDS.index("rid")]
+        self._n_events = cases[:, CASE_FIELDS.index("n_events")]
+        self._check_distinct()
+        self._columns = toc.columns
+        for name, column in self._columns.items():
+            self._check_column(name, column, size)
+        self._index = {case_id: position
+                       for position, case_id in enumerate(self._ids)}
 
-    def _decode_column(self, name: str, entries: list[dict],
-                       size: int) -> _Column:
-        """The flat table of column ``name`` from the cases' TOC
-        entries, once its dtypes are integer types and its chunks lie
-        inside the ``size``-byte file."""
-        dtypes = [entry["dtype"] for entry in entries]
-        chunks = [entry["chunks"] for entry in entries]
-        starts = np.zeros(len(chunks) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, chunks), dtype=np.int64,
-                              count=len(chunks)), out=starts[1:])
-        refs = np.array(list(chain.from_iterable(chunks)),
-                        dtype=np.int64).reshape(int(starts[-1]), 3)
-        distinct = set(dtypes)
-        for declared in distinct:
-            try:
-                kind = np.dtype(declared).kind
-            except (TypeError, ValueError, SyntaxError) as exc:
-                raise StoreFormatError(
-                    f"{self.path}: corrupt TOC: column {name!r}: "
-                    f"{exc}") from exc
-            if kind not in "iu":
-                raise StoreFormatError(
-                    f"{self.path}: corrupt TOC: column {name!r}: "
-                    f"{declared!r} is not an integer dtype")
+    def _check_column(self, name: str, column: TocColumn,
+                      size: int) -> None:
+        """Raise unless column ``name``'s chunk starts run from 0 to its
+        ref count without decreasing, and its chunks lie inside the
+        ``size``-byte file."""
+        starts, refs = column
+        if starts[0] != 0 or starts[-1] != len(refs) \
+                or (np.diff(starts) < 0).any():
+            raise StoreFormatError(
+                f"{self.path}: corrupt TOC: chunk starts of column "
+                f"{name!r} do not run from 0 to its {len(refs)} refs "
+                f"without decreasing")
         offsets, nbytes = refs[:, 0], refs[:, 1]
         outside = (offsets < 0) | (nbytes < 0) | (nbytes > size - offsets)
         if outside.any():
@@ -165,7 +143,6 @@ class EventLogStore:
                 f"{self._ids[case]!r} at offset {offsets[row]} "
                 f"({nbytes[row]} bytes) lies outside the file ({size} "
                 f"bytes)")
-        return _Column(dtypes, refs, starts)
 
     def _check_distinct(self) -> None:
         """Each case is named once and each pool lists distinct
@@ -219,7 +196,7 @@ class EventLogStore:
         for name, column in self._columns.items():
             rows = column.refs[column.starts[i]:column.starts[i + 1]]
             columns[name] = ColumnMeta(
-                name=name, dtype=column.dtypes[i],
+                name=name, dtype=CASE_COLUMNS[name],
                 chunks=[ChunkRef(*row) for row in rows.tolist()])
         return CaseMeta(
             case_id=case_id, cid=self._cids[i], host=self._hosts[i],
@@ -260,12 +237,12 @@ class EventLogStore:
                        case_at: Callable[[int], str]) -> None:
         """One min/max: every call or fp code lies in its pool.
         ``case_at(i)`` names the case holding value ``i``."""
-        if name not in _CODE_POOLS or not len(values):
+        if name not in _CODE_POOLS:
             return
         pool, low = _CODE_POOLS[name]
         high = len(self.pools[pool])
-        if values.min() < low or values.max() >= high:
-            at = int(np.flatnonzero((values < low) | (values >= high))[0])
+        at = _first_outside(values, low, high)
+        if at is not None:
             raise StoreFormatError(
                 f"{self.path}: column {name!r} of case {case_at(at)!r} "
                 f"holds code {values[at]}, outside [{low}, {high}) of "
@@ -301,7 +278,7 @@ class EventLogStore:
                     self._chunk_checked(name, offset, nbytes, crc32,
                                         pieces[-1])
                 raw = b"".join(pieces)
-                dtype = np.dtype(column.dtypes[i])
+                dtype = np.dtype(CASE_COLUMNS[name])
                 self._count_checked(name, case_id, len(raw), dtype.itemsize,
                                     n_events)
                 values = np.frombuffer(raw, dtype=dtype)
@@ -353,21 +330,11 @@ class EventLogStore:
     def _joined_column(self, data: memoryview, positions: np.ndarray,
                        name: str) -> np.ndarray:
         """Column ``name`` of the cases at ``positions``, end to end, from
-        the file bytes ``data``, in the dtype the TOC declares for it.
-        The cases must agree on that dtype; :meth:`read_case`'s checks
-        (value counts, chunk lengths and CRCs, codes) run once over all
-        of them, each as one array expression."""
+        the file bytes ``data``. :meth:`read_case`'s checks (value
+        counts, chunk lengths and CRCs, codes) run once over all of
+        them, each as one array expression."""
         column = self._columns[name]
-        declared = column.dtypes[positions[0]]
-        dtype = np.dtype(declared)
-        if len(set(column.dtypes)) > 1:
-            for position in positions.tolist():
-                other = column.dtypes[position]
-                if other != declared and np.dtype(other) != dtype:
-                    raise StoreFormatError(
-                        f"{self.path}: column {name!r} of case "
-                        f"{self._ids[position]!r} is {other}, not "
-                        f"{declared} like the cases before it")
+        dtype = np.dtype(CASE_COLUMNS[name])
         # The chosen cases' chunk rows, in the order of ``positions``.
         begins = column.starts[positions]
         lengths = column.starts[positions + 1] - begins
@@ -406,6 +373,14 @@ class EventLogStore:
 
         self._codes_checked(name, values, case_at)
         return values
+
+
+def _first_outside(values: np.ndarray, low: int, high: int) -> int | None:
+    """The index of the first of ``values`` outside ``[low, high)``, if
+    any: one min/max when all lie inside."""
+    if len(values) and (values.min() < low or values.max() >= high):
+        return int(np.flatnonzero((values < low) | (values >= high))[0])
+    return None
 
 
 def _first_repeat(strings: list[str]) -> str | None:

@@ -8,14 +8,37 @@ File layout (little-endian throughout)::
     +--------------------------------------------------+
     | chunk 0 bytes | chunk 1 bytes | ...              |  (column data)
     +--------------------------------------------------+
-    | TOC: UTF-8 JSON                                  |
+    | TOC (below), ending the file                     |
     +--------------------------------------------------+
 
-The TOC describes every case (group) and its columns; each column is a
-list of chunk references ``(offset, nbytes, crc32)``. String pools
-(calls, paths, cases, cids, hosts) live in the TOC itself — they are
-small (distinct strings only) and JSON keeps them debuggable with a hex
-dump and ``jq``.
+The TOC is the flat tables the reader works on, as int64 arrays, then
+the pool strings, then a CRC32 of every TOC byte before it::
+
+    counts     int64[12]   strings per pool (POOL_NAMES order), cases,
+                           chunk refs per column (CASE_COLUMNS order)
+    ends       int64[S]    byte end of each pool string in ``text``,
+                           the pools one after another
+    cases      int64[C, 5] case, cid, host (codes into their pools),
+                           rid, n_events
+    per column of CASE_COLUMNS:
+      starts   int64[C + 1]  case ``i`` owns refs ``starts[i]:starts[i+1]``
+      refs     int64[R, 3]   (offset, nbytes, crc32) per chunk
+    text       bytes         the pool strings, UTF-8, end to end
+    crc32      u32           of every TOC byte before it
+
+The strings are encoded with ``surrogatepass``, so any Python string
+round-trips: NUL, non-BMP characters and lone surrogates included. The
+column dtypes are fixed by the format version (:data:`CASE_COLUMNS`),
+so the TOC does not repeat them per case.
+
+Why binary: the reader needs exactly these tables, and decoding them
+from JSON cost more than the rest of the open together (a JSON TOC is
+about twice the size and is parsed into per-case objects first). The
+CRC covers what the chunk CRCs do not: without it, a flipped TOC byte
+could load a different log with no error (a changed host, cid, rid or
+path code). :func:`decode_toc` checks the CRC before it decodes any
+field. There is no reader for version 1 (a JSON TOC): re-run
+``convert`` from the traces.
 
 Why chunked: columns are written in bounded-size chunks so a writer
 can stream arbitrarily long cases with O(chunk) memory, and a reader
@@ -23,21 +46,24 @@ can verify integrity incrementally. The store chunk-size ablation in
 ``benchmarks/bench_ablations.py`` sweeps the chunk size.
 
 :class:`CaseMeta`, :class:`ColumnMeta` and :class:`ChunkRef` are the
-public per-case view of one TOC entry
+public per-case view of the tables
 (:meth:`~repro.elstore.reader.EventLogStore.case_meta`); the writer and
-the whole-log read work on the TOC's JSON and flat arrays instead.
+the whole-log read work on the tables (:class:`Toc`) instead.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 #: File magic — identifies an elstore container, versioned separately.
 MAGIC = b"ELOGSTOR"
-#: Bumped on incompatible layout changes.
-FORMAT_VERSION = 1
+#: Bumped on incompatible layout changes; 2 is the binary TOC.
+FORMAT_VERSION = 2
 #: struct format of the fixed-size header (see module docstring).
 HEADER_FMT = "<8sHHQQ"
 HEADER_SIZE = 8 + 2 + 2 + 8 + 8
@@ -57,6 +83,98 @@ CASE_COLUMNS: dict[str, str] = {
 #: Pool names serialized in the TOC.
 POOL_NAMES = ("calls", "paths", "cases", "cids", "hosts")
 
+#: The fields of a TOC case row, in order.
+CASE_FIELDS = ("case", "cid", "host", "rid", "n_events")
+
+_COUNTS = len(POOL_NAMES) + 1 + len(CASE_COLUMNS)
+_CRC = struct.Struct("<I")
+
+
+class TocColumn(NamedTuple):
+    """One column of every case: case ``i`` owns the chunk refs
+    ``refs[starts[i]:starts[i + 1]]``, each an int64
+    ``(offset, nbytes, crc32)`` row."""
+
+    starts: np.ndarray
+    refs: np.ndarray
+
+
+class Toc(NamedTuple):
+    """The TOC's tables, as stored: no check beyond the layout's own."""
+
+    pools: dict[str, list[str]]
+    #: One int64 row of :data:`CASE_FIELDS` per case, in stored order.
+    cases: np.ndarray
+    columns: dict[str, TocColumn]
+
+
+def encode_toc(toc: Toc) -> bytes:
+    """The TOC bytes of ``toc``, its CRC32 last."""
+    encoded = [string.encode("utf-8", "surrogatepass")
+               for name in POOL_NAMES for string in toc.pools[name]]
+    counts = [len(toc.pools[name]) for name in POOL_NAMES]
+    counts.append(len(toc.cases))
+    counts.extend(len(toc.columns[name].refs) for name in CASE_COLUMNS)
+    ends = np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64,
+                                 count=len(encoded)))
+    tables = [np.array(counts), ends, toc.cases]
+    for name in CASE_COLUMNS:
+        tables.extend(toc.columns[name])
+    body = b"".join([np.concatenate(
+        [np.ravel(table) for table in tables]).astype("<i8").tobytes(),
+        *encoded])
+    return body + _CRC.pack(zlib.crc32(body))
+
+
+def decode_toc(raw: bytes) -> Toc:
+    """The tables of the TOC bytes ``raw``. Raises :class:`ValueError`
+    unless the CRC matches — checked first — and the counts, string
+    ends and text fill the TOC exactly."""
+    if len(raw) < 8 * _COUNTS + _CRC.size:
+        raise ValueError(f"{len(raw)} bytes, too short for a TOC")
+    (crc,) = _CRC.unpack_from(raw, len(raw) - _CRC.size)
+    body = memoryview(raw)[:-_CRC.size]
+    if zlib.crc32(body) != crc:
+        raise ValueError(f"CRC mismatch (stored {crc:#010x}, computed "
+                         f"{zlib.crc32(body):#010x})")
+    counts = np.frombuffer(body, dtype="<i8", count=_COUNTS).tolist()
+    if min(counts) < 0:
+        raise ValueError(f"negative count in {counts}")
+    n_pools = len(POOL_NAMES)
+    n_strings, n_cases = sum(counts[:n_pools]), counts[n_pools]
+    n_ints = (_COUNTS + n_strings + len(CASE_FIELDS) * n_cases
+              + len(CASE_COLUMNS) * (n_cases + 1)
+              + 3 * sum(counts[n_pools + 1:]))
+    if 8 * n_ints > len(body):
+        raise ValueError(f"counts {counts} need {8 * n_ints} bytes, the "
+                         f"TOC holds {len(body)}")
+    ints = np.frombuffer(body, dtype="<i8", count=n_ints).astype(
+        np.int64, copy=False)
+    text = raw[8 * n_ints:len(body)]
+    at = _COUNTS + n_strings
+    bounds = np.concatenate(([0], ints[_COUNTS:at]))
+    if (np.diff(bounds) < 0).any() or bounds[-1] != len(text):
+        raise ValueError(f"string ends do not run through the "
+                         f"{len(text)}-byte text")
+    bounds = bounds.tolist()
+    strings = [text[begin:end].decode("utf-8", "surrogatepass")
+               for begin, end in zip(bounds, bounds[1:])]
+    pools, first = {}, 0
+    for name, count in zip(POOL_NAMES, counts):
+        pools[name] = strings[first:first + count]
+        first += count
+    cases = ints[at:at + len(CASE_FIELDS) * n_cases].reshape(
+        n_cases, len(CASE_FIELDS))
+    at += len(CASE_FIELDS) * n_cases
+    columns = {}
+    for name, n_refs in zip(CASE_COLUMNS, counts[n_pools + 1:]):
+        starts = ints[at:at + n_cases + 1]
+        at += n_cases + 1
+        columns[name] = TocColumn(
+            starts, ints[at:at + 3 * n_refs].reshape(n_refs, 3))
+        at += 3 * n_refs
+    return Toc(pools, cases, columns)
+
 
 @dataclass(frozen=True, slots=True)
 class ChunkRef:
@@ -65,14 +183,6 @@ class ChunkRef:
     offset: int
     nbytes: int
     crc32: int
-
-    def to_json(self) -> list[int]:
-        return [self.offset, self.nbytes, self.crc32]
-
-    @classmethod
-    def from_json(cls, data: list[int]) -> "ChunkRef":
-        return cls(offset=int(data[0]), nbytes=int(data[1]),
-                   crc32=int(data[2]))
 
 
 @dataclass(slots=True)
@@ -91,15 +201,6 @@ class ColumnMeta:
     def n_values(self) -> int:
         return self.nbytes // np.dtype(self.dtype).itemsize
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "dtype": self.dtype,
-                "chunks": [c.to_json() for c in self.chunks]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ColumnMeta":
-        return cls(name=data["name"], dtype=data["dtype"],
-                   chunks=[ChunkRef.from_json(c) for c in data["chunks"]])
-
 
 @dataclass(slots=True)
 class CaseMeta:
@@ -111,25 +212,3 @@ class CaseMeta:
     rid: int
     n_events: int
     columns: dict[str, ColumnMeta] = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "cid": self.cid,
-            "host": self.host,
-            "rid": self.rid,
-            "n_events": self.n_events,
-            "columns": {n: c.to_json() for n, c in self.columns.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CaseMeta":
-        return cls(
-            case_id=data["case_id"],
-            cid=data["cid"],
-            host=data["host"],
-            rid=int(data["rid"]),
-            n_events=int(data["n_events"]),
-            columns={n: ColumnMeta.from_json(c)
-                     for n, c in data["columns"].items()},
-        )

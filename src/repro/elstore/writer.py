@@ -2,8 +2,9 @@
 
 :class:`EventLogWriter` streams cases into a single file: column data
 is appended in bounded-size chunks as cases are added (O(chunk_size)
-memory regardless of trace length), and the JSON table of contents is
-written at close, after which the header is patched with its location.
+memory regardless of trace length), and the binary table of contents
+(:func:`~repro.elstore.schema.encode_toc`) is written at close, after
+which the header is patched with its location.
 
 The convenience :func:`write_event_log` serializes an in-memory
 :class:`~repro.core.eventlog.EventLog` in one call.
@@ -11,7 +12,6 @@ The convenience :func:`write_event_log` serializes an in-memory
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import zlib
@@ -23,11 +23,15 @@ import numpy as np
 from repro._util.errors import StoreFormatError
 from repro.elstore.schema import (
     CASE_COLUMNS,
+    CASE_FIELDS,
     FORMAT_VERSION,
     HEADER_FMT,
     HEADER_SIZE,
     MAGIC,
     POOL_NAMES,
+    Toc,
+    TocColumn,
+    encode_toc,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,9 +61,13 @@ class EventLogWriter:
             HEADER_FMT, MAGIC, FORMAT_VERSION, 0, 0, 0))
         #: Where the next chunk lands: column data is only appended.
         self._position = HEADER_SIZE
-        #: Each case's TOC entry, JSON-ready, in append order.
-        self._toc_cases: list[dict] = []
-        self._case_ids: set[str] = set()
+        #: The TOC tables, grown a case at a time in append order: one
+        #: CASE_FIELDS row per case, and per column the flat
+        #: ``offset, nbytes, crc32`` triples of its chunks and each
+        #: case's first-chunk index (one more entry than cases).
+        self._rows: list[tuple[int, ...]] = []
+        self._refs: dict[str, list[int]] = {n: [] for n in CASE_COLUMNS}
+        self._starts: dict[str, list[int]] = {n: [0] for n in CASE_COLUMNS}
         # File-global string pools, built as cases stream in.
         self._pools: dict[str, list[str]] = {n: [] for n in POOL_NAMES}
         self._pool_index: dict[str, dict[str, int]] = {
@@ -108,8 +116,11 @@ class EventLogWriter:
         """
         if self._closed:
             raise StoreFormatError("writer is closed")
-        if case_id in self._case_ids:
+        if case_id in self._pool_index["cases"]:
             raise StoreFormatError(f"duplicate case {case_id!r}")
+        if not -(1 << 63) <= rid < 1 << 63:
+            raise StoreFormatError(
+                f"rid {rid} of case {case_id!r} does not fit int64")
         missing = set(CASE_COLUMNS) - set(columns)
         if missing:
             raise StoreFormatError(f"missing columns: {sorted(missing)}")
@@ -127,33 +138,36 @@ class EventLogWriter:
         encoded["fp"] = _recode(columns["fp"], path_lookup,
                                 "fp code out of range of path_strings")
 
-        self._intern("cases", case_id)
-        self._intern("cids", cid)
-        self._intern("hosts", host)
         # Lay every chunk down from the running position, then write
         # the case in one call; the position moves once it is written.
-        # The TOC entry is the dict ``CaseMeta.to_json`` would give.
         data = []
         position = self._position
-        toc_columns = {}
+        chunks = {}
         for name, dtype in CASE_COLUMNS.items():
             array = np.ascontiguousarray(encoded[name], dtype=dtype)
             raw = memoryview(array).cast("B")
-            chunks = []
+            refs = chunks[name] = []
             step = self.chunk_values * array.itemsize
             for start in range(0, len(raw) or 1, step):
                 chunk = raw[start:start + step]
-                chunks.append([position, len(chunk), zlib.crc32(chunk)])
+                refs += (position, len(chunk), zlib.crc32(chunk))
                 position += len(chunk)
-            toc_columns[name] = {"name": name, "dtype": dtype,
-                                 "chunks": chunks}
             data.append(raw)
         self._handle.write(b"".join(data))
         self._position = position
-        self._toc_cases.append({
-            "case_id": case_id, "cid": cid, "host": host, "rid": rid,
-            "n_events": n_events, "columns": toc_columns})
-        self._case_ids.add(case_id)
+        self._append_case(case_id, cid, host, rid, n_events, chunks)
+
+    def _append_case(self, case_id: str, cid: str, host: str, rid: int,
+                     n_events: int, chunks: dict[str, list[int]]) -> None:
+        """Enter a written case in the TOC tables; ``chunks`` holds
+        each column's refs as flat ``offset, nbytes, crc32`` triples."""
+        self._rows.append((self._intern("cases", case_id),
+                           self._intern("cids", cid),
+                           self._intern("hosts", host), rid, n_events))
+        for name in CASE_COLUMNS:
+            refs = self._refs[name]
+            refs += chunks[name]
+            self._starts[name].append(len(refs) // 3)
 
     def add_case_records(self, name: "TraceFileName",
                          records: "list[ParsedRecord]") -> None:
@@ -175,12 +189,14 @@ class EventLogWriter:
         """Write the TOC, patch the header, close the file."""
         if self._closed:
             return
-        toc = {
-            "version": FORMAT_VERSION,
-            "pools": self._pools,
-            "cases": self._toc_cases,
-        }
-        raw = json.dumps(toc, separators=(",", ":")).encode("utf-8")
+        raw = encode_toc(Toc(
+            pools=self._pools,
+            cases=np.array(self._rows, dtype=np.int64).reshape(
+                len(self._rows), len(CASE_FIELDS)),
+            columns={name: TocColumn(
+                np.array(self._starts[name], dtype=np.int64),
+                np.array(self._refs[name], dtype=np.int64).reshape(-1, 3))
+                for name in CASE_COLUMNS}))
         toc_offset = self._handle.tell()
         self._handle.write(raw)
         self._handle.seek(0)

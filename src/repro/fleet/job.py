@@ -368,10 +368,6 @@ class WatchJob:
 
         return WatchView(self.engine, show_dfg=self.show_dfg, top=self.top)
 
-    @classmethod
-    def from_spec(cls, spec: JobSpec) -> "WatchJob":
-        return spec.build()
-
     @property
     def exhausted(self) -> bool:
         """Poll budget spent (``polls=None`` never exhausts)."""

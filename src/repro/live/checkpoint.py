@@ -491,6 +491,9 @@ def restore_engine(engine: "LiveIngest", state: dict,
     # to this life's cap.
     engine.stats = StatsAccumulator.from_state(
         state["stats"], window=engine.window, exact_buffers=buffers)
+    # A well-formed wrong count would restore silently, and every later
+    # poll would carry it.
+    engine.incremental.check_laws(engine.stats.event_counts())
     if Path(path) == engine.checkpoint_path:
         # Saves to the engine's checkpoint append to this segment;
         # any other load leaves them to write a complete one.

@@ -47,7 +47,8 @@ REMOVED_NAMES = ("run_watch", "from_strace_dir", "from_store",
                  "convert_strace_dir", "feed_frame", "add_rows",
                  "_check_types", "_window_arg", "_nonneg_float_arg",
                  "_MAPPINGS", "supports_tail", "show_stats",
-                 "feed_lines")
+                 "feed_lines", "from_spec", "max_concurrency_of",
+                 "_decode_column", "_toc_cases")
 
 
 def test_adapters_package_is_gone():

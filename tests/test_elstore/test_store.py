@@ -1,8 +1,6 @@
 """The .elog columnar container: write/read round trips, laziness."""
 
-import json
 import struct
-
 import zlib
 
 import numpy as np
@@ -15,7 +13,8 @@ from repro.core.eventlog import EventLog
 from repro.elstore.convert import convert_source
 from repro.elstore.reader import EventLogStore, read_event_log
 from repro.elstore.schema import (
-    CASE_COLUMNS, HEADER_FMT, HEADER_SIZE, CaseMeta, ChunkRef, ColumnMeta)
+    CASE_COLUMNS, CASE_FIELDS, HEADER_FMT, HEADER_SIZE, Toc, TocColumn,
+    decode_toc, encode_toc)
 from repro.elstore.writer import EventLogWriter, write_event_log
 from repro.sources import ElstoreSource
 from repro.strace.naming import TraceFileName
@@ -121,7 +120,7 @@ class _PerColumnWriter(EventLogWriter):
 
     def add_case_arrays(self, *, case_id, cid, host, rid, columns,
                         call_strings, path_strings):
-        if case_id in self._case_ids:
+        if case_id in self._pool_index["cases"]:
             raise StoreFormatError(f"duplicate case {case_id!r}")
         missing = set(CASE_COLUMNS) - set(columns)
         if missing:
@@ -150,24 +149,18 @@ class _PerColumnWriter(EventLogWriter):
         encoded["fp"] = np.where(
             fp_codes >= 0, path_map[np.clip(fp_codes, 0, None)],
             -1).astype(np.int32)
-        case = CaseMeta(case_id=case_id, cid=cid, host=host, rid=rid,
-                        n_events=n_events)
-        self._intern("cases", case_id)
-        self._intern("cids", cid)
-        self._intern("hosts", host)
+        chunks = {}
         for name, dtype in CASE_COLUMNS.items():
             array = np.ascontiguousarray(encoded[name].astype(dtype))
-            column = case.columns[name] = ColumnMeta(name=name, dtype=dtype)
+            refs = chunks[name] = []
             for start in range(0, len(array) or 1, self.chunk_values):
                 raw = array[start:start + self.chunk_values].tobytes()
                 offset = self._handle.tell()
                 self._handle.write(raw)
-                column.chunks.append(ChunkRef(
-                    offset=offset, nbytes=len(raw), crc32=zlib.crc32(raw)))
+                refs += (offset, len(raw), zlib.crc32(raw))
                 if len(array) == 0:
                     break
-        self._toc_cases.append(case.to_json())
-        self._case_ids.add(case_id)
+        self._append_case(case_id, cid, host, rid, n_events, chunks)
 
 
 @st.composite
@@ -328,9 +321,28 @@ class TestCorruption:
     def test_corrupt_toc_rejected(self, tmp_path):
         path = self._store_path(tmp_path)
         data = bytearray(path.read_bytes())
-        data[-5] = 0xFF  # garbage inside the JSON TOC
+        data[-5] = 0xFF  # the TOC's last pool byte, before its CRC
         path.write_bytes(data)
-        with pytest.raises(StoreFormatError):
+        with pytest.raises(StoreFormatError, match="corrupt TOC: CRC "
+                                                   "mismatch"):
+            EventLogStore(path)
+
+    def test_version_1_names_the_way_back(self, tmp_path):
+        """A JSON-TOC store is rejected before its TOC is read, with
+        the version and how to rebuild it."""
+        path = self._store_path(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[8:10] = (1).to_bytes(2, "little")
+        path.write_bytes(data)
+        with pytest.raises(StoreFormatError,
+                           match=r"unsupported version 1 \(expected 2\) "
+                                 r"— a JSON-TOC store: re-run convert"):
+            EventLogStore(path)
+
+    def test_bytes_after_the_toc_rejected(self, tmp_path):
+        path = self._store_path(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(StoreFormatError, match="1 bytes after the TOC"):
             EventLogStore(path)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -350,6 +362,12 @@ class TestCorruption:
                          + data[HEADER_SIZE:])
         with pytest.raises(StoreFormatError, match=message):
             EventLogStore(path)
+
+    def test_rid_past_int64_rejected_at_write(self, tmp_path):
+        with EventLogWriter(tmp_path / "log.elog") as writer:
+            with pytest.raises(StoreFormatError, match="does not fit"):
+                writer.add_case_records(TraceFileName("a", "h", 1 << 63),
+                                        [_record(1)])
 
     def test_unclosed_writer_header_rejected(self, tmp_path):
         path = tmp_path / "log.elog"
@@ -398,22 +416,64 @@ def _two_cid_store(path, chunk_values=4):
     return path
 
 
-def _rewrite_toc(path, edit):
-    """Re-serialize the container's TOC after ``edit(toc)``, keeping
-    every data byte where it was."""
+def _toc(path):
+    """The container's TOC tables, decoded into writable copies."""
     data = path.read_bytes()
-    magic, version, reserved, toc_offset, toc_len = struct.unpack(
+    toc_offset, toc_len = struct.unpack(HEADER_FMT, data[:HEADER_SIZE])[3:]
+    toc = decode_toc(data[toc_offset:toc_offset + toc_len])
+    return Toc(pools={name: list(strings)
+                      for name, strings in toc.pools.items()},
+               cases=toc.cases.copy(),
+               columns={name: TocColumn(column.starts.copy(),
+                                        column.refs.copy())
+                        for name, column in toc.columns.items()})
+
+
+def _rewrite_toc(path, edit):
+    """Re-encode the container's TOC, with a fresh CRC, after
+    ``edit(toc)`` changed its tables in place or returned new ones;
+    every data byte stays where it was."""
+    toc = _toc(path)
+    _replace_toc(path, encode_toc(edit(toc) or toc))
+
+
+def _rewrite_toc_bytes(path, edit):
+    """Replace the container's TOC by ``edit(body)`` of its bytes before
+    the CRC, with a fresh CRC: a layout the writer never makes."""
+    data = path.read_bytes()
+    toc_offset = struct.unpack(HEADER_FMT, data[:HEADER_SIZE])[3]
+    body = edit(bytearray(data[toc_offset:-4]))
+    _replace_toc(path, bytes(body) + struct.pack("<I", zlib.crc32(body)))
+
+
+def _replace_toc(path, raw):
+    data = path.read_bytes()
+    magic, version, reserved, toc_offset, _ = struct.unpack(
         HEADER_FMT, data[:HEADER_SIZE])
-    toc = json.loads(data[toc_offset:toc_offset + toc_len])
-    edit(toc)
-    raw = json.dumps(toc).encode("utf-8")
     path.write_bytes(struct.pack(HEADER_FMT, magic, version, reserved,
                                  toc_offset, len(raw))
                      + data[HEADER_SIZE:toc_offset] + raw)
 
 
 def _chunk(toc, index=5, column="start"):
-    return toc["cases"][index]["columns"][column]["chunks"][0]
+    """The first chunk ref of case row ``index`` in ``column``."""
+    starts, refs = toc.columns[column]
+    return refs[starts[index]]
+
+
+def _field(name):
+    return CASE_FIELDS.index(name)
+
+
+def _without_column(name, row):
+    """Case row ``row`` keeps no chunk of column ``name``."""
+    def edit(toc):
+        starts, refs = toc.columns[name]
+        begin, end = starts[row], starts[row + 1]
+        starts[row + 1:] -= end - begin
+        toc.columns[name] = TocColumn(
+            starts, np.delete(refs, np.s_[begin:end], axis=0))
+    return edit
 
 
 class TestOnePassRead:
@@ -457,19 +517,6 @@ class TestOnePassRead:
                                  f"offset {offset}"):
             read_event_log(path)
 
-    def test_dtype_change_across_cases_rejected(self, tmp_path):
-        """One join per column needs one dtype per column."""
-        path = _two_cid_store(tmp_path / "log.elog")
-
-        def narrow(toc):
-            toc["cases"][2]["columns"]["pid"]["dtype"] = "<i4"
-
-        _rewrite_toc(path, narrow)
-        with pytest.raises(StoreFormatError,
-                           match=r"column 'pid' of case 'a12' is <i4, "
-                                 r"not <i8 like the cases before it"):
-            read_event_log(path)
-
     def test_case_without_chunks_reads_empty(self, tmp_path):
         """A TOC may give an empty case no chunks at all; its byte count
         is then 0, not the next case's first chunk."""
@@ -481,8 +528,8 @@ class TestOnePassRead:
                                          for i in range(n)])
 
         def no_chunks(toc):
-            for column in toc["cases"][1]["columns"].values():
-                column["chunks"] = []
+            for name in CASE_COLUMNS:
+                _without_column(name, 1)(toc)
 
         _rewrite_toc(path, no_chunks)
         assert read_event_log(path).frame.column("start").tolist() == [
@@ -493,7 +540,7 @@ class TestOnePassRead:
         path = _two_cid_store(tmp_path / "log.elog")
 
         def inflate(toc):
-            toc["cases"][2]["n_events"] += 1
+            toc.cases[2, _field("n_events")] += 1
 
         _rewrite_toc(path, inflate)
         with pytest.raises(StoreFormatError,
@@ -514,43 +561,110 @@ def _rejected_end_to_end(path, capsys, message):
     assert f"error: {path}: " in capsys.readouterr().err
 
 
+def _set_field(field, row, value):
+    def edit(toc):
+        toc.cases[row, _field(field)] = value(toc)
+    return edit
+
+
+def _lower_start(toc):
+    starts = toc.columns["dur"].starts
+    starts[3] = starts[2] - 1
+
+
+def _no_cases(toc):
+    """An empty case table, the chunk refs left in place."""
+    return toc._replace(cases=toc.cases[:0], columns={
+        name: TocColumn(starts[:1], refs)
+        for name, (starts, refs) in toc.columns.items()})
+
+
 @pytest.mark.parametrize("edit, message", [
-    (lambda toc: toc.pop("cases"), "corrupt TOC: missing key 'cases'"),
-    (lambda toc: toc["cases"][3].pop("rid"),
-     "corrupt TOC: missing key 'rid'"),
-    (lambda toc: toc.update(pools=[]), "corrupt TOC: "),
-    (lambda toc: toc["cases"][2].update(n_events="many"),
-     "corrupt TOC: "),
-    (lambda toc: toc["cases"][4]["columns"].pop("size"),
-     r"corrupt TOC: case '\w+' lacks columns \['size'\]"),
-    (lambda toc: toc["cases"][6]["columns"]["dur"].update(dtype="oops"),
-     "corrupt TOC: column 'dur': "),
-    (lambda toc: toc["cases"][6]["columns"]["dur"].update(dtype="|S8"),
-     "corrupt TOC: column 'dur': '|S8' is not an integer dtype"),
+    (_no_cases,
+     r"corrupt TOC: chunk starts of column 'pid' do not run from 0 to "
+     r"its \d+ refs"),
+    (_set_field("n_events", 2, lambda toc: -1),
+     r"column 'pid' of case 'a12' has 6 values, expected -1"),
+    (_without_column("size", 4),
+     r"column 'size' of case 'b15' has 0 values, expected 2"),
     (lambda toc: _chunk(toc).__setitem__(0, -40),
      r"chunk of column 'start' in case '\w+' at offset -40"),
     (lambda toc: _chunk(toc, 9, "fp").__setitem__(0, 1 << 40),
      r"chunk of column 'fp' in case '\w+' at offset 1099511627776 "
      r"\(\d+ bytes\) lies outside the file"),
-    (lambda toc: toc["cases"][1].update(
-        case_id=toc["cases"][0]["case_id"]),
+    (lambda toc: toc.cases.__setitem__(
+        (1, _field("case")), toc.cases[0, _field("case")]),
      r"corrupt TOC: case '\w+' appears more than once"),
-    (lambda toc: toc["pools"]["paths"].__setitem__(
-        1, toc["pools"]["paths"][0]),
+    (lambda toc: toc.pools["paths"].__setitem__(
+        1, toc.pools["paths"][0]),
      r"corrupt TOC: pool 'paths' repeats '/d\d'"),
-], ids=["no-cases", "no-rid", "pools-list", "bad-n-events",
-        "missing-column", "bad-dtype", "bytes-dtype", "negative-offset",
-        "offset-past-eof", "case-named-twice", "pool-repeats-a-path"])
+    (_set_field("case", 0, lambda toc: len(toc.pools["cases"])),
+     r"corrupt TOC: case row 0 holds case code 16, outside \[0, 16\) of "
+     r"pool 'cases'"),
+    (_set_field("cid", 3, lambda toc: len(toc.pools["cids"])),
+     r"corrupt TOC: case row 3 holds cid code 2, outside \[0, 2\) of "
+     r"pool 'cids'"),
+    (_set_field("host", 4, lambda toc: -1),
+     r"corrupt TOC: case row 4 holds host code -1, outside \[0, 3\) of "
+     r"pool 'hosts'"),
+    (_lower_start,
+     r"corrupt TOC: chunk starts of column 'dur' do not run from 0 to "
+     r"its \d+ refs without decreasing"),
+    (lambda toc: toc.columns["fp"].starts.__setitem__(-1, 0),
+     r"corrupt TOC: chunk starts of column 'fp' do not run"),
+], ids=["no-cases", "bad-n-events", "missing-column", "negative-offset",
+        "offset-past-eof", "case-named-twice",
+        "pool-repeats-a-path", "case-outside-its-pool",
+        "cid-outside-its-pool", "host-outside-its-pool",
+        "starts-decrease", "starts-end-short"])
 def test_malformed_toc_is_a_located_store_error(tmp_path, capsys, edit,
                                                 message):
-    """A TOC that decodes but is malformed, or points a chunk outside
-    the file, fails at open with the path — through the whole-log read,
-    the streaming per-case read, and the CLI (exit 2) — never as a
-    ``KeyError`` traceback or a bare errno. A case named twice would
+    """A TOC whose CRC matches but whose tables are malformed, or point
+    a chunk outside the file, fails with the path — at open, or at the
+    first read for a case's event count — through the whole-log read,
+    the streaming per-case read, and the CLI (exit 2), never as an
+    ``IndexError`` traceback or a bare errno. A case named twice would
     otherwise load as one case, and a repeated pool string shift every
     later code of its pool."""
     path = _two_cid_store(tmp_path / "log.elog")
     _rewrite_toc(path, edit)
+    _rejected_end_to_end(path, capsys, message)
+
+
+def _set_int(index, value):
+    """A TOC-bytes edit: the ``index``-th int64 becomes ``value``."""
+    def edit(body):
+        struct.pack_into("<q", body, 8 * index, value)
+        return body
+    return edit
+
+
+def _lengthen_last_string(body):
+    """The last string's end one byte past the text."""
+    at = 8 * (11 + sum(struct.unpack_from("<5q", body)))
+    struct.pack_into("<q", body, at, struct.unpack_from("<q", body, at)[0]
+                     + 1)
+    return body
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda body: body[:10], r"corrupt TOC: 14 bytes, too short for a TOC"),
+    (_set_int(1, -1), r"corrupt TOC: negative count"),
+    (_set_int(8, 1 << 40),
+     r"corrupt TOC: counts \[.*\] need \d+ bytes, the TOC holds \d+"),
+    (_lengthen_last_string,
+     r"corrupt TOC: string ends do not run through the \d+-byte text"),
+    (lambda body: body.replace(b"openat", b"open\xfft"),
+     r"corrupt TOC: 'utf-8' codec can't decode byte 0xff"),
+], ids=["too-short", "negative-count", "counts-past-the-toc",
+        "string-end-past-text", "not-utf8"])
+def test_malformed_toc_layout_is_a_located_store_error(tmp_path, capsys,
+                                                       edit, message):
+    """TOC bytes whose CRC matches but whose counts, string ends or
+    text do not fill the TOC exactly fail at open with the path, before
+    any table is read."""
+    path = _two_cid_store(tmp_path / "log.elog")
+    _rewrite_toc_bytes(path, edit)
     _rejected_end_to_end(path, capsys, message)
 
 
@@ -567,17 +681,16 @@ class TestCodesInPools:
         pool is a located error, not an ``IndexError`` in the mapping
         or a code read from the end of the pool."""
         path = _two_cid_store(tmp_path / "log.elog")
-        chunk = EventLogStore(path).case_meta("a12").columns[column] \
-            .chunks[0]
+        store = EventLogStore(path)
+        chunk = store.case_meta("a12").columns[column].chunks[0]
+        row = store.stored_case_ids().index("a12")
         data = bytearray(path.read_bytes())
         data[chunk.offset + 4:chunk.offset + 8] = struct.pack("<i", code)
         crc = zlib.crc32(data[chunk.offset:chunk.offset + chunk.nbytes])
         path.write_bytes(data)
 
         def fix_crc(toc):
-            case = next(case for case in toc["cases"]
-                        if case["case_id"] == "a12")
-            case["columns"][column]["chunks"][0][2] = crc
+            _chunk(toc, row, column)[2] = crc
 
         _rewrite_toc(path, fix_crc)
         _rejected_end_to_end(
@@ -617,18 +730,19 @@ def _stores(draw):
     return cases, chunk_values, cids
 
 
+#: Pool strings the TOC must carry unchanged: NUL, non-BMP characters
+#: and lone surrogates (``Cs``) among any others.
+_pool_text = st.one_of(
+    st.sampled_from(["", "\0", "a\0b", "\U0001F600", "\ud800",
+                     "\udfff/x", "\ud83d\ude00"]),
+    st.text(st.characters(blacklist_categories=()), max_size=6))
+
+
 def _write_store(path, cases, chunk_values):
     with EventLogWriter(path, chunk_values=chunk_values) as writer:
         for case in cases:
             writer.add_case_arrays(**case)
     return path
-
-
-def _toc(path):
-    data = path.read_bytes()
-    _, _, _, toc_offset, toc_len = struct.unpack(HEADER_FMT,
-                                                 data[:HEADER_SIZE])
-    return json.loads(data[toc_offset:toc_offset + toc_len])
 
 
 class TestFlatTocProperties:
@@ -638,16 +752,30 @@ class TestFlatTocProperties:
                                              store_spec):
         """``read_event_log`` equals the per-case reads laid end to end
         in sorted case order, column for column and pool for pool; each
-        case reads back what was written; ``case_meta`` equals
-        ``CaseMeta.from_json`` of the case's TOC entry."""
+        case reads back what was written; ``case_meta`` names each case
+        as written and its chunks as the writer cut them, each with the
+        CRC of its bytes in the file."""
         cases, chunk_values, cids = store_spec
         path = _write_store(tmp_path_factory.mktemp("flat") / "log.elog",
                             cases, chunk_values)
         store = EventLogStore(path)
         assert store.stored_case_ids() == [c["case_id"] for c in cases]
-        for entry in _toc(path)["cases"]:
-            assert store.case_meta(entry["case_id"]) == \
-                CaseMeta.from_json(entry)
+        data = path.read_bytes()
+        for case in cases:
+            meta = store.case_meta(case["case_id"])
+            n = len(case["columns"]["pid"])
+            assert (meta.cid, meta.host, meta.rid, meta.n_events) == (
+                case["cid"], case["host"], case["rid"], n)
+            for name, dtype in CASE_COLUMNS.items():
+                column = meta.columns[name]
+                itemsize = np.dtype(dtype).itemsize
+                assert (column.name, column.dtype) == (name, dtype)
+                assert [chunk.nbytes for chunk in column.chunks] == [
+                    min(chunk_values, n - first) * itemsize
+                    for first in range(0, n or 1, chunk_values)]
+                for chunk in column.chunks:
+                    assert zlib.crc32(data[chunk.offset:chunk.offset
+                                           + chunk.nbytes]) == chunk.crc32
         written = {case["case_id"]: case for case in cases}
         chosen = [case_id for case_id in store.case_ids()
                   if cids is None or written[case_id]["cid"] in cids]
@@ -692,10 +820,9 @@ class TestFlatTocProperties:
     @settings(max_examples=150, deadline=None)
     def test_damage_is_a_located_store_error(self, tmp_path_factory,
                                              store_spec, data):
-        """A cut anywhere, or a flipped byte in the header or in the
-        chunks, raises ``StoreFormatError`` naming the path. A flipped
-        byte in the TOC raises it too, or the store loads — through the
-        whole-log read and the per-case reads alike."""
+        """A cut anywhere, or a flipped byte in the header, the chunks
+        or the TOC, raises ``StoreFormatError`` naming the path —
+        through the whole-log read and the per-case reads alike."""
         cases, chunk_values, _ = store_spec
         path = _write_store(tmp_path_factory.mktemp("damage") / "log.elog",
                             cases, chunk_values)
@@ -715,11 +842,76 @@ class TestFlatTocProperties:
             damaged[data.draw(st.integers(low, high - 1))] ^= data.draw(
                 st.integers(1, 255))
         path.write_bytes(damaged)
-        try:
+        with pytest.raises(StoreFormatError) as caught:
             read_event_log(path)
+        assert str(path) in str(caught.value)
+        with pytest.raises(StoreFormatError) as caught:
             for _ in ElstoreSource(path).iter_cases():
                 pass
-        except StoreFormatError as exc:
-            assert str(path) in str(exc)
-        else:
-            assert region == "toc"
+        assert str(path) in str(caught.value)
+
+    def test_every_header_and_toc_byte_flip_is_caught(self, tmp_path):
+        """Each header field is checked (the TOC must end the file) and
+        the CRC covers every TOC byte, its own included: every flip of
+        one of those bytes fails at open, naming the path."""
+        path = _two_cid_store(tmp_path / "log.elog", chunk_values=3)
+        original = path.read_bytes()
+        toc_offset = struct.unpack(HEADER_FMT, original[:HEADER_SIZE])[3]
+        loaded = []
+        for at in [*range(HEADER_SIZE), *range(toc_offset, len(original))]:
+            for mask in (0x01, 0x80, 0xFF, 0x5A):
+                damaged = bytearray(original)
+                damaged[at] ^= mask
+                path.write_bytes(damaged)
+                try:
+                    EventLogStore(path)
+                except StoreFormatError as exc:
+                    assert str(exc).startswith(f"{path}: ")
+                else:
+                    loaded.append((at, mask))
+        assert loaded == []
+        assert toc_offset < len(original) - 1000  # a TOC of many refs
+
+    @given(st.lists(st.tuples(_pool_text, _pool_text, _pool_text,
+                              st.lists(_pool_text, min_size=1, max_size=3,
+                                       unique=True),
+                              st.lists(_pool_text, max_size=3, unique=True)),
+                    max_size=4, unique_by=lambda case: case[0]))
+    @settings(max_examples=100, deadline=None)
+    def test_any_string_round_trips(self, tmp_path_factory, named):
+        """Case ids, cids, hosts, calls and paths read back equal: NUL,
+        non-BMP characters and lone surrogates included."""
+        cases = []
+        for rid, (case_id, cid, host, calls, paths) in enumerate(named):
+            n = len(calls) + len(paths)
+            fp = [*[-1] * len(calls), *range(len(paths))]
+            cases.append(dict(
+                case_id=case_id, cid=cid, host=host, rid=rid,
+                columns={"pid": np.ones(n, dtype=np.int64),
+                         "call": np.arange(n) % len(calls),
+                         "start": np.arange(n),
+                         "dur": np.zeros(n, dtype=np.int64),
+                         "fp": np.array(fp, dtype=np.int64),
+                         "size": np.zeros(n, dtype=np.int64)},
+                call_strings=calls, path_strings=paths))
+        path = _write_store(tmp_path_factory.mktemp("text") / "log.elog",
+                            cases, 65536)
+        store = EventLogStore(path)
+        assert store.stored_case_ids() == [case[0] for case in named]
+        for rid, (case_id, cid, host, calls, paths) in enumerate(named):
+            assert store.case_name(case_id) == (cid, host, rid)
+            data = store.read_case(case_id)
+            assert [store.pools["calls"][code] for code in data["call"]] \
+                == [calls[i % len(calls)] for i in range(len(data["call"]))]
+            assert [store.pools["paths"][code] for code in data["fp"]
+                    if code >= 0] == paths
+        if not named:
+            return
+        frame = read_event_log(path).frame
+        assert set(frame.decoded("case")) == {case[0] for case in named}
+        assert set(frame.decoded("cid")) == {case[1] for case in named}
+        assert set(frame.decoded("host")) == {case[2] for case in named}
+        assert set(frame.decoded("call")) == {
+            call for case in named for call in case[3]}
+        assert set(frame.decoded("fp")) - {None} == {
+            path for case in named for path in case[4]}

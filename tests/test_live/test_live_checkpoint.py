@@ -101,6 +101,83 @@ class TestRestart:
             LiveIngest(tmp_path).save_checkpoint()
 
 
+def _bump_self_loop(state):
+    for edge in state["dfg"]["edges"]:
+        if edge[0] == edge[1] == "read:/usr/lib":
+            edge[2] += 100
+
+
+def _bump(*keys):
+    def edit(state):
+        for key in keys[:-1]:
+            state = state[key]
+        state[keys[-1]] += 1
+    return edit
+
+
+def _drop_case(state):
+    state["dfg"]["last"].pop("a9042")
+
+
+def _move_last(state):
+    state["dfg"]["last"]["a9042"] = "read:/usr/lib"
+
+
+class TestLawsAtRestore:
+    """A sidecar that parses and has the right shape, but whose counts
+    no fold could have produced, is a located corrupt checkpoint: the
+    restored graph and statistics must keep the laws every fold keeps."""
+
+    def _checkpointed(self, tmp_path, ls_file_bytes, window) -> Path:
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        for name, content in ls_file_bytes.items():
+            (trace_dir / name).write_bytes(content)
+        sidecar = tmp_path / "ckpt.json"
+        engine = LiveIngest(trace_dir, checkpoint=sidecar, window=window)
+        engine.poll()
+        engine.save_checkpoint()
+        return sidecar
+
+    @pytest.mark.parametrize("edit, message, window", [
+        (_bump_self_loop,
+         "activity 'read:/usr/lib' is entered 118 times, occurs 18 times "
+         "and is left 118 times", None),
+        (_bump("dfg", "node_freq", "read:/usr/lib"),
+         "activity 'read:/usr/lib' occurs 19 times in the graph but 18 "
+         "times in the statistics", None),
+        # Windowed, so the activity's intervals are coarsened inline
+        # and no segment interval count stands in the way.
+        (_bump("stats", "activities", "write:/dev/pts", "event_count"),
+         "activity 'write:/dev/pts' occurs 15 times in the graph but 16 "
+         "times in the statistics", 2),
+        (_bump("dfg", "node_freq", "●"),
+         "activity '●' is entered 6 times, occurs 7 times and is left 6 "
+         "times", None),
+        (_drop_case,
+         "activity '■' is entered 6 times, occurs 6 times and is left 5 "
+         "times", None),
+        (_move_last,
+         "edge ('read:/usr/lib', '■') counts 0 but 1 case(s) end at "
+         "'read:/usr/lib'", None),
+    ], ids=["self-loop", "node-frequency", "statistics-count",
+            "start-frequency", "case-dropped", "last-moved"])
+    def test_broken_law_is_a_corrupt_checkpoint(self, tmp_path,
+                                                ls_file_bytes, edit,
+                                                message, window):
+        sidecar = self._checkpointed(tmp_path, ls_file_bytes, window)
+        LiveIngest(tmp_path / "traces", checkpoint=sidecar,
+                   window=window)  # intact
+        state = json.loads(sidecar.read_text())
+        edit(state)
+        sidecar.write_text(json.dumps(state))
+        with pytest.raises(ReproError) as caught:
+            LiveIngest(tmp_path / "traces", checkpoint=sidecar,
+                       window=window)
+        assert str(caught.value) == f"corrupt checkpoint {sidecar}: " \
+                                    f"{message}"
+
+
 class TestGuards:
     def _checkpointed(self, tmp_path, ls_file_bytes) -> Path:
         trace_dir = tmp_path / "traces"

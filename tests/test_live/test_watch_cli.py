@@ -150,6 +150,47 @@ class TestCli:
                      "--checkpoint", str(sidecar)]) == 0
         assert "poll 2:" in capsys.readouterr().out
 
+    def test_edited_edge_count_is_a_corrupt_checkpoint(
+            self, tmp_path, ls_file_bytes, capsys):
+        """A sidecar edited to a count no fold makes (a self-loop of 12
+        raised to 112) exits 2 naming the sidecar and the activity,
+        instead of rendering ``-[112]->``."""
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        _write_all(trace_dir, ls_file_bytes)
+        sidecar = tmp_path / "c.json"
+        watch = ["watch", str(trace_dir), "--once", "--checkpoint",
+                 str(sidecar)]
+        assert main(watch) == 0
+        state = json.loads(sidecar.read_text(encoding="utf-8"))
+        loops = [edge for edge in state["dfg"]["edges"]
+                 if edge[0] == edge[1] == "read:/usr/lib"]
+        assert [edge[2] for edge in loops] == [12]
+        loops[0][2] = 112
+        sidecar.write_text(json.dumps(state), encoding="utf-8")
+        capsys.readouterr()
+        assert main(watch) == 2
+        captured = capsys.readouterr()
+        assert "-[112]->" not in captured.out
+        assert f"corrupt checkpoint {sidecar}: activity 'read:/usr/lib'" \
+            in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--window", "2"], ["--memory-budget", "67108864"]])
+    def test_restart_keeps_the_laws(self, tmp_path, ls_file_bytes, flags):
+        """Windowed and budgeted watches keep every count exact, so a
+        restart over a grown directory restores past the law check."""
+        trace_dir = tmp_path / "traces"
+        trace_dir.mkdir()
+        items = sorted(ls_file_bytes.items())
+        _write_all(trace_dir, dict(items[:3]))
+        watch = ["watch", str(trace_dir), "--once", "--no-dfg",
+                 "--checkpoint", str(tmp_path / "c.json"), *flags]
+        assert main(watch) == 0
+        _write_all(trace_dir, dict(items[3:]))
+        assert main(watch) == 0
+        assert main(watch) == 0
+
     def test_histogram_bucket_mismatch_is_a_corrupt_checkpoint(
             self, tmp_path, ls_file_bytes, capsys):
         """An instrumented sidecar whose ``phase_seconds`` counts no
