@@ -84,7 +84,7 @@ def main() -> int:
     # The watcher: rules attached to the engine so a --checkpoint
     # sidecar would persist latches and history too.
     alerts = AlertEngine.from_rules_file(rules_path)
-    engine = LiveIngest(trace_dir, alerts=alerts, keep_records=False)
+    engine = LiveIngest(trace_dir, alerts=alerts)
 
     # Reveal each file in two halves, polling in between — six
     # refreshes of a growing directory.

@@ -57,11 +57,6 @@ class StringPool:
             raise IndexError(f"negative string code {code}")
         return self._strings[code]
 
-    def decode_all(self, codes: np.ndarray) -> list[str]:
-        """Vector form of :meth:`decode`."""
-        strings = self._strings
-        return [strings[int(c)] for c in codes]
-
     def lookup(self, string: str) -> int | None:
         """Code for ``string`` or ``None`` — never interns."""
         return self._codes.get(string)

@@ -313,10 +313,6 @@ class DFG:
         """The ● sentinel name (present iff built with endpoints)."""
         return START_ACTIVITY
 
-    def end_node(self) -> str:
-        """The ■ sentinel name."""
-        return END_ACTIVITY
-
     # -- identity -----------------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

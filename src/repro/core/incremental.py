@@ -149,10 +149,6 @@ class IncrementalDFG:
         """
         return DFGDiff(self.snapshot(), baseline)
 
-    def last_activity(self, case_id: str) -> str | None:
-        """The current tail activity of a case (None if unknown)."""
-        return self._last.get(case_id)
-
     @property
     def n_cases(self) -> int:
         """Cases folded so far."""
@@ -229,11 +225,13 @@ class IncrementalDFG:
 
     @classmethod
     def from_state(cls, state: dict) -> "IncrementalDFG":
-        """Rebuild from :meth:`to_state` output."""
+        """Rebuild from :meth:`to_state` output; a non-positive edge
+        count, which no fold makes, raises :class:`ValueError`, as
+        :meth:`check_laws` does."""
         graph = cls(add_endpoints=bool(state["add_endpoints"]))
         for a1, a2, count in state["edges"]:
             if count <= 0:
-                raise ReproError(
+                raise ValueError(
                     f"checkpointed edge ({a1!r}, {a2!r}) has "
                     f"non-positive count {count}")
             graph._edges[(a1, a2)] = int(count)

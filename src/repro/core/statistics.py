@@ -916,20 +916,3 @@ class IOStatistics:
                     else stats.process_data_rate)
         raise ReproError(
             f"unknown metric {name!r} (known: {', '.join(METRIC_NAMES)})")
-
-    def as_rows(self) -> list[dict]:
-        """All stats as dict rows (report/CSV export)."""
-        return [
-            {
-                "activity": s.activity,
-                "events": s.event_count,
-                "total_dur_us": s.total_dur_us,
-                "relative_duration": s.relative_duration,
-                "total_bytes": s.total_bytes,
-                "process_data_rate": s.process_data_rate,
-                "max_concurrency": s.max_concurrency,
-                "ranks": s.ranks,
-                "cases": s.cases,
-            }
-            for s in (self._stats[a] for a in self.activities())
-        ]

@@ -285,9 +285,6 @@ class JobSpec:
             mapping=mapping_from_name(self.mapping, self.levels),
             strict=not self.lenient,
             recursive=self.recursive,
-            # The graph and statistics are both maintained
-            # incrementally, so a watcher never needs the raw records.
-            keep_records=False,
             window=self.window,
             memory_budget=self.memory_budget,
             emit=self.emit,

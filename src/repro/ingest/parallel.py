@@ -291,7 +291,7 @@ def _parse_columns(path: Path, name: "TraceFileName",
     is built on the way."""
     from repro.strace.reader import read_trace_records
 
-    rows, stats = read_trace_records(path, strict=strict, rows=True)
+    rows, stats = read_trace_records(path, strict=strict)
     return rows_to_columns(name, rows, stats)
 
 

@@ -229,16 +229,13 @@ class TokenStream:
     ----------
     path, strict:
         As for :class:`TraceBlocks`.
-    default_pid:
-        Forwarded to :func:`tokenize_line` for pid-less traces.
     """
 
-    __slots__ = ("blocks", "default_pid")
+    __slots__ = ("blocks",)
 
     def __init__(self, path: str | os.PathLike[str], *,
-                 strict: bool = True, default_pid: int = 0) -> None:
+                 strict: bool = True) -> None:
         self.blocks = TraceBlocks(path, strict=strict)
-        self.default_pid = default_pid
 
     def __iter__(self) -> Iterator[Token]:
         path_str = str(self.blocks.path)
@@ -247,8 +244,7 @@ class TokenStream:
             lines.pop()  # the empty piece after the final terminator
             for number, line in enumerate(lines, lineno):
                 if line and not line.isspace():
-                    yield tokenize_line(line, path=path_str, lineno=number,
-                                        default_pid=self.default_pid)
+                    yield tokenize_line(line, path=path_str, lineno=number)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TokenStream({str(self.blocks.path)!r})"

@@ -297,15 +297,15 @@ class IntervalSegment:
         return segment, buffers
 
 
-def _record_to_state(record: tuple) -> dict:
-    """A record or row of a merge buffer as JSON data, keyed by
+def _record_to_state(row: tuple) -> dict:
+    """A row of a merge buffer as JSON data, keyed by
     :class:`ParsedRecord` field name."""
-    return dict(zip(ParsedRecord._fields, record))
+    return dict(zip(ParsedRecord._fields, row))
 
 
-def _record_from_state(state: dict) -> ParsedRecord:
+def _record_from_state(state: dict) -> tuple:
     """Inverse of :func:`_record_to_state`."""
-    return ParsedRecord._make(state[field] for field in ParsedRecord._fields)
+    return tuple(state[field] for field in ParsedRecord._fields)
 
 
 def _tail_to_state(tail: FileTail) -> dict:

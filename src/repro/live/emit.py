@@ -92,7 +92,6 @@ from repro.telemetry.spans import NULL_TELEMETRY
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.elstore.writer import EventLogWriter
     from repro.live.engine import LiveIngest
-    from repro.strace.parser import ParsedRecord
 
 #: The journal format this build reads and writes (no other is read).
 JOURNAL_FORMAT = 3
@@ -148,8 +147,9 @@ def _encode_header(base: int, cases: dict[str, int]) -> bytes:
     return framed + _CRC.pack(zlib.crc32(framed))
 
 
-def _encode_block(offset: int, batch: "list[tuple[TraceFileName, "
-                                       "list[ParsedRecord]]]") -> bytes:
+def _encode_block(offset: int,
+                  batch: "list[tuple[TraceFileName, list[tuple]]]",
+                  ) -> bytes:
     """One block holding ``batch`` — (name, sealed rows) per case, no
     case empty — at logical journal offset ``offset``.
 
@@ -380,8 +380,8 @@ class EmitJournal:
                 self._header_len = len(header)
         return self._handle
 
-    def append(self, batch: "list[tuple[TraceFileName, "
-                            "list[ParsedRecord]]]") -> None:
+    def append(self,
+               batch: "list[tuple[TraceFileName, list[tuple]]]") -> None:
         """Journal one poll's sealed rows as one block (buffered):
         ``batch`` is (name, sealed rows) per case that sealed any, in
         the order they were sealed."""

@@ -1,4 +1,5 @@
-"""The live ingestion engine: directory polls → standing EventLog/DFG.
+"""The live ingestion engine: directory polls → a standing DFG and
+statistics.
 
 :class:`LiveIngest` is the orchestrator of the live subsystem. Each
 :meth:`~LiveIngest.poll`:
@@ -17,29 +18,34 @@
    :class:`~repro.core.incremental.IncrementalDFG` — the union algebra
    of Sec. IV-A applied as a running fold.
 
-The standing invariants (pinned by ``tests/test_live``):
-
-* ``DFG(snapshot_log with mapping)`` equals :meth:`snapshot_dfg` after
-  every poll — log and graph never disagree;
-* after the directory stops growing, one last :meth:`poll` plus
-  :meth:`finalize` make both equal one-shot batch ingestion of the
-  final directory, byte for byte (frame columns, pools, merge stats).
-
 Besides the graph, every sealed record is folded into a standing
 :class:`~repro.core.statistics.StatsAccumulator`, so
 :meth:`LiveIngest.statistics` yields the full-history per-activity
-statistics (Sec. IV-B node annotations) at O(delta) — no rebuild of
-the snapshot log per refresh.
+statistics (Sec. IV-B node annotations) at O(delta). The engine keeps
+no sealed record: once folded (and journaled), a row is dropped. A
+run's event log lives on disk, in the ``--emit`` journal, and never in
+the engine.
+
+The standing invariants (pinned by ``tests/test_live``):
+
+* after every poll, :meth:`snapshot_dfg` and :meth:`statistics` equal
+  the batch DFG and ``IOStatistics`` of the records sealed so far —
+  which is what :meth:`pack_emit` writes, so the packed ``.elog`` read
+  back under the engine's mapping gives the standing graph and
+  statistics;
+* after the directory stops growing, one last :meth:`poll` plus
+  :meth:`finalize` make the graph and the statistics equal one-shot
+  batch ingestion of the final directory, and the packed ``.elog``
+  byte-identical to ``convert`` of it (case table, pools, every
+  column).
 
 Passing ``checkpoint=`` makes ingestion resumable across process
 restarts: the sidecar persists every byte offset, line carry, merge
 slot, the incremental graph *and* the statistics accumulators, so a
 restarted watcher continues from where the killed one stopped instead
-of re-parsing gigabytes. After a restart the graph and the statistics
-carry the full history — records parsed by the previous process are
-not kept (that is what ``.elog`` conversion is for), so
-:meth:`snapshot_log` then covers this process's lifetime only, while
-:meth:`snapshot_dfg` and :meth:`statistics` still equal batch.
+of re-parsing gigabytes. Both invariants hold across restarts: the
+graph and the statistics carry the full history, and so does the
+journal, which the sidecar cuts back to the records it accounts for.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ from repro._util.errors import ReproError, TraceParseError
 from repro.core.dfg import DFG
 from repro.core.diff import DFGDiff
 from repro.core.event import Event
-from repro.core.eventlog import EventLog
 from repro.core.incremental import IncrementalDFG
 from repro.core.mapping import CallTopDirs, Mapping, mapping_from_callable
 from repro.core.statistics import (MIN_WINDOW, IOStatistics,
@@ -62,9 +67,7 @@ from repro.live.options import check_engine_options
 from repro.live.tail import FileTail
 from repro.strace.naming import TraceFileName
 from repro.telemetry.spans import NULL_TELEMETRY
-from repro.strace.parser import ParsedRecord
-from repro.strace.reader import (TraceCase, discover_trace_files,
-                                 list_trace_files)
+from repro.strace.reader import discover_trace_files, list_trace_files
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.alerts import AlertEngine
@@ -113,7 +116,8 @@ class PollResult:
 
 
 class LiveIngest:
-    """Maintain an always-current EventLog/DFG over a growing directory.
+    """Maintain an always-current DFG and statistics over a growing
+    directory, keeping no sealed record.
 
     Parameters
     ----------
@@ -130,17 +134,6 @@ class LiveIngest:
         Forwarded to decoding and the merger, as in batch ingestion.
     recursive:
         Descend into nested per-host subdirectories.
-    add_endpoints:
-        Wrap cases in ● / ■ (the batch default).
-    keep_records:
-        Keep every sealed :class:`ParsedRecord` in memory so
-        :meth:`snapshot_log` / :meth:`cases` cover the full run (the
-        default). ``False`` drops records once folded: memory shrinks
-        to the graph, carry state and the compact statistics buffers
-        (two int64s per event, no record objects),
-        and :meth:`snapshot_log` stays empty — the same trade a
-        checkpoint restart makes. :meth:`statistics` covers the full
-        history either way.
     window:
         Optional cap (≥ 2) on the per-case interval buffers of the
         statistics accumulators — the bounded-memory mode for
@@ -216,8 +209,6 @@ class LiveIngest:
                  cids: set[str] | None = None,
                  strict: bool = True,
                  recursive: bool = False,
-                 add_endpoints: bool = True,
-                 keep_records: bool = True,
                  window: int | None = None,
                  memory_budget: int | None = None,
                  emit: str | os.PathLike[str] | None = None,
@@ -234,23 +225,17 @@ class LiveIngest:
         self.cids = set(cids) if cids is not None else None
         self.strict = strict
         self.recursive = recursive
-        self.incremental = IncrementalDFG(add_endpoints=add_endpoints)
+        self.incremental = IncrementalDFG()
         self.memory_budget = memory_budget
         self.window = window
         self.stats = StatsAccumulator(window=window)
-        self.keep_records = keep_records
         self.n_polls = 0
         self.total_events = 0
-        #: True once state from a previous process was loaded — in that
-        #: case :meth:`snapshot_log` covers this process only while the
-        #: graph and statistics cover the full history.
-        self.restored = False
         self._tails: dict[Path, FileTail] = {}
         self._case_paths: dict[str, Path] = {}
         # The last scan's listing and discovery (see scan()).
         self._listing: list[str] | None = None
         self._found: list[tuple[Path, TraceFileName]] = []
-        self._records: dict[str, list[ParsedRecord]] = {}
         # Per-(call, fp) activity memo for call/fp-only mappings — the
         # live analogue of the batch broadcast in eventlog._apply_mapping.
         self._activity_memo: dict[tuple[str, str | None], str | None] = {}
@@ -281,7 +266,6 @@ class LiveIngest:
             from repro.live.checkpoint import load_checkpoint
 
             load_checkpoint(self, self.checkpoint_path)
-            self.restored = True
         else:
             if self.checkpoint_path is not None:
                 from repro.live.checkpoint import segment_path
@@ -357,7 +341,7 @@ class LiveIngest:
         result = PollResult(n_poll=self.n_polls)
         with telemetry.phase("scan"):
             found = self.scan()
-        batch: list[tuple[TraceFileName, list[ParsedRecord]]] = []
+        batch: list[tuple[TraceFileName, list[tuple]]] = []
         try:
             for path, name in found:
                 tail = self._tail_for(path, name, result)
@@ -438,14 +422,13 @@ class LiveIngest:
             telemetry.count("bytes_tailed_total", result.n_bytes)
         telemetry.gauge_set("files_tracked", result.n_files)
 
-    def _absorb(self, batch: list[tuple[TraceFileName, list[ParsedRecord]]],
+    def _absorb(self, batch: list[tuple[TraceFileName, list[tuple]]],
                 ) -> None:
-        """Keep, journal (one block) and fold one poll's sealed rows;
-        ``batch`` is (name, sealed rows) per case, in path order."""
+        """Journal (one block) and fold one poll's sealed rows, then
+        drop them; ``batch`` is (name, sealed rows) per case, in path
+        order, each row ``(pid, start_us, call, fp, size, dur_us,
+        errno)``."""
         telemetry = self.telemetry
-        if self.keep_records:
-            for name, sealed in batch:
-                self._records.setdefault(name.case_id, []).extend(sealed)
         if self.emit_journal is not None:
             with telemetry.phase("emit"):
                 self.emit_journal.append(batch)
@@ -456,35 +439,33 @@ class LiveIngest:
                 rid = name.rid
                 self.total_events += len(sealed)
                 activities: list[str] = []
-                for record, activity in self._map_records(name, sealed):
+                for row, activity in self._map_rows(name, sealed):
                     if activity is None:
                         continue
                     activities.append(activity)
-                    feed(activity, case_id, rid=rid,
-                         start_us=record.start_us, dur_us=record.dur_us,
-                         size=record.size)
+                    feed(activity, case_id, rid=rid, start_us=row[1],
+                         dur_us=row[5], size=row[4])
                 self.incremental.extend_case(case_id, activities)
 
-    def _map_records(self, name: TraceFileName,
-                     records: list[ParsedRecord],
-                     ) -> Iterator[tuple[ParsedRecord, str | None]]:
-        """Sealed records with their mapped activities (None=unmapped)."""
+    def _map_rows(self, name: TraceFileName, rows: list[tuple],
+                  ) -> Iterator[tuple[tuple, str | None]]:
+        """Sealed rows with their mapped activities (None=unmapped)."""
         mapping = self.mapping
         if mapping.uses_only_call_fp:
             memo = self._activity_memo
-            for record in records:
-                key = (record.call, record.fp)
+            for row in rows:
+                key = (row[2], row[3])
                 try:
                     activity = memo[key]
                 except KeyError:
                     activity = memo[key] = mapping.map_call_fp(*key)
-                yield record, activity
+                yield row, activity
             return
-        for record in records:
-            yield record, mapping.map_event(Event(
-                cid=name.cid, host=name.host, rid=name.rid,
-                pid=record.pid, call=record.call, start=record.start_us,
-                dur=record.dur_us, fp=record.fp, size=record.size))
+        for row in rows:
+            pid, start_us, call, fp, size, dur_us, _ = row
+            yield row, mapping.map_event(Event(
+                cid=name.cid, host=name.host, rid=name.rid, pid=pid,
+                call=call, start=start_us, dur=dur_us, fp=fp, size=size))
 
     # -- snapshots ---------------------------------------------------------
 
@@ -497,17 +478,16 @@ class LiveIngest:
         from the standing accumulators.
 
         Covers every record sealed since the watch began — across
-        checkpoint restarts and regardless of ``keep_records`` — and
-        equals batch ``IOStatistics`` of the final directory once
-        growth stops (every field, including timelines and max
-        concurrency; pinned by ``tests/test_live``). Cost is
-        O(activities + events of activities touched since the last
-        call): untouched activities reuse their cached scalars, while
-        a touched activity re-runs its max-concurrency sweep over its
-        full interval buffer (the recompute granularity the
+        checkpoint restarts — and equals batch ``IOStatistics`` of the
+        final directory once growth stops (every field, including
+        timelines and max concurrency; pinned by ``tests/test_live``).
+        Cost is O(activities + events of activities touched since the
+        last call): untouched activities reuse their cached scalars,
+        while a touched activity re-runs its max-concurrency sweep over
+        its full interval buffer (the recompute granularity the
         accumulator design trades for exactness — an always-hot
         activity therefore costs O(its history) per refresh, still
-        far below rebuilding the whole snapshot log).
+        far below recomputing over the whole log).
         """
         with self.telemetry.phase("stats"):
             return self.stats.statistics(case_order=self._case_order())
@@ -542,39 +522,6 @@ class LiveIngest:
             if age > 0:
                 ages[tail.name.case_id] = age
         return ages
-
-    def cases(self) -> list[TraceCase]:
-        """Parsed cases held in memory, in batch (sorted-path) order.
-
-        One case per followed file — including files with no sealed
-        record yet (empty traces, or everything dropped/orphaned):
-        batch parsing interns those cases and reports their merge
-        diagnostics too, and byte-identity covers them. Record lists
-        are the sealed sequences, already in the final start-timestamp
-        order batch parsing produces. Empty under
-        ``keep_records=False``, where nothing is retained.
-        """
-        if not self.keep_records:
-            return []
-        result: list[TraceCase] = []
-        for path in sorted(self._tails):
-            tail = self._tails[path]
-            records = self._records.get(tail.name.case_id, [])
-            result.append(TraceCase(
-                name=tail.name, records=list(records),
-                merge_stats=tail.merger.stats, source=path))
-        return result
-
-    def snapshot_log(self) -> EventLog:
-        """The unmapped EventLog of every record sealed so far.
-
-        Built in batch interning order, so once the directory is final
-        (and :meth:`finalize` ran) it is byte-identical to
-        ``EventLog.from_source`` over the same directory. Note the
-        log covers this process's lifetime — after a checkpoint
-        restart, earlier records live only in the graph.
-        """
-        return EventLog.from_cases(self.cases())
 
     # -- checkpointing -----------------------------------------------------
 

@@ -39,7 +39,6 @@ from repro.ingest.streaming import (
     decode_block,
 )
 from repro.strace.naming import TraceFileName
-from repro.strace.parser import ParsedRecord
 from repro.strace.resume import IncrementalMerger
 from repro.telemetry.spans import NULL_TELEMETRY
 
@@ -63,40 +62,39 @@ class FileTail:
         reports (including ``decode_replacements``).
     """
 
-    __slots__ = ("path", "name", "relpath", "strict", "default_pid",
-                 "offset", "carry", "lineno", "merger", "finished",
-                 "telemetry")
+    __slots__ = ("path", "name", "relpath", "strict", "offset", "carry",
+                 "lineno", "merger", "finished", "telemetry")
 
     def __init__(self, path: str | os.PathLike[str],
                  name: TraceFileName | None = None, *,
-                 strict: bool = True, default_pid: int = 0,
-                 telemetry=None, relpath: str | None = None) -> None:
+                 strict: bool = True, telemetry=None,
+                 relpath: str | None = None) -> None:
         from repro.strace.naming import parse_trace_filename
 
         self.path = Path(path)
         self.name = name or parse_trace_filename(self.path.name)
         self.relpath = relpath
         self.strict = strict
-        self.default_pid = default_pid
         self.offset = 0
         self.carry = b""
         self.lineno = 0
-        self.merger = IncrementalMerger(path=str(self.path), strict=strict,
-                                        default_pid=default_pid)
+        self.merger = IncrementalMerger(path=str(self.path), strict=strict)
         self.finished = False
         self.telemetry = telemetry if telemetry is not None \
             else NULL_TELEMETRY
 
     # -- polling -----------------------------------------------------------
 
-    def poll(self) -> list[ParsedRecord]:
-        """Consume newly appended bytes; return newly *sealed* records.
+    def poll(self) -> list[tuple]:
+        """Consume newly appended bytes; return the newly *sealed* rows.
 
-        Sealed records are final — their position in the case's record
-        sequence can no longer change — so callers fold them into the
-        incremental DFG immediately. Records completed but still
-        waiting behind an in-flight unfinished call stay buffered in
-        the merger until a later poll (or :meth:`finish`) seals them.
+        A row is the merger's ``(pid, start_us, call, fp, size, dur_us,
+        errno)`` tuple. Sealed rows are final — their position in the
+        case's record sequence can no longer change — so callers fold
+        them into the incremental DFG immediately. Rows completed but
+        still waiting behind an in-flight unfinished call stay buffered
+        in the merger until a later poll (or :meth:`finish`) seals
+        them.
 
         The appended region is consumed in bounded chunks (the batch
         reader's granularity), so pointing a fresh follower at a
@@ -120,7 +118,7 @@ class FileTail:
         if size == self.offset:
             return []
         telemetry = self.telemetry
-        records: list[ParsedRecord] = []
+        rows: list[tuple] = []
         with open(self.path, "rb") as handle:
             handle.seek(self.offset)
             remaining = size - self.offset
@@ -139,12 +137,12 @@ class FileTail:
                     block, self.carry = _cut_lines(self.carry + chunk)
                     text, error = self._decode(block)
                 with telemetry.phase("seal"):
-                    records.extend(self._feed(text))
+                    rows.extend(self._feed(text))
                 if error is not None:
                     raise error
-        return records
+        return rows
 
-    def finish(self) -> list[ParsedRecord]:
+    def finish(self) -> list[tuple]:
         """End of growth: flush the carry, orphan in-flight calls, and
         seal every remaining record (batch EOF semantics)."""
         if self.finished:
@@ -174,13 +172,13 @@ class FileTail:
         self.merger.stats.decode_replacements += replaced
         return text, error
 
-    def _feed(self, text: str) -> list[ParsedRecord]:
+    def _feed(self, text: str) -> list[tuple]:
         """Feed decoded lines that follow line :attr:`lineno`."""
         if not text:
             return []
-        records = self.merger.feed_text(text, self.lineno + 1)
+        rows = self.merger.feed_text(text, self.lineno + 1)
         self.lineno += text.count("\n")
-        return records
+        return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FileTail({str(self.path)!r}, offset={self.offset}, "

@@ -54,12 +54,6 @@ class Query:
         return self._extended(
             lambda frame: frame.call_in(names), f"call∈{sorted(names)}")
 
-    def not_calls(self, *names: str) -> "Query":
-        """Drop events whose syscall is one of ``names`` (e.g. the
-        paper's Fig. 9, which skips rendering openat)."""
-        return self._extended(
-            lambda frame: ~frame.call_in(names), f"call∉{sorted(names)}")
-
     def cids(self, *cids: str) -> "Query":
         """Keep events of the given command identifiers."""
         return self._extended(

@@ -70,25 +70,6 @@ class InspectionSession:
             source, cids=cids, strict=strict, recursive=recursive,
             workers=workers))
 
-    @classmethod
-    def from_live(cls, engine) -> "InspectionSession":
-        """Session over the current snapshot of a live ingestion engine
-        (:class:`~repro.live.engine.LiveIngest`).
-
-        The DFG and statistics are seeded from the engine's standing
-        incremental state — O(graph + delta), full history even after
-        a checkpoint restart or under ``keep_records=False``, where
-        the snapshot log covers less than the graph. The session holds
-        a point-in-time copy — take a fresh one after later polls.
-        Applying a further filter or mapping recomputes from the
-        snapshot log and therefore narrows to the records the engine
-        kept in memory.
-        """
-        session = cls(engine.snapshot_log().with_mapping(engine.mapping))
-        session._dfg = engine.snapshot_dfg()
-        session._stats = engine.statistics()
-        return session
-
     # -- pipeline steps -------------------------------------------------------
 
     def filter_fp(self, substring: str) -> "InspectionSession":
@@ -215,19 +196,6 @@ class InspectionSession:
         from repro.pipeline.counters import counters_report
 
         return counters_report(self._log)
-
-    def html_report(self, path: str | os.PathLike[str], *,
-                    title: str = "st_inspector report",
-                    styler: Styler | None = None,
-                    timeline_activities: list[str] | None = None) -> Path:
-        """Write a standalone HTML report of the session state."""
-        from repro.pipeline.html import save_html_report
-
-        if styler is None:
-            styler = StatisticsColoring(self.stats)
-        return save_html_report(
-            self._log, path, title=title, styler=styler,
-            timeline_activities=timeline_activities)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"InspectionSession({self._log.n_events} events, "

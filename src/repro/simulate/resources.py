@@ -74,14 +74,6 @@ class Resource:
         finally:
             self.release()
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiting)
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
 
 class Barrier:
     """An n-party barrier: the nth arrival releases everyone.

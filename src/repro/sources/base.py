@@ -231,7 +231,7 @@ def case_columns_from_text(name, text: str, *, strict: bool = True,
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text and not text.endswith("\n"):
         text += "\n"
-    merger = IncrementalMerger(path=path_label, strict=strict, rows=True)
+    merger = IncrementalMerger(path=path_label, strict=strict)
     rows = merger.feed_text(text)
     rows += merger.finish()
     return rows_to_columns(name, rows, merger.stats)

@@ -66,20 +66,18 @@ def read_trace_records(
     path: str | os.PathLike[str],
     *,
     strict: bool = True,
-    rows: bool = False,
-) -> tuple[list, MergeStats]:
-    """Parse one trace file: its records in start order, and the merge
+) -> tuple[list[tuple], MergeStats]:
+    """Parse one trace file: its rows in start order, and the merge
     statistics (including the undecodable-byte count).
 
-    :func:`read_trace_file` without the case wrapper. ``rows=True``
-    returns plain ``(pid, start_us, call, fp, size, dur_us, errno)``
-    tuples instead of :class:`ParsedRecord` — what the column builders
-    of :mod:`repro.ingest.parallel` consume. ``strict`` is as for
+    The rows are plain ``(pid, start_us, call, fp, size, dur_us,
+    errno)`` tuples, what the column builders of
+    :mod:`repro.ingest.parallel` consume; :func:`read_trace_file`
+    wraps them as :class:`ParsedRecord`. ``strict`` is as for
     :func:`read_trace_file`.
     """
     blocks = TraceBlocks(path, strict=strict)
-    merger = IncrementalMerger(path=str(blocks.path), strict=strict,
-                               rows=rows)
+    merger = IncrementalMerger(path=str(blocks.path), strict=strict)
     for lineno, text in blocks:
         merger.feed_text(text, lineno, seal=False)
     records = merger.finish()
@@ -126,9 +124,9 @@ def read_trace_file(
     file_path = Path(path)
     if name is None:
         name = parse_trace_filename(file_path.name)
-    records, stats = read_trace_records(file_path, strict=strict)
-    return TraceCase(name=name, records=records, merge_stats=stats,
-                     source=file_path)
+    rows, stats = read_trace_records(file_path, strict=strict)
+    return TraceCase(name=name, records=list(map(ParsedRecord._make, rows)),
+                     merge_stats=stats, source=file_path)
 
 
 def list_trace_files(directory: str | os.PathLike[str], *,

@@ -119,21 +119,21 @@ class IncrementalMerger:
     exactly the sorted record list of one feed over the whole input:
     ties on start timestamp break by completion order.
 
-    Sealed records are rows — ``(pid, start_us, call, fp, size,
-    dur_us, errno)`` tuples — wrapped as
-    :class:`~repro.strace.parser.ParsedRecord` unless ``rows=True``
-    (the column builders, which need no names). :attr:`stats` is
+    Sealed records are plain rows — ``(pid, start_us, call, fp, size,
+    dur_us, errno)`` tuples, in :class:`~repro.strace.parser.ParsedRecord`
+    field order; the column builders and the live engine read them by
+    position, and only the record readers wrap them. A line without a
+    pid (strace run without ``-f``) gets pid 0. :attr:`stats` is
     updated in place as input arrives.
     """
 
-    __slots__ = ("path", "strict", "default_pid", "stats", "_pending",
-                 "_buffer", "_seq", "_wrap")
+    __slots__ = ("path", "strict", "stats", "_pending", "_buffer",
+                 "_seq")
 
-    def __init__(self, *, path: str | None = None, strict: bool = True,
-                 default_pid: int = 0, rows: bool = False) -> None:
+    def __init__(self, *, path: str | None = None,
+                 strict: bool = True) -> None:
         self.path = path
         self.strict = strict
-        self.default_pid = default_pid
         self.stats = MergeStats()
         # pid -> (start_us, call, body, fd path, arguments) of the
         # in-flight unfinished record. The last two are the LINE_RE
@@ -145,7 +145,6 @@ class IncrementalMerger:
         # order reproduces a one-feed stable sort exactly.
         self._buffer: list[tuple[int, int, tuple]] = []
         self._seq = 0
-        self._wrap = None if rows else ParsedRecord._make
 
     # -- introspection (live status displays) -----------------------------
 
@@ -212,7 +211,7 @@ class IncrementalMerger:
     # -- the merge ---------------------------------------------------------
 
     def feed_text(self, text: str, lineno: int = 1, *,
-                  seal: bool = True) -> list:
+                  seal: bool = True) -> list[tuple]:
         """Consume ``text`` — decoded, complete lines, each ending in
         ``\\n``, the first of them line ``lineno`` of the file — and
         return the records sealed by them.
@@ -231,7 +230,6 @@ class IncrementalMerger:
         for :meth:`finish`, which returns them in one start-ordered
         list whatever the block boundaries were (the batch reader).
         """
-        default_pid = self.default_pid
         pending = self._pending
         append = self._buffer.append
         fp_modes = FP_MODES
@@ -258,7 +256,7 @@ class IncrementalMerger:
                     clock_us = ((hours * 60 + minutes) * 60
                                 + seconds) * 1_000_000
                 start_us = clock_us + int(fraction)
-            pid = default_pid if pid is None else int(pid)
+            pid = 0 if pid is None else int(pid)
             if val is None:  # the line ends ``<unfinished ...>``
                 if call is None or pid in pending:
                     # after a resumed tail's opening, or a second head
@@ -317,14 +315,14 @@ class IncrementalMerger:
                 text[done:], lineno + text.count("\n", counted, done))
         return self._drain() if seal else []
 
-    def feed(self, tokens: Iterable[Token]) -> list:
+    def feed(self, tokens: Iterable[Token]) -> list[tuple]:
         """Consume already tokenized lines (no line numbers to name in
         errors); return the records sealed by them."""
         for token in tokens:
             self._consume(token, None)
         return self._drain()
 
-    def finish(self) -> list:
+    def finish(self) -> list[tuple]:
         """End of input: orphan in-flight calls, seal everything left."""
         self.stats.orphan_unfinished += len(self._pending)
         self._pending.clear()
@@ -344,9 +342,8 @@ class IncrementalMerger:
 
     def _feed_general(self, text: str, lineno: int) -> None:
         """The general road for one line the fast road declined."""
-        self._consume(tokenize_line(
-            text, path=self.path, lineno=lineno,
-            default_pid=self.default_pid), lineno)
+        self._consume(tokenize_line(text, path=self.path, lineno=lineno),
+                      lineno)
 
     def _consume(self, token: Token, lineno: int | None) -> None:
         stats = self.stats
@@ -422,7 +419,7 @@ class IncrementalMerger:
         self._seq += 1
         return True
 
-    def _drain(self) -> list:
+    def _drain(self) -> list[tuple]:
         if not self._buffer:
             return []
         if self._pending:
@@ -437,10 +434,7 @@ class IncrementalMerger:
             sealed = self._buffer
             self._buffer = []
         sealed.sort()
-        wrap = self._wrap
-        if wrap is None:
-            return [row for _, _, row in sealed]
-        return [wrap(row) for _, _, row in sealed]
+        return [row for _, _, row in sealed]
 
 
 def merge_unfinished(
@@ -475,6 +469,6 @@ def merge_unfinished(
         line, and merge statistics.
     """
     merger = IncrementalMerger(path=path, strict=strict)
-    records = merger.feed(tokens)
-    records += merger.finish()
-    return records, merger.stats
+    rows = merger.feed(tokens)
+    rows += merger.finish()
+    return list(map(ParsedRecord._make, rows)), merger.stats

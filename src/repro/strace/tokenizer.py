@@ -101,13 +101,12 @@ def tokenize_line(
     *,
     path: str | None = None,
     lineno: int | None = None,
-    default_pid: int = 0,
 ) -> Token:
     """Split one strace line into a classified :class:`Token`.
 
-    ``default_pid`` is used for pid-less traces (strace of a single
-    process without ``-f``); the paper warns that such traces can
-    violate event uniqueness (Sec. IV) — use
+    A pid-less line (strace of a single process without ``-f``) gets
+    pid 0; the paper warns that such traces can violate event
+    uniqueness (Sec. IV) — use
     :func:`repro.core.event.check_event_uniqueness` on them.
 
     Raises
@@ -123,7 +122,7 @@ def tokenize_line(
             f"missing pid/timestamp header: {line[:80]!r}",
             path=path, lineno=lineno, line=line)
     pid_text = match.group(1)
-    pid = int(pid_text) if pid_text is not None else default_pid
+    pid = int(pid_text) if pid_text is not None else 0
     try:
         start_us = _parse_timestamp(match.group("ts"))
     except ValueError as exc:  # width enforced by regex; range may not be

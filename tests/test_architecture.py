@@ -38,8 +38,10 @@ SRC = REPO / "src"
 #: fan-outs that ``iter_case_columns`` replaced, the batch feed of
 #: the live accumulators that the statistics cell table replaced, the
 #: per-front-end copies of the watch-job rules that
-#: ``JobSpec.validate`` replaced, two options nothing read, and the
-#: per-line merger feed that the block scan ``feed_text`` replaced.
+#: ``JobSpec.validate`` replaced, two options nothing read, the
+#: per-line merger feed that the block scan ``feed_text`` replaced,
+#: the live engine's record retention that the packed ``--emit`` log
+#: replaced, and names nothing outside the tests used.
 REMOVED_NAMES = ("run_watch", "from_strace_dir", "from_store",
                  "_LOADABLE_VERSIONS", "repro.adapters",
                  "ingest_event_frame", "read_cases", "_map_tasks",
@@ -48,7 +50,10 @@ REMOVED_NAMES = ("run_watch", "from_strace_dir", "from_store",
                  "_check_types", "_window_arg", "_nonneg_float_arg",
                  "_MAPPINGS", "supports_tail", "show_stats",
                  "feed_lines", "from_spec", "max_concurrency_of",
-                 "_decode_column", "_toc_cases")
+                 "_decode_column", "_toc_cases", "keep_records",
+                 "snapshot_log", "from_live", "default_pid",
+                 "decode_all", "as_rows", "not_calls", "end_node",
+                 "queue_length", "last_activity")
 
 
 def test_adapters_package_is_gone():
@@ -217,7 +222,7 @@ def _emitting_job(tmp_path: Path, file_bytes: dict[str, bytes],
     for filename, content in file_bytes.items():
         (trace_dir / filename).write_bytes(content)
     elog = tmp_path / "run.elog"
-    engine = LiveIngest(trace_dir, keep_records=False, emit=elog)
+    engine = LiveIngest(trace_dir, emit=elog)
     return WatchJob(engine, polls=polls, interval=0), elog
 
 

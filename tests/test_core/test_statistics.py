@@ -193,12 +193,6 @@ class TestAccessors:
         assert record.ranks == 3   # only the three ls -l rids
         assert record.cases == 3
 
-    def test_as_rows(self, stats):
-        rows = stats.as_rows()
-        assert len(rows) == 8
-        assert {"activity", "events", "relative_duration",
-                "total_bytes"} <= set(rows[0])
-
     def test_compute_replaces_previous(self, fig1_dir, stats):
         log = EventLog.from_source(fig1_dir, cids={"a"})
         log.apply_mapping_fn(CallTopDirs(levels=2))

@@ -46,7 +46,7 @@ def _batch_elog(tmp_path: Path, trace_dir: Path) -> bytes:
 
 def _engine(live_dir: Path, elog: Path, sidecar: Path,
             **kwargs) -> LiveIngest:
-    return LiveIngest(live_dir, keep_records=False, emit=elog,
+    return LiveIngest(live_dir, emit=elog,
                       checkpoint=sidecar, compact_emit=1, **kwargs)
 
 
@@ -103,7 +103,7 @@ class TestDiskStaysBounded:
         live_dir.mkdir()
         elog = tmp_path / "run.elog"
         journal = elog.with_name(elog.name + ".journal")
-        engine = LiveIngest(live_dir, keep_records=False, emit=elog,
+        engine = LiveIngest(live_dir, emit=elog,
                             checkpoint=tmp_path / "ckpt.json",
                             compact_emit=1 << 40)
         grower = DirectoryGrower(live_dir, ior_file_bytes)
@@ -277,7 +277,7 @@ class TestRestoreEdges:
         live_dir, elog, sidecar = self._compacted_run(tmp_path,
                                                       ls_file_bytes)
         sidecar.unlink()
-        fresh = LiveIngest(live_dir, keep_records=False, emit=elog)
+        fresh = LiveIngest(live_dir, emit=elog)
         fresh.poll()
         fresh.finalize()
         fresh.pack_emit()

@@ -40,7 +40,7 @@ class TestByteIdentity:
         trace_dir.mkdir()
         _write_all(trace_dir, ls_file_bytes)
         elog = tmp_path / "run.elog"
-        engine = LiveIngest(trace_dir, keep_records=False, emit=elog)
+        engine = LiveIngest(trace_dir, emit=elog)
         engine.poll()
         engine.finalize()
         packed = engine.pack_emit()
@@ -54,7 +54,7 @@ class TestByteIdentity:
         trace_dir = tmp_path / "traces"
         trace_dir.mkdir()
         elog = tmp_path / "run.elog"
-        engine = LiveIngest(trace_dir, keep_records=False, emit=elog)
+        engine = LiveIngest(trace_dir, emit=elog)
         for name, content in sorted(ior_file_bytes.items()):
             third = len(content) // 3 + 1
             for start in range(0, len(content), third):
@@ -77,7 +77,7 @@ class TestByteIdentity:
         sidecar = tmp_path / "ckpt.json"
         items = sorted(ior_file_bytes.items())
 
-        engine = LiveIngest(trace_dir, keep_records=False, emit=elog,
+        engine = LiveIngest(trace_dir, emit=elog,
                             checkpoint=sidecar)
         _write_all(trace_dir, dict(items[:2]))
         engine.poll()
@@ -87,14 +87,14 @@ class TestByteIdentity:
         engine.poll()
         del engine  # SIGKILL — no save, journal ahead of the sidecar
 
-        second = LiveIngest(trace_dir, keep_records=False, emit=elog,
+        second = LiveIngest(trace_dir, emit=elog,
                             checkpoint=sidecar)
         _write_all(trace_dir, dict(items[2:]))
         second.poll()
         second.save_checkpoint()
         del second  # a second kill, this one right after a save
 
-        third = LiveIngest(trace_dir, keep_records=False, emit=elog,
+        third = LiveIngest(trace_dir, emit=elog,
                            checkpoint=sidecar)
         third.poll()
         third.finalize()
@@ -124,8 +124,7 @@ class TestWatchLoopIntegration:
         _write_all(trace_dir, ls_file_bytes)
         elog = tmp_path / "run.elog"
         outputs: list[str] = []
-        job = WatchJob(LiveIngest(trace_dir, keep_records=False,
-                                  emit=elog),
+        job = WatchJob(LiveIngest(trace_dir, emit=elog),
                        polls=2, interval=0)
         code = FleetScheduler([job], out=outputs.append,
                               sleep=lambda _: None).run()

@@ -1,4 +1,8 @@
-"""LiveIngest: directory polls equal one-shot batch ingestion."""
+"""LiveIngest: directory polls equal one-shot batch ingestion.
+
+The engine keeps no sealed record, so the run's event log is checked
+where it lives: in the packed ``--emit`` ``.elog`` (``tests/emit_oracle.py``).
+"""
 
 from __future__ import annotations
 
@@ -10,11 +14,18 @@ from repro._util.errors import TraceParseError
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
 from repro.core.mapping import CallOnly, CallTopDirs
-from repro.ingest.summary import cases_summary
+from repro.live.checkpoint import engine_state
 from repro.live.engine import LiveIngest
-from repro.strace.reader import read_trace_dir
+from tests.emit_oracle import (assert_merge_stats_match_batch,
+                               assert_pack_agrees, assert_pack_is_batch)
 
 MAPPING = CallTopDirs(levels=2)
+
+
+def emitting(directory: Path, **options) -> LiveIngest:
+    """An engine over ``directory`` packing its run to ``run.elog``
+    there (the scan follows ``.st`` files only)."""
+    return LiveIngest(directory, emit=directory / "run.elog", **options)
 
 
 def grow_file(directory: Path, filename: str, chunk: bytes) -> None:
@@ -33,29 +44,26 @@ class TestPolling:
         result = engine.poll()
         assert not result.changed
         assert engine.snapshot_dfg().n_nodes == 0
-        assert engine.snapshot_log().n_events == 0
+        assert engine.total_events == 0
 
     def test_missing_directory_is_an_error(self, tmp_path):
         with pytest.raises(TraceParseError, match="not a directory"):
             LiveIngest(tmp_path / "nope").poll()
 
-    def test_files_appearing_one_per_poll(self, tmp_path, ls_file_bytes,
-                                          logs_identical):
-        engine = LiveIngest(tmp_path)
+    def test_files_appearing_one_per_poll(self, tmp_path, ls_file_bytes):
+        engine = emitting(tmp_path)
         for filename, content in ls_file_bytes.items():
             (tmp_path / filename).write_bytes(content)
             result = engine.poll()
             assert result.new_files  # the file was picked up
         engine.finalize()
-        logs_identical(engine.snapshot_log(),
-                       EventLog.from_source(tmp_path, workers=1))
+        assert_pack_is_batch(engine)
         assert engine.snapshot_dfg() == batch_dfg(tmp_path)
 
     def test_appends_at_odd_byte_boundaries(self, tmp_path,
-                                            ior_file_bytes,
-                                            logs_identical):
+                                            ior_file_bytes):
         """Round-robin growth, cut mid-line: the full carry-over path."""
-        engine = LiveIngest(tmp_path)
+        engine = emitting(tmp_path)
         chunk = 211  # prime, so cuts drift through line boundaries
         offsets = {name: 0 for name in ior_file_bytes}
         while any(offsets[n] < len(c)
@@ -67,25 +75,23 @@ class TestPolling:
                     offsets[name] = at + chunk
             engine.poll()
         engine.finalize()
-        logs_identical(engine.snapshot_log(),
-                       EventLog.from_source(tmp_path, workers=1))
+        assert_pack_is_batch(engine)
         assert engine.snapshot_dfg() == batch_dfg(tmp_path)
 
     def test_log_and_graph_agree_after_every_poll(self, tmp_path,
                                                   ior_file_bytes):
-        """DFG(snapshot_log) == snapshot_dfg mid-stream, not just at
-        the end — the standing invariant of the engine."""
-        engine = LiveIngest(tmp_path)
+        """The sealed records, packed, give the standing graph and
+        statistics mid-stream, not just at the end — the standing
+        invariant of the engine."""
+        engine = emitting(tmp_path)
         for name, content in ior_file_bytes.items():
             half = len(content) // 2
             grow_file(tmp_path, name, content[:half])
             engine.poll()
-            assert DFG(engine.snapshot_log().with_mapping(MAPPING)) \
-                == engine.snapshot_dfg()
+            assert_pack_agrees(engine)
             grow_file(tmp_path, name, content[half:])
             engine.poll()
-            assert DFG(engine.snapshot_log().with_mapping(MAPPING)) \
-                == engine.snapshot_dfg()
+            assert_pack_agrees(engine)
 
     def test_merge_diagnostics_match_batch(self, tmp_path,
                                            ior_file_bytes):
@@ -94,11 +100,9 @@ class TestPolling:
             (tmp_path / name).write_bytes(content)
         engine.poll()
         engine.finalize()
-        assert cases_summary(engine.cases()) == \
-            cases_summary(read_trace_dir(tmp_path))
+        assert_merge_stats_match_batch(engine)
 
-    def test_cases_without_sealed_records_still_intern(
-            self, tmp_path, logs_identical):
+    def test_cases_without_sealed_records_still_intern(self, tmp_path):
         """An empty trace file and one holding only an orphan
         unfinished line: batch interns both cases and reports their
         diagnostics — so must the live snapshot."""
@@ -107,21 +111,18 @@ class TestPolling:
         (tmp_path / "b_host1_2.st").write_bytes(b"")
         (tmp_path / "c_host1_3.st").write_bytes(
             b"300  10:00:00.000002 read(3</c>, <unfinished ...>\n")
-        engine = LiveIngest(tmp_path)
+        engine = emitting(tmp_path)
         engine.poll()
         engine.finalize()
-        logs_identical(engine.snapshot_log(),
-                       EventLog.from_source(tmp_path, workers=1))
-        assert cases_summary(engine.cases()) == \
-            cases_summary(read_trace_dir(tmp_path))
+        assert_pack_is_batch(engine)
+        assert_merge_stats_match_batch(engine)
 
     def test_finalize_consumes_late_appends_and_files(self, tmp_path,
-                                                      ls_file_bytes,
-                                                      logs_identical):
+                                                      ls_file_bytes):
         """Growth between the last poll and finalize is not lost —
         finalize performs one final poll itself."""
         items = sorted(ls_file_bytes.items())
-        engine = LiveIngest(tmp_path)
+        engine = emitting(tmp_path)
         (name0, content0) = items[0]
         grow_file(tmp_path, name0, content0[: len(content0) // 2])
         engine.poll()
@@ -129,8 +130,7 @@ class TestPolling:
         for name, content in items[1:]:  # files never seen by a poll
             (tmp_path / name).write_bytes(content)
         engine.finalize()
-        logs_identical(engine.snapshot_log(),
-                       EventLog.from_source(tmp_path, workers=1))
+        assert_pack_is_batch(engine)
         assert engine.snapshot_dfg() == batch_dfg(tmp_path)
         engine.finalize()  # idempotent
 
@@ -145,8 +145,9 @@ class TestPolling:
         assert engine.total_events == 0
         engine.finalize()
         assert engine.total_events == 1  # the close seals; read orphans
-        (case,) = engine.cases()
-        assert case.merge_stats.orphan_unfinished == 1
+        (state,) = engine_state(engine)["files"]
+        assert state["stats"]["orphan_unfinished"] == 1
+        assert_merge_stats_match_batch(engine)
         assert engine.snapshot_dfg() == batch_dfg(tmp_path, CallOnly())
 
 
@@ -174,7 +175,7 @@ class TestPollBatch:
         (traces / "a_h_3.st").write_bytes(self.GOOD[:50]
                                           + b"not a trace line\n")
         elog = tmp_path / "run.elog"
-        engine = LiveIngest(traces, keep_records=False, emit=elog)
+        engine = LiveIngest(traces, emit=elog)
         with pytest.raises(TraceParseError, match="a_h_3.st"):
             engine.poll()
         # What was sealed: files 1-2 whole; file 3 followed, nothing
@@ -200,8 +201,7 @@ class TestPollBatch:
         for filename, content in ls_file_bytes.items():
             (tmp_path / filename).write_bytes(content)
         telemetry = Telemetry()
-        engine = LiveIngest(tmp_path, keep_records=False,
-                            emit=tmp_path / "run.elog",
+        engine = LiveIngest(tmp_path, emit=tmp_path / "run.elog",
                             telemetry=telemetry)
         engine.poll()
         registry = telemetry.registry
@@ -248,19 +248,15 @@ class TestDiscoveryRules:
         with pytest.raises(TraceParseError, match="disappeared"):
             engine.poll()
 
-    def test_recursive_per_host_layout(self, tmp_path, ls_file_bytes,
-                                       logs_identical):
+    def test_recursive_per_host_layout(self, tmp_path, ls_file_bytes):
         nested = tmp_path / "host1"
         nested.mkdir()
         for filename, content in ls_file_bytes.items():
             (nested / filename).write_bytes(content)
-        engine = LiveIngest(tmp_path, recursive=True)
+        engine = emitting(tmp_path, recursive=True)
         engine.poll()
         engine.finalize()
-        logs_identical(
-            engine.snapshot_log(),
-            EventLog.from_source(tmp_path, workers=1,
-                                     recursive=True))
+        assert_pack_is_batch(engine)
 
     def test_duplicate_case_across_subdirs_rejected(self, tmp_path):
         for host_dir in ("n1", "n2"):
@@ -274,14 +270,13 @@ class TestDiscoveryRules:
     def test_cids_filter(self, tmp_path, ls_file_bytes):
         for filename, content in ls_file_bytes.items():
             (tmp_path / filename).write_bytes(content)
-        engine = LiveIngest(tmp_path, cids={"a"})
+        engine = emitting(tmp_path, cids={"a"})
         engine.poll()
         engine.finalize()
-        log = engine.snapshot_log()
+        assert_pack_is_batch(engine)
+        log = EventLog.from_source(f"elog:{engine.pack_emit()}")
         assert log.cids() == ["a"]
-        batch = EventLog.from_source(tmp_path, cids={"a"},
-                                         workers=1)
-        assert log.n_events == batch.n_events
+        assert log.n_events == engine.total_events > 0
 
     def test_non_trace_files_ignored(self, tmp_path, ls_file_bytes):
         (tmp_path / "checkpoint.json").write_text("{}")
@@ -306,7 +301,9 @@ class TestDiscoveryRules:
 class TestBoundedMemory:
     def test_keep_records_false_still_tracks_the_graph(self, tmp_path,
                                                        ior_file_bytes):
-        lean = LiveIngest(tmp_path, keep_records=False)
+        """The engine keeps no record, yet its graph and event count
+        cover the whole run."""
+        lean = LiveIngest(tmp_path)
         for name, content in ior_file_bytes.items():
             (tmp_path / name).write_bytes(content)
         lean.poll()
@@ -314,20 +311,3 @@ class TestBoundedMemory:
         assert lean.snapshot_dfg() == batch_dfg(tmp_path)
         assert lean.total_events == \
             EventLog.from_source(tmp_path, workers=1).n_events
-        # The trade: no record retention, so the snapshot log is empty.
-        assert lean.snapshot_log().n_events == 0
-        assert lean.cases() == []
-
-
-class TestSessionWiring:
-    def test_inspection_session_from_live(self, tmp_path, ls_file_bytes):
-        from repro.pipeline.session import InspectionSession
-
-        for filename, content in ls_file_bytes.items():
-            (tmp_path / filename).write_bytes(content)
-        engine = LiveIngest(tmp_path)
-        engine.poll()
-        session = InspectionSession.from_live(engine)
-        assert session.dfg == engine.snapshot_dfg()
-        text = session.render("ascii")
-        assert "DFG:" in text

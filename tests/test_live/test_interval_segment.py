@@ -25,7 +25,7 @@ from repro._util.errors import ReproError
 from repro.cli import main
 from repro.live.checkpoint import segment_path
 from repro.live.engine import LiveIngest
-from tests.test_live.test_statistics_live import assert_stats_equal
+from tests.emit_oracle import assert_stats_equal
 
 SLICES = 60
 
@@ -67,8 +67,7 @@ def _watched(tmp_path: Path, file_bytes, polls: int, **options):
     trace_dir = tmp_path / "traces"
     trace_dir.mkdir()
     sidecar = tmp_path / "ckpt.json"
-    engine = LiveIngest(trace_dir, checkpoint=sidecar,
-                        keep_records=False, **options)
+    engine = LiveIngest(trace_dir, checkpoint=sidecar, **options)
     for _, parts in zip(range(polls), _slices(file_bytes)):
         _append(trace_dir, parts)
         engine.poll()
@@ -98,8 +97,7 @@ class TestLayout:
     def test_restore_rebuilds_every_buffer(self, tmp_path,
                                            replay_bytes):
         engine, sidecar = _watched(tmp_path, replay_bytes, 25)
-        revived = LiveIngest(tmp_path / "traces", checkpoint=sidecar,
-                             keep_records=False)
+        revived = LiveIngest(tmp_path / "traces", checkpoint=sidecar)
         assert _buffers(revived) == _buffers(engine)
         order = engine._case_order()
         assert_stats_equal(revived.stats.statistics(case_order=order),
@@ -116,7 +114,7 @@ class TestLayout:
                 if "cases" in acc} == coarse
         # Their blocks from before the coarsening are dead bytes.
         revived = LiveIngest(tmp_path / "traces", checkpoint=sidecar,
-                             keep_records=False, window=4)
+                             window=4)
         assert _buffers(revived) == _buffers(engine)
 
     def test_restart_equals_no_restart(self, tmp_path, replay_bytes):
@@ -127,15 +125,13 @@ class TestLayout:
             trace_dir = tmp_path / label / "traces"
             trace_dir.mkdir(parents=True)
             sidecar = tmp_path / label / "ckpt.json"
-            engine = LiveIngest(trace_dir, checkpoint=sidecar,
-                                keep_records=False)
+            engine = LiveIngest(trace_dir, checkpoint=sidecar)
             for k, parts in enumerate(_slices(replay_bytes)):
                 _append(trace_dir, parts)
                 engine.poll()
                 engine.save_checkpoint()
                 if every and k % every == every - 1:
-                    engine = LiveIngest(trace_dir, checkpoint=sidecar,
-                                        keep_records=False)
+                    engine = LiveIngest(trace_dir, checkpoint=sidecar)
             lives[label] = (engine, sidecar)
         (straight, first), (restarted, second) = lives.values()
         assert _buffers(restarted) == _buffers(straight)
@@ -158,8 +154,7 @@ class TestSaveCost:
         trace_dir.mkdir()
         sidecar = tmp_path / "ckpt.json"
         segment = segment_path(sidecar)
-        engine = LiveIngest(trace_dir, checkpoint=sidecar,
-                            keep_records=False)
+        engine = LiveIngest(trace_dir, checkpoint=sidecar)
         seen = {}
         intervals = size = 0
         for save, parts in enumerate(_slices(replay_bytes), start=1):
@@ -198,8 +193,7 @@ class TestRestoreDiscipline:
         recorded = segment.stat().st_size
         with open(segment, "ab") as handle:
             handle.write(b"\x07" * 29)
-        revived = LiveIngest(tmp_path / "traces", checkpoint=sidecar,
-                             keep_records=False)
+        revived = LiveIngest(tmp_path / "traces", checkpoint=sidecar)
         assert segment.stat().st_size == recorded
         assert _buffers(revived) == _buffers(engine)
 
@@ -228,8 +222,7 @@ class TestRestoreDiscipline:
         copy.parent.mkdir()
         engine.save_checkpoint(copy)
         assert segment_path(copy).exists()
-        revived = LiveIngest(tmp_path / "traces", checkpoint=copy,
-                             keep_records=False)
+        revived = LiveIngest(tmp_path / "traces", checkpoint=copy)
         assert _buffers(revived) == _buffers(engine)
         # The engine's own segment keeps appending where it was.
         own_size = segment_path(engine.checkpoint_path).stat().st_size

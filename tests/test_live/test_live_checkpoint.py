@@ -278,7 +278,7 @@ class TestOldFormatsRefused:
         (trace_dir / "mix_host1_1.st").write_bytes(self.HEAD)
         sidecar = tmp_path / "watch.ckpt.json"
         elog = tmp_path / "run.elog"
-        engine = LiveIngest(trace_dir, keep_records=False, emit=elog,
+        engine = LiveIngest(trace_dir, emit=elog,
                             checkpoint=sidecar)
         engine.poll()  # close sealed + journaled; write held back
         engine.save_checkpoint()
@@ -293,7 +293,7 @@ class TestOldFormatsRefused:
         sidecar.write_text(json.dumps(state))
         with pytest.raises(ReproError, match="delete the sidecar") \
                 as caught:
-            LiveIngest(trace_dir, keep_records=False, emit=elog,
+            LiveIngest(trace_dir, emit=elog,
                        checkpoint=sidecar)
         assert f"version 8 in {sidecar}" in str(caught.value)
 
@@ -313,7 +313,7 @@ class TestOldFormatsRefused:
         state["emit_offset"] = len(line)
         sidecar.write_text(json.dumps(state))
         with pytest.raises(ReproError, match="re-watch") as caught:
-            LiveIngest(trace_dir, keep_records=False, emit=elog,
+            LiveIngest(trace_dir, emit=elog,
                        checkpoint=sidecar)
         message = str(caught.value)
         assert f"corrupt emit journal {journal}" in message

@@ -5,9 +5,10 @@ directory is revealed to the watcher — which files appear when, how
 many bytes land per step (cut at *arbitrary* byte positions, so lines
 and unfinished/resumed pairs split across polls), and where polls and
 checkpoint kill/restart cycles happen. Whatever it picks, the final
-live state must equal one-shot batch ingestion of the directory:
-byte-identical event-log frames and pools, equal DFGs, equal merge
-diagnostics.
+live state must equal one-shot batch ingestion of the directory: the
+packed ``--emit`` ``.elog`` byte-identical to ``convert`` (frames and
+pools), equal DFGs, equal per-file merge diagnostics — across a
+restart too, because the journal keeps the first life's records.
 """
 
 from __future__ import annotations
@@ -15,17 +16,15 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.dfg import DFG
 from repro.core.eventlog import EventLog
-from repro.core.frame import COLUMN_ORDER
 from repro.core.mapping import CallTopDirs
-from repro.ingest.summary import cases_summary
 from repro.live.engine import LiveIngest
-from repro.strace.reader import read_trace_dir
+from tests.emit_oracle import (assert_merge_stats_match_batch,
+                               assert_pack_is_batch)
 from tests.strategies import growth_steps, replay_schedule
 
 MAPPING = CallTopDirs(levels=2)
@@ -45,7 +44,9 @@ def _replay(file_bytes: dict[str, bytes], schedule, *,
     def on_step(step_index: int) -> None:
         if restart_after is not None and step_index == restart_after:
             holder["engine"].save_checkpoint()
-            holder["engine"] = LiveIngest(live_dir, checkpoint=sidecar)
+            holder["engine"] = LiveIngest(
+                live_dir, checkpoint=sidecar,
+                emit=holder["engine"].emit_journal.elog_path)
 
     replay_schedule(file_bytes, schedule, live_dir=live_dir,
                     poll=lambda: holder["engine"].poll(),
@@ -54,16 +55,19 @@ def _replay(file_bytes: dict[str, bytes], schedule, *,
     return holder["engine"]
 
 
+def _engine(scratch: Path, **options) -> tuple[LiveIngest, Path]:
+    """An emitting engine over ``scratch/traces`` (created)."""
+    live_dir = scratch / "traces"
+    live_dir.mkdir()
+    return LiveIngest(live_dir, emit=scratch / "run.elog",
+                      **options), live_dir
+
+
 def _assert_batch_identical(engine: LiveIngest, live_dir: Path) -> None:
+    assert_pack_is_batch(engine)
     batch_log = EventLog.from_source(live_dir, workers=1)
-    live_log = engine.snapshot_log()
-    assert len(live_log.frame) == len(batch_log.frame)
-    for column in COLUMN_ORDER:
-        assert np.array_equal(live_log.frame.column(column),
-                              batch_log.frame.column(column)), column
     assert engine.snapshot_dfg() == DFG(batch_log.with_mapping(MAPPING))
-    assert cases_summary(engine.cases()) == \
-        cases_summary(read_trace_dir(live_dir))
+    assert_merge_stats_match_batch(engine)
 
 
 class TestLiveEqualsBatch:
@@ -72,10 +76,9 @@ class TestLiveEqualsBatch:
     @given(schedule=steps)
     def test_random_growth_schedule(self, schedule, ior_file_bytes):
         with tempfile.TemporaryDirectory() as scratch:
-            live_dir = Path(scratch)
+            engine, live_dir = _engine(Path(scratch))
             engine = _replay(ior_file_bytes, schedule,
-                             live_dir=live_dir,
-                             engine=LiveIngest(live_dir))
+                             live_dir=live_dir, engine=engine)
             _assert_batch_identical(engine, live_dir)
 
     @settings(max_examples=15, deadline=None,
@@ -85,23 +88,19 @@ class TestLiveEqualsBatch:
     def test_random_schedule_with_checkpoint_restart(self, schedule,
                                                      restart_after,
                                                      ior_file_bytes):
-        """Kill + revive at a random schedule point: the final DFG
-        still equals batch (records from the first life survive only
-        in the graph, so the log assertion does not apply)."""
+        """Kill + revive at a random schedule point: the final state
+        still equals batch, the pack byte for byte — the journal keeps
+        the first life's records, which died with its process."""
         with tempfile.TemporaryDirectory() as scratch:
-            live_dir = Path(scratch) / "traces"
-            live_dir.mkdir()
             sidecar = Path(scratch) / "ckpt.json"
-            engine = LiveIngest(live_dir, checkpoint=sidecar)
+            engine, live_dir = _engine(Path(scratch), checkpoint=sidecar)
             engine = _replay(
                 ior_file_bytes, schedule, live_dir=live_dir,
                 engine=engine,
                 restart_after=min(restart_after,
                                   max(len(schedule) - 1, 0)),
                 sidecar=sidecar)
-            batch_log = EventLog.from_source(live_dir, workers=1)
-            assert engine.snapshot_dfg() == \
-                DFG(batch_log.with_mapping(MAPPING))
+            _assert_batch_identical(engine, live_dir)
 
 
 class TestWorkloadByteIdentity:
@@ -109,8 +108,7 @@ class TestWorkloadByteIdentity:
         """Deterministic replay of a simulate workload: files revealed
         in interleaved thirds — the documented byte-identity anchor."""
         with tempfile.TemporaryDirectory() as scratch:
-            live_dir = Path(scratch)
-            engine = LiveIngest(live_dir)
+            engine, live_dir = _engine(Path(scratch))
             names = sorted(ls_file_bytes)
             for third in range(3):
                 for name in names:
@@ -126,8 +124,7 @@ class TestWorkloadByteIdentity:
 
     def test_ior_workload_fixed_schedule(self, ior_file_bytes):
         with tempfile.TemporaryDirectory() as scratch:
-            live_dir = Path(scratch)
-            engine = LiveIngest(live_dir)
+            engine, live_dir = _engine(Path(scratch))
             for name, content in sorted(ior_file_bytes.items()):
                 half = len(content) // 2 + 7
                 with open(live_dir / name, "ab") as handle:

@@ -97,7 +97,7 @@ class TestWatcherSoak:
             trace_dir.mkdir()
             sidecar = tmp_path / f"{label}.json"
             engine = LiveIngest(trace_dir, checkpoint=sidecar,
-                                keep_records=False, window=window)
+                                window=window)
             trace = trace_dir / "job_host1_7.st"
             for poll in range(polls):
                 with open(trace, "ab") as handle:
@@ -129,8 +129,7 @@ class TestWatcherSoak:
         trace_dir.mkdir()
         elog = tmp_path / "run.elog"
         journal = elog.with_name(elog.name + ".journal")
-        engine = LiveIngest(trace_dir, keep_records=False,
-                            window=WINDOW, emit=elog,
+        engine = LiveIngest(trace_dir, window=WINDOW, emit=elog,
                             checkpoint=tmp_path / "ckpt.json",
                             compact_emit=1)
         trace = trace_dir / "job_host1_7.st"

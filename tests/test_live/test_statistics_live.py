@@ -5,8 +5,8 @@ promises that ``LiveIngest.statistics()`` matches a batch
 ``IOStatistics`` of the final directory on *every* ``ActivityStats``
 field — including the floats (mean data rate, relative duration), the
 max-concurrency sweep and the Eq. 15 timelines — after any poll
-schedule, any interleaving of growing cases, kill/restart cycles, and
-with or without record retention. Hypothesis supplies the adversarial
+schedule, any interleaving of growing cases and kill/restart cycles,
+although the engine keeps no record. Hypothesis supplies the adversarial
 schedules; the assertions compare field-exactly (no approx): the two
 roads must produce bit-identical floats, not merely close ones.
 """
@@ -24,6 +24,7 @@ from repro.core.eventlog import EventLog
 from repro.core.mapping import CallTopDirs
 from repro.core.statistics import IOStatistics, StatsAccumulator
 from repro.live.engine import LiveIngest
+from tests.emit_oracle import assert_pack_agrees, assert_stats_equal
 
 MAPPING = CallTopDirs(levels=2)
 
@@ -33,17 +34,6 @@ steps = st.lists(
               st.integers(min_value=1, max_value=100),
               st.booleans()),
     min_size=1, max_size=30)
-
-
-def assert_stats_equal(live: IOStatistics, batch: IOStatistics) -> None:
-    """Field-exact equality of two IOStatistics (floats included)."""
-    assert set(live.activities()) == set(batch.activities())
-    assert live.activities() == batch.activities()
-    assert live.total_duration_us == batch.total_duration_us
-    for activity in batch.activities():
-        assert live[activity] == batch[activity], activity
-        assert live.timeline(activity) == batch.timeline(activity), \
-            activity
 
 
 def batch_statistics(directory: Path) -> IOStatistics:
@@ -120,18 +110,15 @@ class TestLiveStatisticsEqualBatch:
     def test_statistics_track_every_poll_midstream(self, tmp_path,
                                                    ls_file_bytes):
         """Mid-stream, the accumulators agree with a batch compute
-        over the sealed records (the snapshot log) after *every*
-        poll — statistics and log never disagree."""
-        engine = LiveIngest(tmp_path)
+        over the sealed records (the packed ``--emit`` log) after
+        *every* poll — statistics and log never disagree."""
+        engine = LiveIngest(tmp_path, emit=tmp_path / "run.elog")
         for name, content in sorted(ls_file_bytes.items()):
             half = len(content) // 2 + 3
             with open(tmp_path / name, "ab") as handle:
                 handle.write(content[:half])
             engine.poll()
-            assert_stats_equal(
-                engine.statistics(),
-                IOStatistics(engine.snapshot_log()
-                             .with_mapping(engine.mapping)))
+            assert_pack_agrees(engine)
             with open(tmp_path / name, "ab") as handle:
                 handle.write(content[half:])
             engine.poll()
@@ -141,15 +128,13 @@ class TestLiveStatisticsEqualBatch:
 
     def test_keep_records_false_has_full_statistics(self, tmp_path,
                                                     ior_file_bytes):
-        """Record retention is orthogonal: the bounded-memory engine
-        still produces full batch-equal statistics from an empty
-        snapshot log."""
-        lean = LiveIngest(tmp_path, keep_records=False)
+        """The engine keeps no record, yet produces full batch-equal
+        statistics."""
+        lean = LiveIngest(tmp_path)
         for name, content in sorted(ior_file_bytes.items()):
             (tmp_path / name).write_bytes(content)
         lean.poll()
         lean.finalize()
-        assert lean.snapshot_log().n_events == 0
         assert_stats_equal(lean.statistics(),
                            batch_statistics(tmp_path))
 

@@ -17,6 +17,11 @@ OTHER_PID = b"200  10:00:00.000500 close(5</c>) = 0 <0.000001>\n"
 RESUMED = b"100  10:00:00.000900 <... read resumed> ..., 20) = 20 <0.000899>\n"
 
 
+def calls(rows: list[tuple]) -> list[str]:
+    """The syscall names of sealed ``(pid, start_us, call, …)`` rows."""
+    return [row[2] for row in rows]
+
+
 def _tail(tmp_path: Path, name: str = "a_host1_1.st",
           **kwargs) -> tuple[Path, FileTail]:
     path = tmp_path / name
@@ -28,10 +33,10 @@ class TestByteTailing:
     def test_records_across_polls(self, tmp_path):
         path, tail = _tail(tmp_path)
         path.write_bytes(LINE_A)
-        assert [r.call for r in tail.poll()] == ["read"]
+        assert calls(tail.poll()) == ["read"]
         with open(path, "ab") as h:
             h.write(LINE_B)
-        assert [r.call for r in tail.poll()] == ["write"]
+        assert calls(tail.poll()) == ["write"]
         assert tail.poll() == []  # nothing appended
 
     def test_line_split_at_arbitrary_byte(self, tmp_path):
@@ -40,7 +45,7 @@ class TestByteTailing:
         assert tail.poll() == []
         with open(path, "ab") as h:
             h.write(LINE_A[17:] + LINE_B)
-        assert [r.call for r in tail.poll()] == ["read", "write"]
+        assert calls(tail.poll()) == ["read", "write"]
 
     def test_crlf_split_between_cr_and_lf(self, tmp_path):
         path, tail = _tail(tmp_path)
@@ -49,20 +54,20 @@ class TestByteTailing:
         with open(path, "ab") as h:
             h.write(b"\n" + LINE_B)
         records = tail.poll()
-        assert [r.call for r in records] == ["read", "write"]
+        assert calls(records) == ["read", "write"]
 
     def test_lone_cr_terminates_line_at_finish(self, tmp_path):
         path, tail = _tail(tmp_path)
         path.write_bytes(LINE_A[:-1] + b"\r")
         assert tail.poll() == []
         records = tail.finish()
-        assert [r.call for r in records] == ["read"]
+        assert calls(records) == ["read"]
 
     def test_unterminated_final_line_parsed_at_finish(self, tmp_path):
         path, tail = _tail(tmp_path)
         path.write_bytes(LINE_A + LINE_B[:-1])  # no trailing newline
-        assert [r.call for r in tail.poll()] == ["read"]
-        assert [r.call for r in tail.finish()] == ["write"]
+        assert calls(tail.poll()) == ["read"]
+        assert calls(tail.finish()) == ["write"]
 
     def test_shrunk_file_is_an_error(self, tmp_path):
         path, tail = _tail(tmp_path)
@@ -92,9 +97,8 @@ class TestMergeAcrossPolls:
         assert tail.poll() == []
         with open(path, "ab") as h:
             h.write(RESUMED)
-        (record,) = tail.poll()
-        assert record.call == "read"
-        assert record.size == 20
+        (row,) = tail.poll()
+        assert (row[2], row[4]) == ("read", 20)  # call, size
         assert tail.merger.stats.merged_pairs == 1
 
     def test_intermediate_record_sealed_only_after_merge(self, tmp_path):
@@ -107,7 +111,7 @@ class TestMergeAcrossPolls:
         with open(path, "ab") as h:
             h.write(RESUMED)
         records = tail.poll()
-        assert [(r.pid, r.call) for r in records] == [
+        assert [(row[0], row[2]) for row in records] == [
             (100, "read"), (200, "close")]
 
     def test_matches_batch_parse_of_final_file(self, tmp_path):
@@ -137,8 +141,7 @@ class TestDecoding:
         path = tmp_path / "a_host1_1.st"
         path.write_bytes(self.BAD)
         tail = FileTail(path, strict=False)
-        (record,) = tail.poll()
-        assert record.call == "read"
+        assert calls(tail.poll()) == ["read"]
         assert tail.merger.stats.decode_replacements == 1
 
     def test_lineno_cumulative_across_polls(self, tmp_path):

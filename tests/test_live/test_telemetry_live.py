@@ -21,6 +21,7 @@ from repro.fleet import FleetScheduler, WatchJob
 from repro.live.checkpoint import CHECKPOINT_VERSION
 from repro.live.engine import LiveIngest
 from repro.telemetry import NULL_TELEMETRY, Telemetry
+from tests.emit_oracle import assert_pack_is_batch
 
 
 def _write_all(directory: Path, file_bytes: dict[str, bytes]) -> None:
@@ -335,14 +336,16 @@ def _rules() -> AlertEngine:
 def _replay(file_bytes: dict[str, bytes], schedule, *, scratch: Path,
             telemetry, restart_after: int | None = None):
     """Grow a fresh directory per the schedule — polling, evaluating
-    alerts, checkpointing, optionally killing/reviving — and return
-    ``(engine, alert identity multiset, live_dir)``."""
+    alerts, checkpointing and journaling to ``scratch/run.elog``,
+    optionally killing/reviving — and return ``(engine, alert
+    identity multiset, live_dir)``."""
     live_dir = scratch / "traces"
     live_dir.mkdir()
     sidecar = scratch / "ckpt.json"
+    elog = scratch / "run.elog"
     alerts = _rules()
-    engine = LiveIngest(live_dir, checkpoint=sidecar, alerts=alerts,
-                        telemetry=telemetry)
+    engine = LiveIngest(live_dir, checkpoint=sidecar, emit=elog,
+                        alerts=alerts, telemetry=telemetry)
     fired: list[tuple] = []
     names = sorted(file_bytes)
     offsets = {name: 0 for name in names}
@@ -366,7 +369,7 @@ def _replay(file_bytes: dict[str, bytes], schedule, *, scratch: Path,
             alerts = _rules()
             telemetry = (Telemetry() if telemetry is not None
                          else None)
-            engine = LiveIngest(live_dir, checkpoint=sidecar,
+            engine = LiveIngest(live_dir, checkpoint=sidecar, emit=elog,
                                 alerts=alerts, telemetry=telemetry)
     for name in names:
         tail = file_bytes[name][offsets[name]:]
@@ -396,8 +399,7 @@ class TestObserverNeutrality:
               suppress_health_check=[HealthCheck.too_slow])
     @given(schedule=steps)
     def test_instrumented_run_is_byte_identical(self, schedule,
-                                                ior_file_bytes,
-                                                logs_identical):
+                                                ior_file_bytes):
         with tempfile.TemporaryDirectory() as off_dir, \
                 tempfile.TemporaryDirectory() as on_dir:
             off, off_fired, _ = _replay(
@@ -407,7 +409,9 @@ class TestObserverNeutrality:
                 ior_file_bytes, schedule, scratch=Path(on_dir),
                 telemetry=Telemetry())
             assert off.snapshot_dfg() == on.snapshot_dfg()
-            logs_identical(off.snapshot_log(), on.snapshot_log())
+            assert_pack_is_batch(off)
+            assert on.pack_emit().read_bytes() == \
+                off.pack_emit().read_bytes()
             _assert_same_statistics(off, on)
             assert off_fired == on_fired
 
@@ -418,9 +422,8 @@ class TestObserverNeutrality:
     def test_neutral_across_kill_restart(self, schedule, restart_after,
                                          ior_file_bytes):
         """Kill + revive at a random point: the instrumented pair of
-        lives converges on the same DFG/statistics/alert multiset as
-        the uninstrumented pair (logs are per-life, so the frame
-        assertion does not apply — same as the base property)."""
+        lives converges on the same DFG/statistics/alert multiset and
+        the same packed log as the uninstrumented pair."""
         restart_after = min(restart_after, len(schedule) - 1)
         with tempfile.TemporaryDirectory() as off_dir, \
                 tempfile.TemporaryDirectory() as on_dir:
@@ -431,5 +434,7 @@ class TestObserverNeutrality:
                 ior_file_bytes, schedule, scratch=Path(on_dir),
                 telemetry=Telemetry(), restart_after=restart_after)
             assert off.snapshot_dfg() == on.snapshot_dfg()
+            assert on.pack_emit().read_bytes() == \
+                off.pack_emit().read_bytes()
             _assert_same_statistics(off, on)
             assert off_fired == on_fired

@@ -152,9 +152,10 @@ class TestCli:
 
     def test_edited_edge_count_is_a_corrupt_checkpoint(
             self, tmp_path, ls_file_bytes, capsys):
-        """A sidecar edited to a count no fold makes (a self-loop of 12
-        raised to 112) exits 2 naming the sidecar and the activity,
-        instead of rendering ``-[112]->``."""
+        """A sidecar edited to a count no fold makes exits 2 naming the
+        sidecar: a self-loop of 12 raised to 112 (naming the activity,
+        instead of rendering ``-[112]->``), or the first edge set to
+        0."""
         trace_dir = tmp_path / "traces"
         trace_dir.mkdir()
         _write_all(trace_dir, ls_file_bytes)
@@ -162,7 +163,8 @@ class TestCli:
         watch = ["watch", str(trace_dir), "--once", "--checkpoint",
                  str(sidecar)]
         assert main(watch) == 0
-        state = json.loads(sidecar.read_text(encoding="utf-8"))
+        saved = sidecar.read_text(encoding="utf-8")
+        state = json.loads(saved)
         loops = [edge for edge in state["dfg"]["edges"]
                  if edge[0] == edge[1] == "read:/usr/lib"]
         assert [edge[2] for edge in loops] == [12]
@@ -174,6 +176,15 @@ class TestCli:
         assert "-[112]->" not in captured.out
         assert f"corrupt checkpoint {sidecar}: activity 'read:/usr/lib'" \
             in captured.err
+
+        state = json.loads(saved)
+        first = state["dfg"]["edges"][0]
+        first[2] = 0
+        sidecar.write_text(json.dumps(state), encoding="utf-8")
+        assert main(watch) == 2
+        assert (f"corrupt checkpoint {sidecar}: checkpointed edge "
+                f"({first[0]!r}, {first[1]!r}) has non-positive count 0"
+                ) in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         [], ["--window", "2"], ["--memory-budget", "67108864"]])
@@ -226,7 +237,7 @@ class TestCli:
         from repro.core.statistics import IOStatistics
 
         _write_all(tmp_path, ls_file_bytes)
-        engine = LiveIngest(tmp_path, keep_records=False)
+        engine = LiveIngest(tmp_path)
         outputs: list[str] = []
         FleetScheduler([WatchJob(engine, polls=1, show_dfg=False)],
                        out=outputs.append, sleep=lambda _: None).run()

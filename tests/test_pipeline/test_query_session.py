@@ -26,11 +26,6 @@ class TestQuery:
         # ls -l /etc reads: locale.alias×2 + nsswitch×2 + passwd + group
         assert filtered.n_events == 3 * 6
 
-    def test_not_calls(self, fig1_dir):
-        session = InspectionSession.from_source(fig1_dir)
-        q = Query().not_calls("write")
-        assert q.apply(session.event_log).n_events == 75 - 15
-
     def test_time_window(self, fig1_dir):
         session = InspectionSession.from_source(fig1_dir)
         frame = session.event_log.frame
@@ -138,9 +133,3 @@ class TestSessionExtensions:
         session = InspectionSession.from_source(fig1_dir)
         text = session.counters()
         assert "a9042" in text
-
-    def test_html_report(self, fig1_dir, tmp_path):
-        session = InspectionSession.from_source(fig1_dir)
-        session.map_default()
-        out = session.html_report(tmp_path / "s.html", title="sess")
-        assert "sess" in out.read_text()

@@ -275,7 +275,7 @@ def _numbered(text: str):
 def _merge(texts: list[str], strict: bool):
     """``feed_text``: rows + stats, or the (path, lineno, message) of
     the error raised."""
-    merger = IncrementalMerger(path="t.st", rows=True, strict=strict)
+    merger = IncrementalMerger(path="t.st", strict=strict)
     try:
         rows = merger.feed_text(_file_text(texts))
         rows += merger.finish()
@@ -289,7 +289,7 @@ def _reference(numbered, strict: bool, path: str = "t.st"):
     ``numbered`` tokenized and fed through the merger's token
     handling. Rows + stats, or the (path, lineno, message) of the
     first error raised, by the merger or by ``numbered`` itself."""
-    merger = IncrementalMerger(path=path, rows=True, strict=strict)
+    merger = IncrementalMerger(path=path, strict=strict)
     try:
         for lineno, text in numbered:
             merger._consume(tokenize_line(text, path=path, lineno=lineno),
@@ -313,7 +313,7 @@ class _Declined(Exception):
 def fast_rows(texts: list[str], **options):
     """The rows the fast road alone gives ``texts``, interrupted calls
     kept, or None as soon as it hands a line to the tokenizer."""
-    merger = IncrementalMerger(rows=True, **options)
+    merger = IncrementalMerger(**options)
     with mock.patch.object(resume, "tokenize_line", side_effect=_Declined), \
             mock.patch.object(resume, "RESTART_ERRNOS", frozenset()):
         try:
@@ -439,7 +439,7 @@ def _batch_read(path, strict: bool, chunk_size: int):
             warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return read_trace_records(path, strict=strict, rows=True)
+            return read_trace_records(path, strict=strict)
         except TraceParseError as exc:
             return exc.path, exc.lineno, str(exc)
 
@@ -510,9 +510,12 @@ def test_batch_read_seals_once_whatever_the_blocks(trace_path):
 def test_split_pair_across_a_poll_and_a_restore(tmp_path):
     """A poll boundary and a checkpoint restore between a head and its
     tail: the sidecar holds the head exactly as the general road's
-    token, and the restored watcher seals the batch rows."""
+    token, and the restored watcher seals the batch rows: its pack is
+    batch conversion byte for byte, the first life's rows included."""
     from repro.live.engine import LiveIngest
     from repro.strace.reader import read_trace_file
+    from tests.emit_oracle import (assert_merge_stats_match_batch,
+                                   assert_pack_is_batch)
 
     texts = ["7  10:00:00.000001 read(3</x>, <unfinished ...>",
              "8  10:00:00.000002 close(4</y>) = 0 <0.000001>",
@@ -523,8 +526,9 @@ def test_split_pair_across_a_poll_and_a_restore(tmp_path):
     trace_dir.mkdir()
     path = trace_dir / "a_host1_1.st"
     sidecar = tmp_path / "watch.ckpt.json"
+    elog = tmp_path / "run.elog"
     path.write_text("\n".join(texts[:2]) + "\n")
-    engine = LiveIngest(trace_dir, checkpoint=sidecar)
+    engine = LiveIngest(trace_dir, checkpoint=sidecar, emit=elog)
     engine.poll()
     engine.save_checkpoint()
     del engine
@@ -539,14 +543,12 @@ def test_split_pair_across_a_poll_and_a_restore(tmp_path):
 
     with path.open("a") as handle:
         handle.write("\n".join(texts[2:]) + "\n")
-    revived = LiveIngest(trace_dir, checkpoint=sidecar)
+    revived = LiveIngest(trace_dir, checkpoint=sidecar, emit=elog)
     revived.poll()
     revived.finalize()
-    (case,) = revived.cases()
-    batch = read_trace_file(path)
-    assert case.records == batch.records
-    assert case.merge_stats == batch.merge_stats
-    assert batch.merge_stats.merged_pairs == 1
+    assert_pack_is_batch(revived)
+    assert_merge_stats_match_batch(revived)
+    assert read_trace_file(path).merge_stats.merged_pairs == 1
 
 
 # -- the fast road is the common road --------------------------------------

@@ -213,7 +213,7 @@ class TestIncrementalMerger:
 100  10:00:00.000900 <... read resumed> ..., 20) = 20 <0.000899>
 """))
         # The merged read sorts before the close it was blocking.
-        assert [(r.pid, r.call) for r in sealed] == [
+        assert [(row[0], row[2]) for row in sealed] == [
             (100, "read"), (300, "close")]
         assert merger.finish() == []
 
@@ -226,7 +226,7 @@ class TestIncrementalMerger:
 300  10:00:00.000001 close(5</c>) = 0 <0.000001>
 100  10:00:00.000002 read(3</a>, <unfinished ...>
 """))
-        assert [(r.pid, r.call) for r in sealed] == [(300, "close")]
+        assert [(row[0], row[2]) for row in sealed] == [(300, "close")]
 
     def test_finish_orphans_pending(self):
         from repro.strace.resume import IncrementalMerger

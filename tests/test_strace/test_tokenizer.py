@@ -111,12 +111,6 @@ class TestAlternativeHeaderFormats:
         assert token.pid == 0
         assert token.start_us == 32154153994
 
-    def test_pidless_with_custom_default(self):
-        token = tokenize_line(
-            "08:55:54.153994 close(3</x>) = 0 <0.000001>",
-            default_pid=777)
-        assert token.pid == 777
-
     def test_pidless_epoch(self):
         token = tokenize_line(
             "1700000000.123456 close(3</x>) = 0 <0.000001>")

@@ -38,10 +38,6 @@ class TestIntern:
         with pytest.raises(IndexError):
             StringPool(["a"]).decode(5)
 
-    def test_decode_all(self):
-        pool = StringPool(["a", "b", "c"])
-        assert pool.decode_all(np.array([2, 0])) == ["c", "a"]
-
     def test_lookup_never_interns(self):
         pool = StringPool()
         assert pool.lookup("ghost") is None
